@@ -30,10 +30,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .demand import init_state, step_physical
+from .demand import init_ensemble, ou_step_factors, step_ensemble
 from .errors import FitError, ParseError
 from .lob import MessageEvent, OrderBook, Side, replay
-from .params import ModelParams
+from .params import ModelParams, uniform_loadings
 from .sheet import SheetConfig, increments
 
 SESSION_START_NS = 34_200_000_000_000   # 09:30
@@ -362,19 +362,11 @@ def fit_loadings(panel: PanelData) -> np.ndarray:
     scale = 1.0 / math.sqrt(panel.delta_p)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.diff(np.log(panel.q), axis=0)
-    good = np.all(np.isfinite(d), axis=0) & (d.std(axis=0) > 0)
-    if not np.all(good):
-        warnings.warn(
-            "degenerate loadings: panel is rank-deficient, using identity",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return np.eye(n) * scale
-    corr = np.corrcoef(d, rowvar=False)
-    vals, vecs = np.linalg.eigh(corr)
-    vals = np.clip(vals, 0.0, None)
-    root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-    norms = np.linalg.norm(root, axis=1)
+    norms = np.zeros(n)
+    if np.all(np.isfinite(d)) and np.all(d.std(axis=0) > 0):
+        vals, vecs = np.linalg.eigh(np.corrcoef(d, rowvar=False))
+        root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        norms = np.linalg.norm(root, axis=1)
     if np.any(norms == 0.0):
         warnings.warn(
             "degenerate loadings: panel is rank-deficient, using identity",
@@ -402,13 +394,10 @@ def jarque_bera(series: Sequence) -> tuple:
     x = np.asarray(series, dtype=float)
     if x.size < 8:
         raise FitError(f"need at least 8 observations, got {x.size}")
-    c = x - x.mean()
-    m2 = float(np.mean(c ** 2))
-    if m2 == 0.0:
+    stats = summarize(x)
+    if stats.skewness is None:
         return 0.0, 1.0
-    skew = float(np.mean(c ** 3)) / m2 ** 1.5
-    kurt = float(np.mean(c ** 4)) / m2 ** 2
-    return jarque_bera_from_moments(x.size, skew, kurt - 3.0)
+    return jarque_bera_from_moments(x.size, stats.skewness, stats.kurtosis)
 
 
 def fit_drift(pi: Sequence) -> float:
@@ -571,8 +560,6 @@ def to_model_params(report: FitReport) -> ModelParams:
     panel (a single series cannot pin a direction in factor space), so the
     uniform normalized profile is used.
     """
-    n = 2 * report.K
-    edge_loadings = np.full(n, 1.0 / math.sqrt(n * report.delta_p))
     return ModelParams(
         K=report.K,
         delta_p=report.delta_p,
@@ -586,7 +573,7 @@ def to_model_params(report: FitReport) -> ModelParams:
         a_edge=report.a_edge,
         mean_log_edge=report.mean_log_edge,
         sigma_edge_rel=report.sigma_edge_rel,
-        edge_loadings=edge_loadings,
+        edge_loadings=uniform_loadings(report.K, report.delta_p),
         drift_c=report.drift_c * report.bars_per_hour,
     )
 
@@ -619,10 +606,11 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0,
     rebuilding the panel therefore recovers pi, every q(k), and the edge
     series exactly, which is what makes parameter-recovery tests sharp.
     """
-    state = init_state(params)
+    ens = init_ensemble(params, 1)
     cfg = SheetConfig(factor_count=2 * params.K, delta_p=params.delta_p,
                       seed=seed)
     dt_hours = delta_t_ns / 3_600_000_000_000.0
+    factors = ou_step_factors(params, dt_hours)
     K = params.K
     events: list = []
     live_ids: list = []
@@ -632,7 +620,9 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0,
         ts = t0 + 1_000_000  # strictly inside the bar
         if bar > 0:
             inc = increments(cfg, dt_hours, bar - 1)
-            state = step_physical(state, params, inc, dt_hours)
+            step_ensemble(ens, params, inc[None, :], dt_hours, factors,
+                          translation=params.drift_c * dt_hours).raise_if_aborted()
+        state = ens.path()
 
         def emit(msg_type, side, order_id, price, size):
             nonlocal ts

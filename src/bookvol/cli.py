@@ -23,7 +23,7 @@ Every run emits a manifest recording the command, library version, seed and
 a SHA-256 hash of the fully resolved inputs; it is written next to the
 ``--out`` artifact (``<out>.manifest.json``) or to stderr when the artifact
 goes to stdout.  Runs with identical configuration and seed produce
-byte-identical artifacts; ``--deterministic`` merely asserts that default.
+byte-identical artifacts.
 
 Exit codes:
     0  success
@@ -360,38 +360,33 @@ def _build_request(args, cfg: dict, params: ModelParams) -> pricing.PricingReque
                                   n_paths=n_paths, dt=dt, seed=seed, rate=rate)
 
 
-def cmd_price(args) -> int:
+def _price_text(table: pricing.SmileTable) -> str:
+    lines = ["strike,price,std_error"]
+    lines += [f"{_num(q.strike)},{_num(q.price)},{_num(q.std_error)}" for q in table.quotes]
+    lines += ["# diagnostics", f"n_aborted_paths,{table.n_aborted_paths}"]
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_quotes(args, command: str, render) -> int:
+    """Shared body of ``price`` and ``smile``, which differ only in the table text."""
     cfg = _load_config(args.config)
     params = _resolve_params(cfg)
     req = _build_request(args, cfg, params)
-    table = pricing.smile(params, req)
-    lines = ["strike,price,std_error"]
-    lines += [f"{_num(q.strike)},{_num(q.price)},{_num(q.std_error)}"
-              for q in table.quotes]
-    lines += ["# diagnostics", f"n_aborted_paths,{table.n_aborted_paths}"]
-    text = "\n".join(lines) + "\n"
-
-    effective = {"command": "price", "strikes": list(req.strikes),
+    text = render(pricing.smile(params, req))
+    effective = {"command": command, "strikes": list(req.strikes),
                  "expiry": req.expiry, "dt": req.dt, "paths": req.n_paths,
                  "seed": req.seed, "rate": req.rate,
                  "model": params_to_dict(params)}
-    _write_artifact(text, args.out, "price", seed=req.seed, effective=effective)
+    _write_artifact(text, args.out, command, seed=req.seed, effective=effective)
     return 0
+
+
+def cmd_price(args) -> int:
+    return _cmd_quotes(args, "price", _price_text)
 
 
 def cmd_smile(args) -> int:
-    cfg = _load_config(args.config)
-    params = _resolve_params(cfg)
-    req = _build_request(args, cfg, params)
-    table = pricing.smile(params, req)
-    text = table.to_text()
-
-    effective = {"command": "smile", "strikes": list(req.strikes),
-                 "expiry": req.expiry, "dt": req.dt, "paths": req.n_paths,
-                 "seed": req.seed, "rate": req.rate,
-                 "model": params_to_dict(params)}
-    _write_artifact(text, args.out, "smile", seed=req.seed, effective=effective)
-    return 0
+    return _cmd_quotes(args, "smile", pricing.SmileTable.to_text)
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +405,6 @@ def _add_common(sub, *, paths=False, strikes=False, log=False):
     if strikes:
         sub.add_argument("--strikes", help="comma-separated strike list")
     sub.add_argument("--out", help="artifact path (default: stdout)")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="assert bit-reproducible output (always on)")
     sub.add_argument("--verbose", action="store_true",
                      help="extra diagnostics on stderr")
 

@@ -24,19 +24,18 @@ preserves the stationary book shape that the volatility of π is built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BoundaryBreachError,
     GridError,
-    LiquiditySingularityError,
     SimulationError,
     UndefinedInverseError,
 )
 from .params import ModelParams
-from .sheet import integrate
 
 
 @dataclass
@@ -58,12 +57,6 @@ class DemandState:
 
     def edge(self) -> float:
         return float(math.exp(self.log_edge))
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    k: int
-    Qtilde: float
 
 
 def init_state(params: ModelParams) -> DemandState:
@@ -97,11 +90,6 @@ def net_demand(state: DemandState, k: int) -> float:
     return float(node_values(state)[k + K])
 
 
-def curve_samples(state: DemandState) -> list[CurveSample]:
-    vals = node_values(state)
-    return [CurveSample(k=m - state.K, Qtilde=float(v)) for m, v in enumerate(vals)]
-
-
 def curve_value(state: DemandState, price: float) -> float:
     """Net demand at an absolute price, linear between nodes."""
     offs = node_offsets(state)
@@ -112,7 +100,186 @@ def curve_value(state: DemandState, price: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# clearing
+# path ensembles and the one stepping core
+#
+# Per-path state is stored as flat arrays so that the OU update and the
+# clearing search run batched over paths.  step_ensemble is the only step;
+# a single DemandState is stepped as an ensemble of one (clear,
+# step_physical and riskneutral.step_risk_neutral wrap it).
+
+@dataclass
+class Ensemble:
+    delta_p: float
+    log_edge: np.ndarray    # (n,)
+    log_q: np.ndarray       # (n, 2K)
+    pi: np.ndarray          # (n,)
+    alive: np.ndarray       # (n,) bool
+    t: float = 0.0
+
+    @classmethod
+    def of(cls, state: DemandState, n_paths: int = 1) -> Ensemble:
+        """Ensemble of n_paths copies of `state`."""
+        return cls(delta_p=state.delta_p, log_edge=np.full(n_paths, state.log_edge, dtype=float),
+                   log_q=np.tile(np.asarray(state.log_q, dtype=float), (n_paths, 1)),
+                   pi=np.full(n_paths, state.pi, dtype=float),
+                   alive=np.ones(n_paths, dtype=bool), t=state.t)
+
+    def path(self, i: int = 0) -> DemandState:
+        """Path i as a DemandState; its log masses are a view into the ensemble."""
+        return DemandState(delta_p=self.delta_p, log_edge=float(self.log_edge[i]),
+                           log_q=self.log_q[i], pi=float(self.pi[i]), t=self.t)
+
+
+class Cleared(NamedTuple):
+    """Per-path outcome of one clearing pass; aborted paths are marked dead."""
+
+    top: np.ndarray         # net demand non-negative at the top of the grid
+    bottom: np.ndarray      # net demand non-positive at the bottom of the grid
+    broken: np.ndarray      # non-finite curve values
+    relabeled: np.ndarray   # grid labels rotated
+
+    def raise_if_aborted(self) -> None:
+        """Raise path 0's clearing failure, if any: the single-state contract."""
+        if self.broken[0]:
+            raise SimulationError("non-finite log quantities in state")
+        if self.bottom[0]:
+            raise BoundaryBreachError("bottom", "net demand non-positive at the bottom of the grid")
+        if self.top[0]:
+            raise BoundaryBreachError("top", "net demand non-negative at the top of the grid")
+
+
+@dataclass
+class SimDiagnostics:
+    n_steps: int = 0
+    n_relabel: int = 0
+    n_aborted_top: int = 0
+    n_aborted_bottom: int = 0
+    n_aborted_singular: int = 0
+    max_rel_residual: float = 0.0
+
+    @property
+    def n_aborted(self) -> int:
+        return self.n_aborted_top + self.n_aborted_bottom + self.n_aborted_singular
+
+    def count(self, cleared: Cleared) -> None:
+        """Add one clearing pass; a non-finite curve is booked as a bottom breach."""
+        self.n_aborted_top += int(cleared.top.sum())
+        self.n_aborted_bottom += int((cleared.bottom | cleared.broken).sum())
+        self.n_relabel += int(cleared.relabeled.sum())
+
+
+def init_ensemble(params: ModelParams, n_paths: int) -> Ensemble:
+    return Ensemble.of(init_state(params), n_paths)
+
+
+def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
+    """Vectorized zero-crossing, relabeling, and edge re-anchoring (in place).
+
+    Live paths whose curve is non-finite or does not cross zero inside the
+    grid are marked dead and reported instead of cleared.
+    """
+    n, twoK = ens.log_q.shape
+    K = twoK // 2
+    dp = ens.delta_p
+    # overflow to inf is a legitimate outcome here: such rows fail the
+    # finiteness screen below and are reported as broken, not crashed
+    with np.errstate(over="ignore"):
+        q = np.exp(ens.log_q)
+        vals = np.exp(ens.log_edge)[:, None] - np.concatenate(
+            [np.zeros((n, 1)), np.cumsum(q, axis=1)], axis=1)
+    offs = (np.arange(-K, K + 1) + 0.5) * dp
+
+    finite = np.isfinite(vals).all(axis=1)
+    top = ens.alive & finite & (vals[:, -1] >= 0.0)
+    bottom = ens.alive & finite & (vals[:, 0] <= 0.0)
+    broken = ens.alive & ~finite
+    ens.alive &= finite & ~(top | bottom)
+    if broken.any():        # placeholder state so later vector math stays finite
+        ens.log_q[broken] = params.mean_logq
+        ens.log_edge[broken] = params.mean_log_edge
+        vals[broken] = 1.0
+    live = ens.alive
+    if not live.any():
+        return Cleared(top, bottom, broken, np.zeros(n, dtype=bool))
+
+    neg = np.where(np.isfinite(vals), vals, 0.0) < 0.0
+    neg[:, 0] = False                      # live rows start positive anyway
+    j = np.clip(np.argmax(neg, axis=1), 1, twoK)
+    rows = np.arange(n)
+    v_hi = vals[rows, j - 1]
+    v_lo = vals[rows, j]
+    denom = np.where(live, v_hi - v_lo, 1.0)
+    z = np.where(live, offs[j - 1] + dp * v_hi / denom, 0.0)
+    ens.pi = ens.pi + z
+
+    # labels rotate by the whole buckets the crossing moved; fresh far
+    # buckets start at their long-run mean mass
+    kstar = np.floor(z / dp + 0.5).astype(int)
+    moved = live & (kstar != 0)
+    if moved.any():
+        idx = np.where(moved)[0]
+        src = np.arange(twoK)[None, :] + kstar[idx][:, None]
+        inside = (src >= 0) & (src < twoK)
+        block = np.take_along_axis(ens.log_q[idx], np.clip(src, 0, twoK - 1), axis=1)
+        ens.log_q[idx] = np.where(inside, block, params.mean_logq[None, :])
+
+    q = np.exp(ens.log_q)
+    edge = q[:, : K - 1].sum(axis=1) + 0.5 * q[:, K - 1]   # zero sits mid-bucket 0
+    ens.log_edge = np.log(edge)
+    return Cleared(top, bottom, broken, moved)
+
+
+def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-step decay e^{-a dt} and noise scale sqrt(var of the OU increment)."""
+    a = np.asarray(a, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    decay = np.exp(-a * dt)
+    var_scale = np.where(a > 0, -np.expm1(-2 * np.where(a > 0, a, 1.0) * dt) / (2 * a + (a <= 0)),
+                         dt)
+    return decay, sigma * np.sqrt(var_scale)
+
+
+def ou_step_factors(params: ModelParams, dt: float) -> tuple:
+    """(decay_q, vol_q, decay_e, vol_e) of the exact OU step over dt."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return (*_ou_factors(params.a_q, params.sigma_q_rel, dt),
+            *_ou_factors(params.a_edge, params.sigma_edge_rel, dt))
+
+
+def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float,
+                  factors: tuple, *, kill=None, translation: float = 0.0,
+                  clear_paths=_batch_clear) -> Cleared:
+    """Advance every live path one step and re-clear it (in place).
+
+    The (n, F) factor increments `inc`, projected on the loadings and scaled
+    to unit variance, drive the exact OU update of the log masses and edge;
+    the rotated drift-kill solutions `kill` = (y, e) shift those drivers by
+    -y·Δp·√dt and -e·Δp·√dt.  Live prices then move by `translation`.
+    `factors` is ou_step_factors(params, dt), computed once per run; a caller
+    passes `clear_paths` to resolve _batch_clear at call time, so that timing
+    hooks installed on its own module see each pass.
+    """
+    decay_q, vol_q, decay_e, vol_e = factors
+    root_dt = math.sqrt(dt)
+    z_q = (inc @ params.loadings.T) * (math.sqrt(params.delta_p) / root_dt)
+    z_e = (inc @ params.edge_loadings) * (math.sqrt(params.delta_p) / root_dt)
+    if kill is not None:
+        y, e = kill
+        z_q -= y * (params.delta_p * root_dt)
+        z_e -= e * (params.delta_p * root_dt)
+    new_log_q = params.mean_logq + (ens.log_q - params.mean_logq) * decay_q + vol_q * z_q
+    new_log_edge = (params.mean_log_edge
+                    + (ens.log_edge - params.mean_log_edge) * decay_e + vol_e * z_e)
+    live = ens.alive
+    ens.log_q[live] = new_log_q[live]
+    ens.log_edge[live] = new_log_edge[live]
+    cleared = clear_paths(ens, params)
+    if translation:
+        ens.pi[ens.alive] += translation
+    ens.t += dt
+    return cleared
+
 
 def clear(state: DemandState, params: ModelParams) -> tuple[float, DemandState]:
     """Re-locate the clearing price at the curve's zero and re-center the grid.
@@ -123,68 +290,19 @@ def clear(state: DemandState, params: ModelParams) -> tuple[float, DemandState]:
     long-run mean mass) and the edge is re-anchored so the relabelled curve
     passes through zero exactly at the new π.
     """
-    if not (np.all(np.isfinite(state.log_q)) and np.isfinite(state.log_edge)):
-        raise SimulationError("non-finite log quantities in state")
-    vals = node_values(state)
-    offs = node_offsets(state)
-    if vals[0] <= 0.0:
-        raise BoundaryBreachError("bottom", "net demand non-positive at the bottom of the grid")
-    if vals[-1] >= 0.0:
-        raise BoundaryBreachError("top", "net demand non-negative at the top of the grid")
-    j = int(np.argmax(vals < 0.0))          # first node below zero
-    z = offs[j - 1] + state.delta_p * vals[j - 1] / (vals[j - 1] - vals[j])
-    pi_new = float(state.pi + z)
-
-    kstar = int(math.floor(z / state.delta_p + 0.5))
-    log_q = state.log_q
-    if kstar != 0:
-        n = 2 * state.K
-        src = np.arange(n) + kstar
-        inside = (src >= 0) & (src < n)
-        rotated = params.mean_logq.astype(float).copy()
-        rotated[inside] = log_q[src[inside]]
-        log_q = rotated
-
-    q = np.exp(log_q)
-    K = state.K
-    edge = q[: K - 1].sum() + 0.5 * q[K - 1]   # zero of the curve sits mid-bucket 0
-    new = replace(state, log_q=log_q, log_edge=float(np.log(edge)), pi=pi_new)
-    return pi_new, new
+    ens = Ensemble.of(state)
+    _batch_clear(ens, params).raise_if_aborted()
+    new = ens.path()
+    return new.pi, new
 
 
-# ----------------------------------------------------------------------
-# physical-measure dynamics
-
-def ou_exact(x, a, mean, sigma, dt: float, z, shift=0.0):
-    """One exact step of d(log x) = -a(log x - mean)dt + sigma dB + shift dt.
-
-    `z` is a unit-variance standard normal driver.  a = 0 degenerates to the
-    arithmetic step shift*dt + sigma*sqrt(dt)*z.
-    """
-    a = np.asarray(a, dtype=float)
-    safe = np.where(a > 0.0, a, 1.0)
-    decay = np.exp(-a * dt)
-    drift_scale = np.where(a > 0.0, -np.expm1(-a * dt) / safe, dt)
-    vol_scale = np.where(a > 0.0, np.sqrt(-np.expm1(-2.0 * a * dt) / (2.0 * safe)), np.sqrt(dt))
-    return mean + (x - mean) * decay + shift * drift_scale + sigma * vol_scale * z
-
-
-def _advance(state: DemandState, params: ModelParams, inc: np.ndarray, dt: float,
-             translation: float) -> DemandState:
-    """OU-step the relative book, re-clear, then translate the price level."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    root_dt = math.sqrt(dt)
-    z_q = integrate(params.loadings, inc, params.delta_p) / root_dt
-    z_e = integrate(params.edge_loadings, inc, params.delta_p) / root_dt
-    log_q = ou_exact(state.log_q, params.a_q, params.mean_logq, params.sigma_q_rel, dt, z_q)
-    log_edge = ou_exact(state.log_edge, params.a_edge, params.mean_log_edge,
-                        params.sigma_edge_rel, dt, float(z_e))
-    moved = replace(state, log_q=np.asarray(log_q), log_edge=float(log_edge), t=state.t + dt)
-    _, cleared = clear(moved, params)
-    if translation:
-        cleared = replace(cleared, pi=cleared.pi + translation)
-    return cleared
+def _step_state(state: DemandState, params: ModelParams, inc: np.ndarray, dt: float,
+                translation: float) -> DemandState:
+    """One step of a single state, as an ensemble of one; clearing failures raise."""
+    ens = Ensemble.of(state)
+    step_ensemble(ens, params, np.asarray(inc, dtype=float)[None, :], dt,
+                  ou_step_factors(params, dt), translation=translation).raise_if_aborted()
+    return ens.path()
 
 
 def step_physical(state: DemandState, params: ModelParams, inc: np.ndarray, dt: float) -> DemandState:
@@ -195,7 +313,7 @@ def step_physical(state: DemandState, params: ModelParams, inc: np.ndarray, dt: 
     clearing-price drift params.drift_c (a physical-measure diagnostic, per
     hour) translates the price level on top of the relative-book move.
     """
-    return _advance(state, params, inc, dt, params.drift_c * dt)
+    return _step_state(state, params, inc, dt, params.drift_c * dt)
 
 
 # ----------------------------------------------------------------------
@@ -234,23 +352,6 @@ def liquidation_proceeds(state: DemandState, theta: float) -> float:
     return total if theta > 0 else -total
 
 
-@dataclass(frozen=True)
-class InverseCoeffs:
-    mu: float
-    sigma: float
-    loadings: np.ndarray
-
-
-def _nodal_drifts(state: DemandState, params: ModelParams) -> np.ndarray:
-    """Ito drift of the cumulative curve value at each node, grid frozen."""
-    q = state.quantities()
-    edge = state.edge()
-    mu_q = q * (-params.a_q * (state.log_q - params.mean_logq) + 0.5 * params.sigma_q_rel**2)
-    mu_e = edge * (-params.a_edge * (state.log_edge - params.mean_log_edge)
-                   + 0.5 * params.sigma_edge_rel**2)
-    return mu_e - np.concatenate(([0.0], np.cumsum(mu_q)))
-
-
 def _nodal_loadings(state: DemandState, params: ModelParams) -> np.ndarray:
     """(2K+1, 2K) factor-loading vectors of the curve value at each node."""
     q = state.quantities()
@@ -258,45 +359,6 @@ def _nodal_loadings(state: DemandState, params: ModelParams) -> np.ndarray:
     per_bucket = (q * params.sigma_q_rel)[:, None] * params.loadings
     cum = np.vstack([np.zeros(params.factor_count), np.cumsum(per_bucket, axis=0)])
     return edge * params.sigma_edge_rel * params.edge_loadings[None, :] - cum
-
-
-def inverse_dynamics_coeffs(state: DemandState, params: ModelParams, x: float) -> InverseCoeffs:
-    """Drift, volatility, and loadings of the level P(x,t) with the grid frozen.
-
-    The curve value and its loading vector are interpolated at P(x); the
-    price derivatives (∂Q/∂p, ∂²Q/∂p², ∂σ_Q/∂p) use central differences on
-    the node grid, so the coefficients are those of the piecewise model seen
-    through a smooth three-node stencil.
-    """
-    price = inverse(state, x)
-    s = price - state.pi
-    offs = node_offsets(state)
-    vals = node_values(state)
-    dp = state.delta_p
-
-    drifts = _nodal_drifts(state, params)
-    vload = _nodal_loadings(state, params)
-    sig_nodes = np.sqrt((vload**2).sum(axis=1) * dp)
-
-    # interpolate level quantities at s
-    j = min(max(int(np.searchsorted(offs, s, side="right")), 1), len(offs) - 1)
-    w = (s - offs[j - 1]) / dp
-    mu_Q = (1 - w) * drifts[j - 1] + w * drifts[j]
-    v = (1 - w) * vload[j - 1] + w * vload[j]
-    sigma_Q = float(np.sqrt((v**2).sum() * dp))
-
-    # central differences at the node nearest to s
-    m = min(max(int(np.floor(s / dp + 0.5)) + state.K, 1), len(offs) - 2)
-    Q_p = (vals[m + 1] - vals[m - 1]) / (2 * dp)
-    Q_pp = (vals[m + 1] - 2 * vals[m] + vals[m - 1]) / dp**2
-    dsig_dp = (sig_nodes[m + 1] - sig_nodes[m - 1]) / (2 * dp)
-
-    if Q_p == 0.0 or not np.isfinite(Q_p):
-        raise LiquiditySingularityError("curve slope vanishes at the evaluation price")
-    sigma_P = -sigma_Q / Q_p
-    b_P = v / sigma_Q if sigma_Q > 0 else np.zeros_like(v)
-    mu_P = -(mu_Q + 0.5 * Q_pp * sigma_P**2 + dsig_dp * sigma_P) / Q_p
-    return InverseCoeffs(mu=float(mu_P), sigma=float(sigma_P), loadings=b_P)
 
 
 # ----------------------------------------------------------------------
@@ -325,9 +387,7 @@ def wealth_increment(state_before: DemandState, state_after: DemandState,
         dv -= 0.5 * slope * theta_qv
 
     if jump and theta_after != theta_before:
-        gained = liquidation_proceeds(state_after, theta_after) - liquidation_proceeds(state_after, theta_before)
-        penalty = gained - (theta_after - theta_before) * inverse(state_after, theta_after)
-        dv -= penalty
+        dv -= jump_penalty(state_after, theta_before, theta_after)
     return float(dv)
 
 

@@ -24,8 +24,6 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .errors import OrderError, UnknownOrderError
 
 
@@ -141,26 +139,6 @@ class OrderBook:
             elif r.order.side is Side.SELL and r.order.price <= price:
                 total -= r.remaining
         return total
-
-    def net_demand_snapshot(self, grid: np.ndarray) -> np.ndarray:
-        """Net demand sampled on a price grid (non-increasing by construction)."""
-        grid = np.asarray(grid, dtype=float)
-        buys_p, buys_q, sells_p, sells_q = [], [], [], []
-        for r in self._resting.values():
-            if r.order.side is Side.BUY:
-                buys_p.append(r.order.price)
-                buys_q.append(r.remaining)
-            else:
-                sells_p.append(r.order.price)
-                sells_q.append(r.remaining)
-        bp = np.asarray(buys_p, dtype=float)
-        bq = np.asarray(buys_q, dtype=float)
-        sp = np.asarray(sells_p, dtype=float)
-        sq = np.asarray(sells_q, dtype=float)
-        out = np.empty_like(grid)
-        for i, p in enumerate(grid):
-            out[i] = bq[bp >= p].sum() - sq[sp <= p].sum()
-        return out
 
     # ------------------------------------------------------------------
     # mutation

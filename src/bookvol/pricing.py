@@ -39,9 +39,8 @@ TRADING_HOURS_PER_YEAR = 1638.0
 # One calibration bar (one minute) expressed in trading years.
 ONE_MINUTE_YEARS = 1.0 / (60.0 * TRADING_HOURS_PER_YEAR)
 
-# Bisection bracket and price tolerance for implied-vol inversion.
+# Bisection bracket for implied-vol inversion.
 VOL_BRACKET = (1e-6, 5.0)
-PRICE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -140,32 +139,22 @@ def simulate_terminals(params: ModelParams, req: PricingRequest) -> np.ndarray:
     return terminals
 
 
+def _payoff_stats(payoff: np.ndarray) -> tuple:
+    """Sample mean of a payoff sample and its standard error."""
+    if payoff.size == 0:
+        raise ValueError("empty terminal sample")
+    se = float(payoff.std(ddof=1) / math.sqrt(payoff.size)) if payoff.size > 1 else 0.0
+    return float(payoff.mean()), se
+
+
 def call_price(terminals: np.ndarray, strike: float) -> tuple:
     """Sample mean of the call payoff and its standard error."""
-    terminals = np.asarray(terminals, dtype=float)
-    if terminals.size == 0:
-        raise ValueError("empty terminal sample")
-    payoff = np.maximum(terminals - strike, 0.0)
-    price = float(payoff.mean())
-    if payoff.size > 1:
-        se = float(payoff.std(ddof=1) / math.sqrt(payoff.size))
-    else:
-        se = 0.0
-    return price, se
+    return _payoff_stats(np.maximum(np.asarray(terminals, dtype=float) - strike, 0.0))
 
 
 def put_price(terminals: np.ndarray, strike: float) -> tuple:
     """Sample mean of the put payoff and its standard error."""
-    terminals = np.asarray(terminals, dtype=float)
-    if terminals.size == 0:
-        raise ValueError("empty terminal sample")
-    payoff = np.maximum(strike - terminals, 0.0)
-    price = float(payoff.mean())
-    if payoff.size > 1:
-        se = float(payoff.std(ddof=1) / math.sqrt(payoff.size))
-    else:
-        se = 0.0
-    return price, se
+    return _payoff_stats(np.maximum(strike - np.asarray(terminals, dtype=float), 0.0))
 
 
 def bs_call(spot: float, strike: float, expiry: float, rate: float,
@@ -188,7 +177,7 @@ def implied_vol(price: float, spot: float, strike: float, expiry: float,
                 rate: float = 0.0) -> Optional[float]:
     """Annualized volatility whose Black-Scholes call value matches ``price``.
 
-    Bisection over sigma in [1e-6, 5] to a price tolerance of 1e-8.
+    Bisection over sigma in [1e-6, 5], pinched to 1e-12 in sigma.
     Returns None (undefined, not an exception) when no root exists in the
     bracket: price strictly below the discounted intrinsic value, price at
     or above spot, or price requiring a volatility above 5.  A price that

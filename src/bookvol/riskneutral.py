@@ -15,7 +15,7 @@ _row_anchors: mid-bucket for the live clearing row, bucket edge for the
 hypothetical ones).  The right side collects the physical drift of the
 curve value, the w_i share of the clearing bucket's own drift, and the
 covariance between the clearing-bucket mass and the price: see
-_mpr_right_side.  Under the changed measure each factor increment picks up
+build_mpr_system.  Under the changed measure each factor increment picks up
 -λ_j√Δp·dt, which is how step_risk_neutral applies the solution.
 
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sheet
-from .demand import DemandState, _advance, _nodal_loadings
+from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _nodal_loadings,
+                     _step_state, init_ensemble, ou_step_factors, step_ensemble)
 from .errors import SimulationError, SingularSystemError
 from .params import ModelParams
 
@@ -74,31 +75,6 @@ def sigma_pi_direct(state: DemandState, params: ModelParams, bucket: int = 0) ->
     return float(np.sqrt((v**2).sum() * state.delta_p) * state.delta_p / q_i)
 
 
-@dataclass(frozen=True)
-class DriftPieces:
-    F_pi: float         # slope of the curve at the clearing price (density, negated)
-    F_pipi: float       # central-difference curvature surrogate at the clearing bucket
-    C_term: float       # covariance of the clearing-bucket mass with dπ, negated
-    H: np.ndarray       # -cumulative σ_q·b_q sums below the clearing price
-
-
-def drift_pieces(state: DemandState, params: ModelParams) -> DriftPieces:
-    q = state.quantities()
-    dp = state.delta_p
-    i0 = params.idx(0)
-    lo = q[i0 - 1] if i0 - 1 >= 0 else q[i0]
-    hi = q[i0 + 1] if i0 + 1 < len(q) else q[i0]
-    F_pi = -q[i0] / dp
-    F_pipi = -(hi - lo) / (2 * dp**2) if 0 < i0 < len(q) - 1 \
-        else -(hi - lo) / dp**2                      # one-sided at grid ends
-    per_bucket = (q * params.sigma_q_rel)[:, None] * params.loadings
-    H = -per_bucket[:i0].sum(axis=0) * dp
-    pv = price_vol(state, params)
-    C = -pv.sigma_pi * (q[i0] * params.sigma_q_rel[i0] / dp) * \
-        float(params.loadings[i0] @ pv.b_pi) * dp
-    return DriftPieces(float(F_pi), float(F_pipi), float(C), H)
-
-
 # ----------------------------------------------------------------------
 # the market-price-of-risk system
 
@@ -126,28 +102,20 @@ def _row_anchors(params: ModelParams) -> np.ndarray:
     return w
 
 
-def _mpr_left_side(q, V, w, params: ModelParams, delta_p: float) -> np.ndarray:
-    own = (w * q * params.sigma_q_rel)[:, None] * params.loadings
-    return (-V + own) * delta_p
-
-
-def _mpr_right_side(state: DemandState, params: ModelParams, q, V, w) -> np.ndarray:
+def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
+    """Assemble the drift-kill equations, one row per potential clearing bucket."""
     dp = state.delta_p
+    q = state.quantities()
+    V = kill_vectors(state, params)
+    w = _row_anchors(params)
+    own = (w * q * params.sigma_q_rel)[:, None] * params.loadings
     mu_q = q * (-params.a_q * (state.log_q - params.mean_logq) + 0.5 * params.sigma_q_rel**2)
     mu_e = state.edge() * (-params.a_edge * (state.log_edge - params.mean_log_edge)
                            + 0.5 * params.sigma_edge_rel**2)
     below = np.concatenate(([0.0], np.cumsum(mu_q)))[:-1]   # sum_{l<=i-1} mu_q
     cross = params.sigma_q_rel * (params.loadings * V).sum(axis=1) * dp
-    return below - mu_e + w * (mu_q - q * params.sigma_q_rel**2) + cross
-
-
-def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
-    """Assemble the drift-kill equations, one row per potential clearing bucket."""
-    q = state.quantities()
-    V = kill_vectors(state, params)
-    w = _row_anchors(params)
-    return MprSystem(Sigma=_mpr_left_side(q, V, w, params, state.delta_p),
-                     b=_mpr_right_side(state, params, q, V, w))
+    return MprSystem(Sigma=(-V + own) * dp,
+                     b=below - mu_e + w * (mu_q - q * params.sigma_q_rel**2) + cross)
 
 
 def solve_mpr(system: MprSystem, cond_limit: float = COND_LIMIT) -> MprSystem:
@@ -173,104 +141,12 @@ def step_risk_neutral(state: DemandState, params: ModelParams, lam: np.ndarray,
     martingale dynamics.
     """
     shifted = inc - lam * math.sqrt(params.delta_p) * dt
-    return _advance(state, params, shifted, dt, 0.0)
+    return _step_state(state, params, shifted, dt, 0.0)
 
 
 # ----------------------------------------------------------------------
-# vectorized path ensemble
-#
-# The per-path state is stored as flat arrays so that the OU update, the
-# clearing search, and the 2K x 2K solves all run batched.  Logic mirrors
-# demand.clear / step_physical exactly; test_risk_neutral pins the two
-# implementations against each other path-for-path.
-
-@dataclass
-class Ensemble:
-    delta_p: float
-    log_edge: np.ndarray    # (n,)
-    log_q: np.ndarray       # (n, 2K)
-    pi: np.ndarray          # (n,)
-    alive: np.ndarray       # (n,) bool
-    t: float = 0.0
-
-
-@dataclass
-class SimDiagnostics:
-    n_steps: int = 0
-    n_relabel: int = 0
-    n_aborted_top: int = 0
-    n_aborted_bottom: int = 0
-    n_aborted_singular: int = 0
-    max_rel_residual: float = 0.0
-
-    @property
-    def n_aborted(self) -> int:
-        return self.n_aborted_top + self.n_aborted_bottom + self.n_aborted_singular
-
-
-def init_ensemble(params: ModelParams, n_paths: int) -> Ensemble:
-    params.validate()
-    return Ensemble(
-        delta_p=params.delta_p,
-        log_edge=np.full(n_paths, np.log(params.edge0)),
-        log_q=np.tile(np.log(params.q0), (n_paths, 1)),
-        pi=np.full(n_paths, params.pi0),
-        alive=np.ones(n_paths, dtype=bool),
-    )
-
-
-def _batch_clear(ens: Ensemble, params: ModelParams, diag: SimDiagnostics) -> None:
-    """Vectorized zero-crossing, relabeling, and edge re-anchoring (in place)."""
-    n, twoK = ens.log_q.shape
-    K = twoK // 2
-    dp = ens.delta_p
-    # overflow to inf is a legitimate outcome here: such rows fail the
-    # finiteness screen below and are counted as breached, not crashed
-    with np.errstate(over="ignore"):
-        q = np.exp(ens.log_q)
-        vals = np.exp(ens.log_edge)[:, None] - np.concatenate(
-            [np.zeros((n, 1)), np.cumsum(q, axis=1)], axis=1)
-    offs = (np.arange(-K, K + 1) + 0.5) * dp
-
-    finite = np.isfinite(vals).all(axis=1)
-    bad_top = ens.alive & finite & (vals[:, -1] >= 0.0)
-    bad_bot = ens.alive & finite & (vals[:, 0] <= 0.0)
-    broken = ens.alive & ~finite
-    diag.n_aborted_top += int(bad_top.sum())
-    diag.n_aborted_bottom += int((bad_bot | broken).sum())
-    ens.alive &= finite & ~(bad_top | bad_bot)
-    if broken.any():        # placeholder state so later vector math stays finite
-        ens.log_q[broken] = params.mean_logq
-        ens.log_edge[broken] = params.mean_log_edge
-        vals[broken] = 1.0
-    live = ens.alive
-    if not live.any():
-        raise SimulationError("all simulated paths aborted (grid boundary breached)")
-
-    neg = np.where(np.isfinite(vals), vals, 0.0) < 0.0
-    neg[:, 0] = False                      # live rows start positive anyway
-    j = np.clip(np.argmax(neg, axis=1), 1, twoK)
-    rows = np.arange(n)
-    v_hi = vals[rows, j - 1]
-    v_lo = vals[rows, j]
-    denom = np.where(live, v_hi - v_lo, 1.0)
-    z = np.where(live, offs[j - 1] + dp * v_hi / denom, 0.0)
-    ens.pi = ens.pi + z
-
-    kstar = np.floor(z / dp + 0.5).astype(int)
-    moved = live & (kstar != 0)
-    if moved.any():
-        diag.n_relabel += int(moved.sum())
-        idx = np.where(moved)[0]
-        src = np.arange(twoK)[None, :] + kstar[idx][:, None]
-        inside = (src >= 0) & (src < twoK)
-        block = np.take_along_axis(ens.log_q[idx], np.clip(src, 0, twoK - 1), axis=1)
-        ens.log_q[idx] = np.where(inside, block, params.mean_logq[None, :])
-
-    q = np.exp(ens.log_q)
-    edge = q[:, : K - 1].sum(axis=1) + 0.5 * q[:, K - 1]
-    ens.log_edge = np.log(edge)
-
+# the closed-form drift kill over a path ensemble (demand.step_ensemble
+# applies it; the dense solve_mpr above is its oracle and diagnostic)
 
 class _KillTransform:
     """Per-run constants for the closed-form drift-kill solution.
@@ -340,16 +216,6 @@ def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
     return float(np.linalg.norm(Sigma0 @ lam0 - b[0])) / (bnorm if bnorm > 0 else 1.0)
 
 
-def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-step decay e^{-a dt} and noise scale sqrt(var of the OU increment)."""
-    a = np.asarray(a, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    decay = np.exp(-a * dt)
-    var_scale = np.where(a > 0, -np.expm1(-2 * np.where(a > 0, a, 1.0) * dt) / (2 * a + (a <= 0)),
-                         dt)
-    return decay, sigma * np.sqrt(var_scale)
-
-
 def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
                       dt_hours: float, seed: int = 0, *,
                       risk_neutral: bool = True,
@@ -376,34 +242,21 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     track = np.empty((n_steps + 1, record_pi)) if record_pi else None
     if track is not None:
         track[0] = ens.pi[:record_pi]
-
-    root_dt = math.sqrt(dt)
-    root_dp = math.sqrt(params.delta_p)
-    shift_scale = params.delta_p * root_dt          # z picks up -y·Δp·√dt
-    decay_q, vol_q = _ou_factors(params.a_q, params.sigma_q_rel, dt)
-    decay_e, vol_e = _ou_factors(params.a_edge, params.sigma_edge_rel, dt)
+    factors = ou_step_factors(params, dt)
 
     for step in range(n_steps):
         inc = sheet.increments_block(cfg, dt, step, n_paths)
-        z_q = (inc @ params.loadings.T) * (root_dp / root_dt)
-        z_e = (inc @ params.edge_loadings) * (root_dp / root_dt)
+        shifts = None
         if kill:
             y, e, b = _batch_kill_shifts(ens, params, kt)
             if ens.alive[0]:
                 diag.max_rel_residual = max(
                     diag.max_rel_residual, _path0_rel_residual(ens, params, kt, y, e, b))
-            z_q -= y * shift_scale
-            z_e -= e * shift_scale
-        new_log_q = params.mean_logq + (ens.log_q - params.mean_logq) * decay_q + vol_q * z_q
-        new_log_edge = (params.mean_log_edge
-                        + (ens.log_edge - params.mean_log_edge) * decay_e + vol_e * z_e)
-        live = ens.alive
-        ens.log_q[live] = new_log_q[live]
-        ens.log_edge[live] = new_log_edge[live]
-        _batch_clear(ens, params, diag)
-        if translation:
-            ens.pi[ens.alive] += translation
-        ens.t += dt
+            shifts = (y, e)
+        diag.count(step_ensemble(ens, params, inc, dt, factors, kill=shifts,
+                                 translation=translation, clear_paths=_batch_clear))
+        if not ens.alive.any():
+            raise SimulationError("all simulated paths aborted (grid boundary breached)")
         if track is not None:
             track[step + 1] = ens.pi[:record_pi]
     return ens, diag, track

@@ -9,7 +9,9 @@ Draws come from a counter-based Philox generator keyed by (seed, stream
 chunk) with the step index in the counter, so any (stream, step) block can be
 regenerated independently and runs are bit-identical for a fixed seed and
 step schedule.  Streams are grouped in chunks of 256 per generator; a single
-stream's draw is defined as its row within the chunk block.
+stream's draw is defined as its row within the chunk block; the normals come
+off the generator in row order, so drawing the block only up to that row
+reproduces it.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ class SheetConfig:
         return self.factor_count * self.delta_p
 
 
-def _chunk_block(cfg: SheetConfig, step: int, chunk: int) -> np.ndarray:
-    """Standard-normal block of shape (_CHUNK, factor_count) for one chunk."""
+def _chunk_block(cfg: SheetConfig, step: int, chunk: int, rows: int = _CHUNK) -> np.ndarray:
+    """Leading `rows` rows of one chunk's standard-normal (_CHUNK, factor_count) block."""
     bits = np.random.Philox(
         key=np.array([cfg.seed, chunk], dtype=np.uint64),
         counter=np.array([0, 0, 0, step], dtype=np.uint64),
     )
-    return np.random.Generator(bits).standard_normal((_CHUNK, cfg.factor_count))
+    return np.random.Generator(bits).standard_normal((rows, cfg.factor_count))
 
 
 def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> np.ndarray:
@@ -54,8 +56,8 @@ def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> 
 
 def increments(cfg: SheetConfig, dt: float, step: int, stream: int = 0) -> np.ndarray:
     """One stream's factor increments; row ``stream`` of the block draw."""
-    block = _chunk_block(cfg, step, stream // _CHUNK)
-    return block[stream % _CHUNK] * np.sqrt(dt)
+    block = _chunk_block(cfg, step, stream // _CHUNK, stream % _CHUNK + 1)
+    return block[-1] * np.sqrt(dt)
 
 
 def integrate(loadings: np.ndarray, inc: np.ndarray, delta_p: float) -> np.ndarray:

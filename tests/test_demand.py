@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bookvol.demand import (
+    _ou_factors,
     clear,
     curve_value,
     init_state,
@@ -17,12 +18,12 @@ from bookvol.demand import (
     liquidation_proceeds,
     node_offsets,
     node_values,
-    ou_exact,
     step_physical,
     wealth_increment,
 )
-from bookvol.errors import BoundaryBreachError, UndefinedInverseError
+from bookvol.errors import BoundaryBreachError, SimulationError, UndefinedInverseError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
+from bookvol.riskneutral import step_risk_neutral
 from bookvol.sheet import SheetConfig, increments
 
 
@@ -117,17 +118,91 @@ def test_clear_raises_on_top_breach():
     assert err.value.side == "top"
 
 
+def test_clear_raises_on_bottom_breach():
+    params = demo_params()
+    state = init_state(params)
+    empty = replace(state, log_edge=-800.0)       # edge mass underflows to zero
+    assert node_values(empty)[0] <= 0.0           # no crossing for the oracle to find
+    with pytest.raises(BoundaryBreachError) as err:
+        clear(empty, params)
+    assert err.value.side == "bottom"
+
+
+@pytest.mark.parametrize("field", ["log_q", "log_edge"])
+def test_clear_rejects_non_finite_masses(field):
+    params = demo_params()
+    state = init_state(params)
+    bad = replace(state, log_q=state.log_q.copy())
+    if field == "log_q":
+        bad.log_q[3] = np.nan
+    else:
+        bad.log_edge = np.inf
+    with pytest.raises(SimulationError):
+        clear(bad, params)
+
+
+def _book_crossing_at(params, target):
+    """Masses tilted off their means; the edge puts the curve's zero at offset target."""
+    state = init_state(params)
+    state = replace(state, log_q=params.mean_logq + 0.1 * np.linspace(-1.0, 1.0, 2 * params.K))
+    offs, vals = node_offsets(state), node_values(state)
+    return replace(state, log_edge=float(np.log(state.edge() - np.interp(target, offs, vals))))
+
+
+@pytest.mark.parametrize("K, target, kstar", [
+    (1, 0.3, 0),        # K = 1 book, crossing inside bucket 0
+    (1, 1.2, 1),        # K = 1, relabel by K
+    (7, 7.2, 7),        # relabel by K, the largest upward move the grid allows
+    (7, -6.2, -6),      # relabel by -(K-1), the largest downward move
+])
+def test_clear_on_adverse_books_matches_crossing_oracle(K, target, kstar):
+    params = _flat_params(K=K)
+    state = _book_crossing_at(params, target * params.delta_p)
+    offs, vals = node_offsets(state), node_values(state)
+    z_expected = float(np.interp(0.0, vals[::-1], offs[::-1]))
+
+    pi_new, cleared = clear(state, params)
+    assert pi_new == pytest.approx(state.pi + z_expected, rel=1e-12)
+    n = 2 * K
+    kept, landed = slice(max(kstar, 0), n + min(kstar, 0)), slice(max(-kstar, 0), n - max(kstar, 0))
+    assert np.array_equal(cleared.log_q[landed], state.log_q[kept])
+    fresh = np.ones(n, dtype=bool)
+    fresh[landed] = False                     # buckets rotated in at their long-run mean
+    assert fresh.sum() == abs(kstar)
+    assert np.array_equal(cleared.log_q[fresh], params.mean_logq[fresh])
+    assert curve_value(cleared, cleared.pi) == pytest.approx(0.0, abs=1e-9 * cleared.edge())
+
+
+@pytest.mark.parametrize("stepper", ["physical", "risk_neutral"])
+def test_single_state_steps_raise_clearing_errors(stepper):
+    params = demo_params()
+    state = init_state(params)
+    high = replace(state, log_edge=state.log_edge + 40.0)
+    inc = np.zeros(params.factor_count)
+    with pytest.raises(BoundaryBreachError) as err:
+        if stepper == "physical":
+            step_physical(high, params, inc, 0.01)
+        else:
+            step_risk_neutral(high, params, np.zeros(params.factor_count), inc, 0.01)
+    assert err.value.side == "top"
+
+
 # ----------------------------------------------------------------------
 # dynamics
 
-def test_ou_exact_noiseless_decay():
-    x = ou_exact(3.0, a=1.5, mean=1.0, sigma=0.0, dt=0.25, z=0.0)
+def _ou_step(x, a, mean, sigma, dt, z):
+    decay, vol = _ou_factors(a, sigma, dt)
+    return mean + (x - mean) * decay + vol * z
+
+
+def test_ou_factors_noiseless_decay():
+    x = _ou_step(3.0, a=1.5, mean=1.0, sigma=0.0, dt=0.25, z=0.0)
     assert x == pytest.approx(1.0 + 2.0 * math.exp(-1.5 * 0.25), rel=1e-14)
 
 
-def test_ou_exact_zero_rate_is_arithmetic():
-    x = ou_exact(2.0, a=0.0, mean=99.0, sigma=0.4, dt=0.09, z=1.7, shift=0.5)
-    assert x == pytest.approx(2.0 + 0.5 * 0.09 + 0.4 * math.sqrt(0.09) * 1.7, rel=1e-14)
+def test_ou_factors_zero_rate_is_arithmetic():
+    x = _ou_step(2.0, a=0.0, mean=99.0, sigma=0.4, dt=0.09, z=1.7)
+    assert x == pytest.approx(2.0 + 0.4 * math.sqrt(0.09) * 1.7, rel=1e-14)
 
 
 def test_noiseless_book_is_a_fixed_point():
