@@ -38,14 +38,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import calibration, demand, pricing, sheet
+from . import calibration, pricing
 from .errors import (
     BookVolError,
     BoundaryBreachError,
@@ -61,7 +58,7 @@ from .errors import (
 )
 from .lob import Side, replay
 from .params import ModelParams, demo_params, params_from_dict, params_to_dict
-from .riskneutral import build_mpr_system, simulate_ensemble, solve_mpr, step_risk_neutral
+from .riskneutral import simulate_ensemble
 
 _SECTIONS = ("model", "sheet", "pricing", "simulate", "calibrate", "replay")
 
@@ -250,43 +247,14 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _dump_mpr_steps(params: ModelParams, horizon_hours: float, dt_hours: float,
-                    seed: int, stream) -> None:
-    """Per-step dump of the drift-kill system along noise stream 0.
-
-    Emits, for every step, the system matrix Sigma, right side b, solution
-    lambda, residual norm and condition estimate as delimiter-separated
-    text.  The path replayed here is the same stream the first ensemble
-    member consumes, so the dump describes path 0 of the artifact.
-    """
-    if not (np.any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0):
-        print("noiseless model: the measure change is a no-op, no systems to solve",
-              file=stream)
-        return
-    n_steps = max(1, int(math.ceil(horizon_hours / dt_hours - 1e-12)))
-    dt = horizon_hours / n_steps
-    cfg = sheet.SheetConfig(factor_count=params.factor_count,
-                            delta_p=params.delta_p, seed=seed)
-    state = demand.init_state(params)
-    for step in range(n_steps):
-        system = build_mpr_system(state, params)
-        try:
-            system = solve_mpr(system)
-        except SingularSystemError as exc:
-            print(f"step,{step},singular,{exc}", file=stream)
-            return
-        print(f"step,{step},cond,{system.cond:.6e},residual,{system.residual_norm:.6e}",
-              file=stream)
-        for i, row in enumerate(system.Sigma):
-            print(f"Sigma[{i}]," + ",".join(format(v, ".9e") for v in row), file=stream)
-        print("b," + ",".join(format(v, ".9e") for v in system.b), file=stream)
-        print("lambda," + ",".join(format(v, ".9e") for v in system.lam), file=stream)
-        inc = sheet.increments(cfg, dt, step, 0)
-        try:
-            state = step_risk_neutral(state, params, system.lam, inc, dt)
-        except (BoundaryBreachError, SimulationError) as exc:
-            print(f"step,{step},aborted,{exc}", file=stream)
-            return
+def _steps_text(diag) -> str:
+    """The per-step table of a simulation: alive paths, relabels, aborts by cause."""
+    lines = ["# per-step diagnostics",
+             "step,alive,relabels,aborted_top,aborted_bottom,aborted_singular,"
+             "path0_rel_residual"]
+    lines += [f"{step},{r.alive},{r.relabels},{r.top},{r.bottom},{r.singular},{r.residual:.6e}"
+              for step, r in enumerate(diag.rows)]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -306,20 +274,10 @@ def cmd_simulate(args) -> int:
 
     horizon_hours = expiry * pricing.TRADING_HOURS_PER_YEAR
     dt_hours = dt * pricing.TRADING_HOURS_PER_YEAR
-    if args.verbose:
-        if measure == "risk_neutral":
-            _dump_mpr_steps(params, horizon_hours, dt_hours, seed, sys.stderr)
-        else:
-            print("physical measure: no risk adjustment solved", file=sys.stderr)
     ens, diag, _ = simulate_ensemble(params, n_paths, horizon_hours, dt_hours,
                                      seed=seed, risk_neutral=measure == "risk_neutral")
-    if diag.n_aborted_singular == n_paths:
-        raise SingularSystemError(
-            "every path hit a singular market-price-of-risk system at step 0")
-    if diag.n_aborted == n_paths:
-        raise SimulationError(
-            f"every path aborted (top {diag.n_aborted_top}, bottom "
-            f"{diag.n_aborted_bottom}, singular {diag.n_aborted_singular})")
+    if args.verbose:
+        sys.stderr.write(_steps_text(diag))
     if diag.n_aborted:
         print(f"warning: {diag.n_aborted} of {n_paths} paths aborted", file=sys.stderr)
 

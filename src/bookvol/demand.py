@@ -24,7 +24,7 @@ preserves the stationary book shape that the volatility of π is built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -148,24 +148,44 @@ class Cleared(NamedTuple):
             raise BoundaryBreachError("top", "net demand non-negative at the top of the grid")
 
 
+class StepRow(NamedTuple):
+    """One simulation step: paths alive after it, relabels, aborts by cause."""
+
+    alive: int
+    relabels: int
+    top: int
+    bottom: int
+    singular: int
+    residual: float         # path-0 drift-kill relative residual; nan when not solved
+
+
 @dataclass
 class SimDiagnostics:
-    n_steps: int = 0
-    n_relabel: int = 0
-    n_aborted_top: int = 0
-    n_aborted_bottom: int = 0
-    n_aborted_singular: int = 0
-    max_rel_residual: float = 0.0
+    """Per-step rows of a simulation; the run totals are sums over them."""
+
+    rows: list[StepRow] = field(default_factory=list)
+
+    n_steps = property(lambda self: len(self.rows))
+    n_relabel = property(lambda self: sum(r.relabels for r in self.rows))
+    n_aborted_top = property(lambda self: sum(r.top for r in self.rows))
+    n_aborted_bottom = property(lambda self: sum(r.bottom for r in self.rows))
+    n_aborted_singular = property(lambda self: sum(r.singular for r in self.rows))
 
     @property
     def n_aborted(self) -> int:
         return self.n_aborted_top + self.n_aborted_bottom + self.n_aborted_singular
 
-    def count(self, cleared: Cleared) -> None:
-        """Add one clearing pass; a non-finite curve is booked as a bottom breach."""
-        self.n_aborted_top += int(cleared.top.sum())
-        self.n_aborted_bottom += int((cleared.bottom | cleared.broken).sum())
-        self.n_relabel += int(cleared.relabeled.sum())
+    @property
+    def max_rel_residual(self) -> float:
+        return max((r.residual for r in self.rows if not math.isnan(r.residual)), default=0.0)
+
+    def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
+              residual: float) -> None:
+        """Append one step's row; a non-finite curve is booked as a bottom breach."""
+        self.rows.append(StepRow(int(alive.sum()), int(cleared.relabeled.sum()),
+                                 int(cleared.top.sum()),
+                                 int((cleared.bottom | cleared.broken).sum()),
+                                 int(singular.sum()), residual))
 
 
 def init_ensemble(params: ModelParams, n_paths: int) -> Ensemble:
@@ -350,15 +370,6 @@ def liquidation_proceeds(state: DemandState, theta: float) -> float:
     segments = np.diff(grid) * (prices[:-1] + prices[1:]) / 2.0
     total = float(segments.sum())
     return total if theta > 0 else -total
-
-
-def _nodal_loadings(state: DemandState, params: ModelParams) -> np.ndarray:
-    """(2K+1, 2K) factor-loading vectors of the curve value at each node."""
-    q = state.quantities()
-    edge = state.edge()
-    per_bucket = (q * params.sigma_q_rel)[:, None] * params.loadings
-    cum = np.vstack([np.zeros(params.factor_count), np.cumsum(per_bucket, axis=0)])
-    return edge * params.sigma_edge_rel * params.edge_loadings[None, :] - cum
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .params import ModelParams
 from .riskneutral import simulate_ensemble
 
@@ -111,9 +111,8 @@ def simulate_terminals(params: ModelParams, req: PricingRequest) -> np.ndarray:
     """Terminal clearing prices of a risk-neutral ensemble.
 
     Runs ``req.n_paths`` paths to ``req.expiry`` and returns the clearing
-    prices of the paths that survived.  Paths that breach the price grid
-    are excluded and reported through a warning; if none survive the run
-    is useless and a simulation-failure error is raised.
+    prices of the paths that survived.  Aborted paths are excluded and
+    reported through a warning; when none survive, simulate_ensemble raises.
     """
     horizon_hours = req.expiry * TRADING_HOURS_PER_YEAR
     dt_hours = req.dt * TRADING_HOURS_PER_YEAR
@@ -121,22 +120,10 @@ def simulate_terminals(params: ModelParams, req: PricingRequest) -> np.ndarray:
         params, req.n_paths, horizon_hours, dt_hours, seed=req.seed,
         risk_neutral=True,
     )
-    terminals = ens.pi[ens.alive]
-    n_aborted = req.n_paths - terminals.size
-    if terminals.size == 0:
-        raise SimulationError(
-            f"all {req.n_paths} paths aborted before expiry "
-            f"(top {diag.n_aborted_top}, bottom {diag.n_aborted_bottom}, "
-            f"singular {diag.n_aborted_singular})"
-        )
-    if n_aborted:
-        warnings.warn(
-            f"{n_aborted} of {req.n_paths} paths aborted at a grid boundary "
-            "and were excluded from the terminal sample",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return terminals
+    if diag.n_aborted:
+        warnings.warn(f"{diag.n_aborted} of {req.n_paths} paths aborted and were excluded "
+                      "from the terminal sample", RuntimeWarning, stacklevel=2)
+    return ens.pi[ens.alive]
 
 
 def _payoff_stats(payoff: np.ndarray) -> tuple:

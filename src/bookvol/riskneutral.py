@@ -15,8 +15,9 @@ _row_anchors: mid-bucket for the live clearing row, bucket edge for the
 hypothetical ones).  The right side collects the physical drift of the
 curve value, the w_i share of the clearing bucket's own drift, and the
 covariance between the clearing-bucket mass and the price: see
-build_mpr_system.  Under the changed measure each factor increment picks up
--λ_j√Δp·dt, which is how step_risk_neutral applies the solution.
+_kill_matrix and _kill_rhs, the one assembly of Σ and b.  Under the changed
+measure each factor increment picks up -λ_j√Δp·dt, which is how
+step_risk_neutral applies the solution.
 
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
 the curve-value loadings alone (price_vol); the live row of the linear
@@ -27,14 +28,15 @@ sigma_pi exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import sheet
-from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _nodal_loadings,
-                     _step_state, init_ensemble, ou_step_factors, step_ensemble)
+from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _step_state,
+                     init_ensemble, ou_step_factors, step_ensemble)
 from .errors import SimulationError, SingularSystemError
 from .params import ModelParams
 
@@ -43,7 +45,9 @@ COND_LIMIT = 1e12
 
 def kill_vectors(state: DemandState, params: ModelParams) -> np.ndarray:
     """Rows i = -K+1..K: factor loadings V_i of the curve value entering bucket i."""
-    return _nodal_loadings(state, params)[:-1]
+    per_bucket = (state.quantities() * params.sigma_q_rel)[:, None] * params.loadings
+    below = np.vstack([np.zeros(params.factor_count), np.cumsum(per_bucket[:-1], axis=0)])
+    return state.edge() * params.sigma_edge_rel * params.edge_loadings[None, :] - below
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,34 @@ def _row_anchors(params: ModelParams) -> np.ndarray:
     return w
 
 
+def _kill_matrix(state: DemandState, params: ModelParams) -> np.ndarray:
+    """Left side Σ of the drift-kill system, one row per potential clearing bucket."""
+    own = (_row_anchors(params) * state.quantities() * params.sigma_q_rel)[:, None] \
+        * params.loadings
+    return (-kill_vectors(state, params) + own) * state.delta_p
+
+
+def _kill_rhs(ens: Ensemble, params: ModelParams) -> np.ndarray:
+    """(n, 2K) right sides b of the drift-kill system, one row per path."""
+    q = np.exp(ens.log_q)
+    edge = np.exp(ens.log_edge)
+    qs = q * params.sigma_q_rel
+    below_gram = np.tril(params.loadings @ params.loadings.T, k=-1)   # row i: buckets l < i
+    cross = params.sigma_q_rel * (
+        (edge * params.sigma_edge_rel)[:, None] * (params.loadings @ params.edge_loadings)
+        - qs @ below_gram.T) * ens.delta_p
+    mu_q = q * (-params.a_q * (ens.log_q - params.mean_logq) + 0.5 * params.sigma_q_rel**2)
+    mu_e = edge * (-params.a_edge * (ens.log_edge - params.mean_log_edge)
+                   + 0.5 * params.sigma_edge_rel**2)
+    below = np.cumsum(mu_q, axis=1) - mu_q          # sum over buckets l < i
+    return (below - mu_e[:, None] + _row_anchors(params) * (mu_q - q * params.sigma_q_rel**2)
+            + cross)
+
+
 def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
     """Assemble the drift-kill equations, one row per potential clearing bucket."""
-    dp = state.delta_p
-    q = state.quantities()
-    V = kill_vectors(state, params)
-    w = _row_anchors(params)
-    own = (w * q * params.sigma_q_rel)[:, None] * params.loadings
-    mu_q = q * (-params.a_q * (state.log_q - params.mean_logq) + 0.5 * params.sigma_q_rel**2)
-    mu_e = state.edge() * (-params.a_edge * (state.log_edge - params.mean_log_edge)
-                           + 0.5 * params.sigma_edge_rel**2)
-    below = np.concatenate(([0.0], np.cumsum(mu_q)))[:-1]   # sum_{l<=i-1} mu_q
-    cross = params.sigma_q_rel * (params.loadings * V).sum(axis=1) * dp
-    return MprSystem(Sigma=(-V + own) * dp,
-                     b=below - mu_e + w * (mu_q - q * params.sigma_q_rel**2) + cross)
+    return MprSystem(Sigma=_kill_matrix(state, params),
+                     b=_kill_rhs(Ensemble.of(state), params)[0])
 
 
 def solve_mpr(system: MprSystem, cond_limit: float = COND_LIMIT) -> MprSystem:
@@ -146,7 +164,7 @@ def step_risk_neutral(state: DemandState, params: ModelParams, lam: np.ndarray,
 
 # ----------------------------------------------------------------------
 # the closed-form drift kill over a path ensemble (demand.step_ensemble
-# applies it; the dense solve_mpr above is its oracle and diagnostic)
+# applies it; the dense solve_mpr above is its test oracle)
 
 class _KillTransform:
     """Per-run constants for the closed-form drift-kill solution.
@@ -163,57 +181,53 @@ class _KillTransform:
             raise SingularSystemError(
                 "every bucket and the edge need positive volatility for a "
                 "unique market price of risk")
-        self.w = _row_anchors(params)
         self.A = np.vstack([params.edge_loadings, params.loadings[:-1]])
         try:
             self.g = np.linalg.solve(self.A.T, params.loadings[-1])
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"factor loadings do not identify the market prices of risk: {exc}") from exc
-        gram = params.loadings @ params.loadings.T
-        self.below_gram = np.tril(gram, k=-1)       # row i picks up buckets l < i
-        self.dot_edge = params.loadings @ params.edge_loadings
 
 
-def _batch_kill_shifts(ens: Ensemble, params: ModelParams,
-                       kt: _KillTransform) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotated drift-kill solution (y, e) for every path, plus the b vectors."""
+def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rotated drift-kill solution (y, e) for every path, the b vectors, and
+    the live paths whose kill is singular: a pivot q̃σ (buckets below the top,
+    and the edge) under 1/COND_LIMIT of the path's largest q̃σ, or a non-finite
+    y or e.  Singular shifts are zeroed.
+    """
     dp = ens.delta_p
     i0 = params.idx(0)
-    q = np.exp(ens.log_q)
-    edge = np.exp(ens.log_edge)
-    qs = q * params.sigma_q_rel
-    cross = params.sigma_q_rel * (
-        (edge * params.sigma_edge_rel)[:, None] * kt.dot_edge - qs @ kt.below_gram.T) * dp
-    mu_q = q * (-params.a_q * (ens.log_q - params.mean_logq) + 0.5 * params.sigma_q_rel**2)
-    mu_e = edge * (-params.a_edge * (ens.log_edge - params.mean_log_edge)
-                   + 0.5 * params.sigma_edge_rel**2)
-    below = np.cumsum(mu_q, axis=1) - mu_q          # sum over buckets l < i
-    b = below - mu_e[:, None] + kt.w * (mu_q - q * params.sigma_q_rel**2) + cross
-
-    db = np.diff(b, axis=1)
-    y = np.empty_like(b)
-    y[:, :-1] = db / (qs[:, :-1] * dp)
-    y[:, i0] = 2.0 * db[:, i0] / (qs[:, i0] * dp)
-    if i0 >= 1:
-        y[:, i0 - 1] = (db[:, i0 - 1] / dp - 0.5 * qs[:, i0] * y[:, i0]) / qs[:, i0 - 1]
-    e = (kt.w[0] * qs[:, 0] * y[:, 0] * dp - b[:, 0]) / (edge * params.sigma_edge_rel * dp)
-    c = np.concatenate([e[:, None], y[:, :-1]], axis=1)
-    y[:, -1] = c @ kt.g
-    return y, e, b
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b = _kill_rhs(ens, params)
+        qs = np.exp(ens.log_q) * params.sigma_q_rel
+        es = np.exp(ens.log_edge) * params.sigma_edge_rel
+        db = np.diff(b, axis=1)
+        y = np.empty_like(b)
+        y[:, :-1] = db / (qs[:, :-1] * dp)
+        y[:, i0] = 2.0 * db[:, i0] / (qs[:, i0] * dp)
+        if i0 >= 1:
+            y[:, i0 - 1] = (db[:, i0 - 1] / dp - 0.5 * qs[:, i0] * y[:, i0]) / qs[:, i0 - 1]
+        e = (_row_anchors(params)[0] * qs[:, 0] * y[:, 0] * dp - b[:, 0]) / (es * dp)
+        c = np.concatenate([e[:, None], y[:, :-1]], axis=1)
+        y[:, -1] = c @ kt.g
+        # row-wise tests as column loops (numpy reduces a short last axis slowly);
+        # a row of y - y sums to nan exactly when the row holds an inf or a nan
+        pivot = functools.reduce(np.minimum, qs[:, :-1].T, es)
+        sound = (pivot >= functools.reduce(np.maximum, qs.T) / COND_LIMIT) \
+            & np.isfinite((y - y) @ np.ones(y.shape[1])) & np.isfinite(e)
+    y[~sound] = 0.0
+    e[~sound] = 0.0
+    return y, e, b, ens.alive & ~sound
 
 
 def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
                         y, e, b) -> float:
     """Residual of the full system on path 0, as a solve-quality telltale."""
     lam0 = np.linalg.solve(kt.A, np.concatenate(([e[0]], y[0, :-1])))
-    qs0 = np.exp(ens.log_q[0]) * params.sigma_q_rel
-    per_bucket = qs0[:, None] * params.loadings
-    cum = np.cumsum(per_bucket, axis=0) - per_bucket
-    V0 = (np.exp(ens.log_edge[0]) * params.sigma_edge_rel) * params.edge_loadings[None, :] - cum
-    Sigma0 = (-V0 + kt.w[:, None] * per_bucket) * ens.delta_p
     bnorm = float(np.linalg.norm(b[0]))
-    return float(np.linalg.norm(Sigma0 @ lam0 - b[0])) / (bnorm if bnorm > 0 else 1.0)
+    residual = _kill_matrix(ens.path(0), params) @ lam0 - b[0]
+    return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
 
 
 def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
@@ -223,9 +237,11 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     """Run n_paths of the book under the physical or risk-neutral measure.
 
     The horizon is divided into ceil(horizon/dt) equal steps.  Paths that
-    breach the grid are frozen and counted in the diagnostics; their terminal
-    π is left at the value before the breach.  When record_pi > 0 the π
-    trajectory of that many paths is returned as an array (steps+1, record_pi).
+    breach the grid or meet a singular drift kill are frozen and counted in
+    the diagnostics, one row per step; their terminal π is left at the value
+    before the abort.  If all abort, SingularSystemError (all singular) or
+    SimulationError is raised.  When record_pi > 0 the π trajectory of that
+    many paths is returned as an array (steps+1, record_pi).
     """
     if horizon_hours <= 0 or dt_hours <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -233,7 +249,7 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     dt = horizon_hours / n_steps
 
     ens = init_ensemble(params, n_paths)
-    diag = SimDiagnostics(n_steps=n_steps)
+    diag = SimDiagnostics()
     cfg = sheet.SheetConfig(factor_count=params.factor_count, delta_p=params.delta_p, seed=seed)
     noiseless = not (np.any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0)
     kill = risk_neutral and not noiseless   # no noise: measure change is a no-op
@@ -243,20 +259,24 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     if track is not None:
         track[0] = ens.pi[:record_pi]
     factors = ou_step_factors(params, dt)
+    singular = np.zeros(n_paths, dtype=bool)
 
     for step in range(n_steps):
         inc = sheet.increments_block(cfg, dt, step, n_paths)
-        shifts = None
+        shifts, residual = None, math.nan
         if kill:
-            y, e, b = _batch_kill_shifts(ens, params, kt)
+            y, e, b, singular = _batch_kill_shifts(ens, params, kt)
+            ens.alive &= ~singular
             if ens.alive[0]:
-                diag.max_rel_residual = max(
-                    diag.max_rel_residual, _path0_rel_residual(ens, params, kt, y, e, b))
+                residual = _path0_rel_residual(ens, params, kt, y, e, b)
             shifts = (y, e)
-        diag.count(step_ensemble(ens, params, inc, dt, factors, kill=shifts,
-                                 translation=translation, clear_paths=_batch_clear))
+        cleared = step_ensemble(ens, params, inc, dt, factors, kill=shifts,
+                                translation=translation, clear_paths=_batch_clear)
+        diag.count(cleared, singular, ens.alive, residual)
         if not ens.alive.any():
-            raise SimulationError("all simulated paths aborted (grid boundary breached)")
+            error = SingularSystemError if diag.n_aborted_singular == n_paths else SimulationError
+            raise error(f"all {n_paths} simulated paths aborted (top {diag.n_aborted_top}, "
+                        f"bottom {diag.n_aborted_bottom}, singular {diag.n_aborted_singular})")
         if track is not None:
             track[step + 1] = ens.pi[:record_pi]
     return ens, diag, track

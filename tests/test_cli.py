@@ -4,7 +4,10 @@ concrete reproduction per exit code."""
 
 import importlib.resources
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 
 from bookvol import __version__
@@ -90,6 +93,44 @@ def test_simulate_prints_paths_and_diagnostics(capsys):
     assert len(path_lines) >= 3
 
 
+@pytest.mark.parametrize("measure", ["risk_neutral", "physical"])
+def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measure):
+    save_params(demo_params(), tmp_path / "p.json")
+    d = json.loads((tmp_path / "p.json").read_text())
+    d["sigma_Q_rel(-K)"] *= 8              # a stressed book: relabels and aborts
+    for bucket in d["buckets"]:
+        bucket["sigma_q_rel(k)"] *= 8
+    (tmp_path / "config.json").write_text(json.dumps({"model": d,
+                                                      "simulate": {"measure": measure}}))
+    rc = main(["simulate", "--config", str(tmp_path / "config.json"), "--paths", "60",
+               "--expiry", "0.0015", "--seed", "5", "--verbose"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    artifact = dict(line.split(",", 1)
+                    for line in captured.out.split("# diagnostics\n")[1].splitlines())
+    table = captured.err.split("# per-step diagnostics\n")[1].splitlines()
+    assert table[0] == ("step,alive,relabels,aborted_top,aborted_bottom,aborted_singular,"
+                        "path0_rel_residual")
+    rows = [line.split(",") for line in table[1:] if line[:1].isdigit()]
+    assert [int(r[0]) for r in rows] == list(range(int(artifact["n_steps"])))
+    columns = {name: [r[i] for r in rows] for i, name in enumerate(table[0].split(","))}
+    for column, key in [("relabels", "n_relabel"), ("aborted_top", "n_aborted_top"),
+                        ("aborted_bottom", "n_aborted_bottom"),
+                        ("aborted_singular", "n_aborted_singular")]:
+        assert sum(map(int, columns[column])) == int(artifact[key])
+    aborted = sum(int(artifact[k]) for k in ("n_aborted_top", "n_aborted_bottom",
+                                             "n_aborted_singular"))
+    assert int(columns["alive"][-1]) == 60 - aborted
+    residuals = [float(v) for v in columns["path0_rel_residual"]]
+    solved = [v for v in residuals if not math.isnan(v)]
+    assert f"{max(solved, default=0.0):.6e}" == artifact["max_rel_residual"]
+    if measure == "risk_neutral":
+        assert int(artifact["n_relabel"]) > 0 and aborted > 0
+        assert int(artifact["n_aborted_singular"]) > 0
+    else:
+        assert np.isnan(residuals).all()
+
+
 # ----------------------------------------------------------------------
 # exit codes
 
@@ -133,6 +174,20 @@ def test_inconsistent_demand_exits_4(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "huge.json"),
                "--paths", "2", "--expiry", "0.0002", "--seed", "0"])
     assert rc == 4
+    breakdown = re.search(r"all 2 simulated paths aborted \(top (\d+), bottom (\d+), "
+                          r"singular 0\)", capsys.readouterr().err)
+    assert breakdown and int(breakdown[1]) + int(breakdown[2]) == 2
+
+
+def test_singular_kill_on_every_path_exits_3(tmp_path, capsys):
+    save_params(demo_params(), tmp_path / "p.json")
+    d = json.loads((tmp_path / "p.json").read_text())
+    d["buckets"][2]["q(k,0)"] = math.exp(-700)   # an all but empty interior bucket
+    (tmp_path / "thin.json").write_text(json.dumps(d))
+    rc = main(["simulate", "--config", str(tmp_path / "thin.json"),
+               "--paths", "2", "--expiry", "0.0002", "--seed", "0"])
+    assert rc == 3
+    assert "(top 0, bottom 0, singular 2)" in capsys.readouterr().err
 
 
 def test_too_little_data_exits_5(tmp_path, capsys):

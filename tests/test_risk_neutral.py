@@ -1,5 +1,6 @@
 """Risk-adjustment tests: the two clearing-volatility routes, the drift-kill
-linear system against a scalar re-derivation, solver diagnostics, and the
+linear system against a scalar re-derivation, solver diagnostics, the
+closed-form kill against the dense solve on adverse states, and the
 vectorized ensemble against explicit single-path stepping."""
 
 import math
@@ -7,11 +8,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bookvol.demand import clear, init_state, step_physical
-from bookvol.errors import SingularSystemError
+from bookvol import riskneutral
+from bookvol.demand import Ensemble, clear, init_state, step_physical
+from bookvol.errors import BoundaryBreachError, SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
+    _batch_kill_shifts,
+    _KillTransform,
     build_mpr_system,
     init_ensemble,
     kill_vectors,
@@ -150,6 +156,57 @@ def test_solver_diagnostics_over_a_path():
         assert system.residual_norm <= 1e-10 * np.linalg.norm(system.b)
         assert system.cond < 1e12
         state = step_risk_neutral(state, params, system.lam, increments(cfg, dt, step), dt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closed_form_kill_matches_dense_solve(data):
+    """(y, e) = (B·λ, B_E·λ) with λ from the dense solve, on jittered, thin
+    and freshly relabelled books, at demo size and at K = 1."""
+    params = data.draw(st.sampled_from([demo_params(), _tiny_params()]))
+    n = 2 * params.K
+    base = init_state(params)
+    log_q = base.log_q + np.array(data.draw(st.lists(
+        st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    thin = data.draw(st.integers(0, n - 1))
+    log_q[thin] -= data.draw(st.floats(0.0, 12.0))
+    jittered = replace(base, log_q=log_q,
+                       log_edge=base.log_edge + data.draw(st.floats(-1.0, 1.0)))
+    try:
+        _, state = clear(jittered, params)      # relabels whenever the zero left bucket 0
+        system = solve_mpr(build_mpr_system(state, params))
+    except (BoundaryBreachError, SingularSystemError):
+        assume(False)
+    y, e, _, singular = _batch_kill_shifts(Ensemble.of(state), params, _KillTransform(params))
+    assert not singular[0]
+    got = np.concatenate([y[0], e])
+    want = np.concatenate([params.loadings @ system.lam, [params.edge_loadings @ system.lam]])
+    tol = 100 * system.cond * np.finfo(float).eps
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def test_thin_bucket_kill_is_singular_not_bottom(monkeypatch):
+    params = demo_params()
+    dt = 1.0 / 60.0
+    clean, _, _ = simulate_ensemble(params, 5, 3 * dt, dt, seed=2)
+
+    def degenerate_paths(p, n_paths):
+        ens = init_ensemble(p, n_paths)
+        ens.log_q[1, 2] = -700.0            # interior bucket k = -4 holds e^-700
+        ens.log_q[2, 2] = -10.0             # pivot ~1e-16 of the largest, y still finite
+        ens.log_edge[3] = 709.0             # edge drift overflows: b and e are not finite
+        return ens
+
+    monkeypatch.setattr(riskneutral, "init_ensemble", degenerate_paths)
+    ens, diag, _ = simulate_ensemble(params, 5, 3 * dt, dt, seed=2)
+    assert (diag.n_aborted_singular, diag.n_aborted_bottom, diag.n_aborted_top) == (3, 0, 0)
+    assert [r.singular for r in diag.rows] == [3, 0, 0]
+    assert ens.alive.tolist() == [True, False, False, False, True]
+    assert np.all(ens.pi[1:4] == params.pi0)
+    others = [0, 4]
+    assert np.array_equal(ens.pi[others], clean.pi[others])
+    assert np.array_equal(ens.log_q[others], clean.log_q[others])
+    assert np.array_equal(ens.log_edge[others], clean.log_edge[others])
 
 
 def test_singular_system_raises():
