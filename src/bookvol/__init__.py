@@ -12,7 +12,6 @@ from .errors import (
     ConfigError,
     FitError,
     GridError,
-    LiquiditySingularityError,
     OrderError,
     ParseError,
     SimulationError,
@@ -45,7 +44,6 @@ __all__ = [
     "FitReport",
     "GridError",
     "LimitOrder",
-    "LiquiditySingularityError",
     "MessageEvent",
     "ModelParams",
     "OrderBook",

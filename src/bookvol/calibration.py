@@ -2,7 +2,7 @@
 
 Stages, each a pure transformation:
 
-    parse_messages -> clean -> infer_cancellations -> build_panel -> fits
+    parse_messages -> clean -> build_panel -> fits
 
 The panel replays the cleaned log through the matching engine, snapshots
 the book at one-minute bar ends, and books every resting order into a
@@ -22,9 +22,10 @@ estimation tests are built on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,7 +40,6 @@ from .sheet import SheetConfig, increments
 SESSION_START_NS = 34_200_000_000_000   # 09:30
 SESSION_END_NS = 57_600_000_000_000     # 16:00
 BAR_NS = 60_000_000_000                 # one minute
-TWO_MINUTES_NS = 120_000_000_000
 
 # Default price sanity window for the cleaning stage.
 PRICE_WINDOW = (20.00, 20.62)
@@ -141,42 +141,6 @@ def clean(events: Sequence, p_min: float = PRICE_WINDOW[0],
     return CleanResult(kept, retention)
 
 
-def infer_cancellations(events: Sequence) -> tuple:
-    """Annotate deletes with the two-minute cancellation rule.
-
-    A Delete at most two minutes (inclusive) after a Modify of the same
-    order id is a cancellation; any other Delete is treated as removal by
-    fill.  Deletes of ids never added are counted and reported through an
-    orphan warning.  Events must be time-sorted per order id.
-    """
-    seen_add: set = set()
-    last_modify: dict = {}
-    out: list = []
-    orphans = 0
-    for ev in events:
-        if ev.msg_type == "A":
-            seen_add.add(ev.order_id)
-            out.append(ev)
-        elif ev.msg_type == "M":
-            last_modify[ev.order_id] = ev.timestamp
-            out.append(ev)
-        else:  # Delete
-            if ev.order_id not in seen_add:
-                orphans += 1
-            t_mod = last_modify.get(ev.order_id)
-            cancelled = (
-                t_mod is not None and 0 <= ev.timestamp - t_mod <= TWO_MINUTES_NS
-            )
-            out.append(replace(ev, cancelled=cancelled))
-    if orphans:
-        warnings.warn(
-            f"{orphans} delete message(s) referenced order ids never added",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return tuple(out)
-
-
 # ----------------------------------------------------------------------
 # panel construction
 
@@ -212,7 +176,7 @@ def _snapshot(book: OrderBook, K: int, delta_p: float):
     edge = 0.0
     floor = pi - (K - 0.5) * delta_p
     for order, remaining in book.resting_orders():
-        k = int(np.clip(round((order.price - pi) / delta_p), -K, K))
+        k = max(-K, min(K, int(round((order.price - pi) / delta_p))))
         masses[k + K] += remaining
         if order.side is Side.BUY:
             edge += remaining
@@ -238,34 +202,29 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
     events = sorted(events, key=lambda ev: ev.timestamp)
 
     # Bar index of each event; an event at exactly the session start joins
-    # the first bar.
-    def bar_of(ts: int) -> int:
-        rel = ts - start
-        return min(n_bars - 1, (rel - 1) // delta_t_ns if rel > 0 else 0)
+    # the first bar.  ``closes`` maps the last event of each bar to its bar.
+    last_of_bar = {}
+    for i, ev in enumerate(events):
+        rel = ev.timestamp - start
+        last_of_bar[min(n_bars - 1, (rel - 1) // delta_t_ns if rel > 0 else 0)] = i
+    closes = {i: b for b, i in last_of_bar.items()}
 
     pi = np.full(n_bars, np.nan)
     q_all = np.zeros((n_bars, 2 * K + 1))
     edge = np.full(n_bars, np.nan)
     filled = np.zeros(n_bars, dtype=bool)
-
-    last_of_bar = {}
-    for i, ev in enumerate(events):
-        last_of_bar[bar_of(ev.timestamp)] = i
-
-    counter = {"i": 0}
+    index = itertools.count()
 
     def on_event(ev, book):
-        i = counter["i"]
-        counter["i"] = i + 1
-        b = bar_of(ev.timestamp)
-        if last_of_bar.get(b) == i:
+        b = closes.get(next(index))
+        if b is not None:
             p, masses, e = _snapshot(book, K, delta_p)
             pi[b] = p
             q_all[b] = masses
             edge[b] = e
             filled[b] = True
 
-    replay(list(events), pi0, on_event=on_event)
+    replay(events, pi0, on_event=on_event)
 
     # Carry snapshots into empty bars: forward from the last filled bar,
     # or backward from the first one for a leading gap.
@@ -582,11 +541,22 @@ def calibrate(source, pi0: float, K: int, delta_p: float,
               strict: bool = False,
               p_min: float = PRICE_WINDOW[0], p_max: float = PRICE_WINDOW[1],
               session: tuple = (SESSION_START_NS, SESSION_END_NS)) -> FitReport:
-    """Full pipeline from a message-log text stream to a FitReport."""
+    """Full pipeline from a message-log text stream to a FitReport.
+
+    Malformed lines are skipped with a RuntimeWarning naming the first one
+    (``strict=True`` raises ParseError instead).
+    """
     parsed = parse_messages(source, strict=strict)
+    if parsed.issues:
+        first = parsed.issues[0]
+        warnings.warn(
+            f"{len(parsed.issues)} malformed lines skipped "
+            f"(first: line {first.line_no}: {first.reason})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     cleaned = clean(parsed.events, p_min=p_min, p_max=p_max, session=session)
-    annotated = infer_cancellations(cleaned.events)
-    panel = build_panel(annotated, pi0=pi0, K=K, delta_p=delta_p, session=session)
+    panel = build_panel(cleaned.events, pi0=pi0, K=K, delta_p=delta_p, session=session)
     return fit_report(panel)
 
 

@@ -49,7 +49,6 @@ from .errors import (
     ConfigError,
     FitError,
     GridError,
-    LiquiditySingularityError,
     OrderError,
     ParseError,
     SimulationError,
@@ -148,18 +147,11 @@ def _write_artifact(text: str, out: str | None, command: str, seed: int,
         print(f"wrote {out} and {out}.manifest.json", file=sys.stderr)
 
 
-def _read_log(path: str, strict: bool, verbose: bool) -> list:
+def _read_log(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read message log {path}: {exc}") from exc
-    parsed = calibration.parse_messages(text, strict=strict)
-    if parsed.issues:
-        print(f"warning: {len(parsed.issues)} malformed lines skipped", file=sys.stderr)
-        if verbose:
-            for issue in parsed.issues[:20]:
-                print(f"  line {issue.line_no}: {issue.reason}", file=sys.stderr)
-    return parsed.events
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +160,14 @@ def _read_log(path: str, strict: bool, verbose: bool) -> list:
 def cmd_replay(args) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "replay")
-    events = _read_log(args.log, strict=bool(sec.get("strict", False)),
-                       verbose=args.verbose)
+    parsed = calibration.parse_messages(_read_log(args.log),
+                                        strict=bool(sec.get("strict", False)))
+    if parsed.issues:
+        print(f"warning: {len(parsed.issues)} malformed lines skipped", file=sys.stderr)
+        if args.verbose:
+            for issue in parsed.issues[:20]:
+                print(f"  line {issue.line_no}: {issue.reason}", file=sys.stderr)
+    events = parsed.events
     if not events:
         raise OrderError(f"message log {args.log} holds no events")
     opening = float(sec.get("opening_price", events[0].price))
@@ -230,10 +228,7 @@ def cmd_calibrate(args) -> int:
     p_max = float(sec.get("p_max", calibration.PRICE_WINDOW[1]))
     strict = bool(sec.get("strict", False))
 
-    text = Path(args.log).read_text() if Path(args.log).exists() else None
-    if text is None:
-        raise ConfigError(f"cannot read message log {args.log}: no such file")
-    report = calibration.calibrate(text, pi0=pi0, K=K, delta_p=delta_p,
+    report = calibration.calibrate(_read_log(args.log), pi0=pi0, K=K, delta_p=delta_p,
                                    strict=strict, p_min=p_min, p_max=p_max)
     fitted = calibration.to_model_params(report)
     artifact = json.dumps(params_to_dict(fitted), indent=1) + "\n"
@@ -414,7 +409,7 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"numerical failure (singular risk system): {exc}", file=sys.stderr)
         return 3
-    except (SimulationError, BoundaryBreachError, LiquiditySingularityError) as exc:
+    except (SimulationError, BoundaryBreachError) as exc:
         print(f"numerical failure (simulation): {exc}", file=sys.stderr)
         return 4
     except FitError as exc:

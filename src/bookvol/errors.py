@@ -40,10 +40,6 @@ class BoundaryBreachError(BookVolError):
         super().__init__(message or f"net demand curve breached the {side} of the grid")
 
 
-class LiquiditySingularityError(BookVolError):
-    """Density at the clearing price too close to zero to divide by."""
-
-
 class UndefinedInverseError(BookVolError):
     """Inverse demand requested outside the curve's range."""
 

@@ -60,9 +60,7 @@ class MessageEvent:
     """One line of an exchange message log.
 
     ``msg_type`` is ``"A"`` (add), ``"M"`` (modify) or ``"D"`` (delete);
-    ``timestamp`` is in nanoseconds since midnight.  ``cancelled`` is filled
-    in by the calibration pipeline's cancellation inference and is ``None``
-    until then.
+    ``timestamp`` is in nanoseconds since midnight.
     """
 
     msg_type: str
@@ -71,7 +69,6 @@ class MessageEvent:
     order_id: str
     price: float
     size: float
-    cancelled: bool | None = None
 
 
 @dataclass

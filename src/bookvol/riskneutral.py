@@ -113,27 +113,32 @@ def _kill_matrix(state: DemandState, params: ModelParams) -> np.ndarray:
     return (-kill_vectors(state, params) + own) * state.delta_p
 
 
-def _kill_rhs(ens: Ensemble, params: ModelParams) -> np.ndarray:
-    """(n, 2K) right sides b of the drift-kill system, one row per path."""
+def _kill_rhs(ens: Ensemble, params: ModelParams
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, 2K) right sides b of the drift-kill system, one row per path, with
+    the q̃σ (n, 2K) and edge σ (n,) products they were built from.
+    """
     q = np.exp(ens.log_q)
     edge = np.exp(ens.log_edge)
     qs = q * params.sigma_q_rel
+    es = edge * params.sigma_edge_rel
     below_gram = np.tril(params.loadings @ params.loadings.T, k=-1)   # row i: buckets l < i
     cross = params.sigma_q_rel * (
-        (edge * params.sigma_edge_rel)[:, None] * (params.loadings @ params.edge_loadings)
+        es[:, None] * (params.loadings @ params.edge_loadings)
         - qs @ below_gram.T) * ens.delta_p
     mu_q = q * (-params.a_q * (ens.log_q - params.mean_logq) + 0.5 * params.sigma_q_rel**2)
     mu_e = edge * (-params.a_edge * (ens.log_edge - params.mean_log_edge)
                    + 0.5 * params.sigma_edge_rel**2)
     below = np.cumsum(mu_q, axis=1) - mu_q          # sum over buckets l < i
-    return (below - mu_e[:, None] + _row_anchors(params) * (mu_q - q * params.sigma_q_rel**2)
-            + cross)
+    b = (below - mu_e[:, None] + _row_anchors(params) * (mu_q - q * params.sigma_q_rel**2)
+         + cross)
+    return b, qs, es
 
 
 def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
     """Assemble the drift-kill equations, one row per potential clearing bucket."""
-    return MprSystem(Sigma=_kill_matrix(state, params),
-                     b=_kill_rhs(Ensemble.of(state), params)[0])
+    b, _, _ = _kill_rhs(Ensemble.of(state), params)
+    return MprSystem(Sigma=_kill_matrix(state, params), b=b[0])
 
 
 def solve_mpr(system: MprSystem, cond_limit: float = COND_LIMIT) -> MprSystem:
@@ -199,9 +204,7 @@ def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
     dp = ens.delta_p
     i0 = params.idx(0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        b = _kill_rhs(ens, params)
-        qs = np.exp(ens.log_q) * params.sigma_q_rel
-        es = np.exp(ens.log_edge) * params.sigma_edge_rel
+        b, qs, es = _kill_rhs(ens, params)
         db = np.diff(b, axis=1)
         y = np.empty_like(b)
         y[:, :-1] = db / (qs[:, :-1] * dp)

@@ -60,16 +60,6 @@ def increments(cfg: SheetConfig, dt: float, step: int, stream: int = 0) -> np.nd
     return block[-1] * np.sqrt(dt)
 
 
-def integrate(loadings: np.ndarray, inc: np.ndarray, delta_p: float) -> np.ndarray:
-    """Loading-weighted sheet integral: sum_j b[..., j] sqrt(delta_p) inc[..., j].
-
-    With a normalized row (sum_j b_j^2 delta_p = 1) the result has variance dt.
-    """
-    loadings = np.asarray(loadings, dtype=float)
-    inc = np.asarray(inc, dtype=float)
-    return np.sqrt(delta_p) * (loadings * inc).sum(axis=-1)
-
-
 def basis_integral(cfg: SheetConfig, s: float) -> np.ndarray:
     """int_0^s g_j(a) da for each indicator-basis factor j."""
     if not 0 <= s <= cfg.span + 1e-12:

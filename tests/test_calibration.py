@@ -1,6 +1,6 @@
-"""Calibration tests: log parsing, cleaning, the two-minute cancellation
-rule, panel construction against hand-counted books, the exact synthetic
-round trip, and every estimator against an independent oracle."""
+"""Calibration tests: log parsing, cleaning, panel construction against
+hand-counted books, the exact synthetic round trip, and every estimator
+against an independent oracle."""
 
 import math
 
@@ -21,7 +21,6 @@ from bookvol.calibration import (
     fit_loadings,
     fit_report,
     format_log,
-    infer_cancellations,
     jarque_bera,
     jarque_bera_from_moments,
     parse_messages,
@@ -125,29 +124,6 @@ def test_clean_is_idempotent():
     twice = clean(once.events)
     assert list(twice.events) == list(once.events)
     assert twice.retention == 1.0
-
-
-def test_two_minute_rule_boundary():
-    t0 = SESSION_START_NS
-    two_min = 120_000_000_000
-    events = [
-        _ev(t0, msg="A", oid="a"),
-        _ev(t0 + 1, msg="M", oid="a"),
-        _ev(t0 + 1 + two_min, msg="D", oid="a"),      # exactly two minutes: cancelled
-        _ev(t0, msg="A", oid="b"),
-        _ev(t0 + 1, msg="M", oid="b"),
-        _ev(t0 + 2 + two_min, msg="D", oid="b"),      # one ns late: removal by trade
-        _ev(t0, msg="A", oid="c"),
-        _ev(t0 + 1, msg="D", oid="c"),                # no modify first
-    ]
-    out = infer_cancellations(events)
-    flags = {ev.order_id: ev.cancelled for ev in out if ev.msg_type == "D"}
-    assert flags == {"a": True, "b": False, "c": False}
-
-
-def test_orphan_deletes_warn():
-    with pytest.warns(RuntimeWarning, match="never added"):
-        infer_cancellations([_ev(SESSION_START_NS, msg="D", oid="ghost")])
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +343,7 @@ def test_calibrate_matches_manual_chain():
 
     cleaned = clean(parse_messages(text).events, p_min=19.0, p_max=21.5,
                     session=session)
-    panel = build_panel(infer_cancellations(cleaned.events), pi0=params.pi0,
+    panel = build_panel(cleaned.events, pi0=params.pi0,
                         K=params.K, delta_p=params.delta_p, session=session)
     manual = fit_report(panel)
     assert np.array_equal(auto.a, manual.a)

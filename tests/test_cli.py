@@ -83,6 +83,25 @@ def test_calibrate_feeds_simulate(tmp_path, capsys):
     assert "max_rel_residual" in out
 
 
+def test_replay_and_calibrate_report_malformed_lines(tmp_path, capsys):
+    params = demo_params()
+    lines = format_log(synthesize_log(params, 120, seed=5)).splitlines(keepends=True)
+    log = tmp_path / "session.log"
+    log.write_text("".join(lines[:3] + ["garbage\n"] + lines[3:]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"calibrate": {
+        "pi0": params.pi0, "K": params.K, "delta_p": params.delta_p,
+        "p_min": 19.0, "p_max": 21.5,
+    }}))
+
+    assert main(["replay", str(log), "--out", str(tmp_path / "r.csv")]) == 0
+    assert "warning: 1 malformed lines skipped" in capsys.readouterr().err
+    with pytest.warns(RuntimeWarning,
+                      match=r"1 malformed lines skipped \(first: line 4: expected 6 fields"):
+        assert main(["calibrate", str(log), "--config", str(config),
+                     "--out", str(tmp_path / "fit.json")]) == 0
+
+
 def test_simulate_prints_paths_and_diagnostics(capsys):
     rc = main(["simulate", "--paths", "3", "--expiry", "0.0002", "--seed", "1"])
     assert rc == 0

@@ -9,7 +9,6 @@ from bookvol.sheet import (
     basis_integral,
     increments,
     increments_block,
-    integrate,
     sheet_value,
 )
 
@@ -66,7 +65,7 @@ def test_normalized_loading_gives_unit_rate_variance():
     row /= np.sqrt((row**2).sum() * CFG.delta_p)     # sum b^2 dp = 1
     dt = 0.3
     inc = increments_block(CFG, dt, step=2, n_streams=20_000)
-    vals = integrate(row, inc, CFG.delta_p)
+    vals = np.sqrt(CFG.delta_p) * inc @ row
     assert vals.var() == pytest.approx(dt, rel=0.05)
 
 
