@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .demand import init_ensemble, ou_step_factors, step_ensemble
 from .errors import FitError, ParseError
@@ -424,7 +424,7 @@ def summarize(series: Sequence) -> SummaryStats:
         skew = float(np.mean(c ** 3)) / m2 ** 1.5
         kurt = float(np.mean(c ** 4)) / m2 ** 2 - 3.0
     se = std / math.sqrt(x.size)
-    z = float(norm.ppf(0.975))
+    z = statistics.NormalDist().inv_cdf(0.975)
     q1, med, q3 = (float(v) for v in np.percentile(x, [25, 50, 75]))
     return SummaryStats(
         nobs=int(x.size),

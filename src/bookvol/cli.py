@@ -109,6 +109,17 @@ def _pick(flag, section: dict, key: str, default):
     return section.get(key, default)
 
 
+def _run_settings(args, cfg: dict, section: str, default_paths: int) -> tuple:
+    """Checked (seed, paths, expiry, dt) of a simulation: flag, then config, then default."""
+    sec = _section(cfg, section)
+    seed = int(_pick(args.seed, sec, "seed", _section(cfg, "sheet").get("seed", 0)))
+    n_paths = int(_pick(args.paths, sec, "paths", default_paths))
+    expiry = float(_pick(args.expiry, sec, "expiry", 0.02))
+    dt = float(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS))
+    pricing.check_run(expiry, n_paths, dt)
+    return seed, n_paths, expiry, dt
+
+
 def _parse_strikes(text: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -245,31 +256,24 @@ def cmd_calibrate(args) -> int:
 def _steps_text(diag) -> str:
     """The per-step table of a simulation: alive paths, relabels, aborts by cause."""
     lines = ["# per-step diagnostics",
-             "step,alive,relabels,aborted_top,aborted_bottom,aborted_singular,"
-             "path0_rel_residual"]
-    lines += [f"{step},{r.alive},{r.relabels},{r.top},{r.bottom},{r.singular},{r.residual:.6e}"
-              for step, r in enumerate(diag.rows)]
+             "step,alive,relabels,aborted_top,aborted_bottom,aborted_broken,"
+             "aborted_singular,path0_rel_residual"]
+    lines += [f"{step},{r.alive},{r.relabels},{r.top},{r.bottom},{r.broken},{r.singular},"
+              f"{r.residual:.6e}" for step, r in enumerate(diag.rows)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     params = _resolve_params(cfg)
-    sec = _section(cfg, "simulate")
-    seed = int(_pick(args.seed, sec, "seed", _section(cfg, "sheet").get("seed", 0)))
-    n_paths = int(_pick(args.paths, sec, "paths", 100))
-    expiry = float(_pick(args.expiry, sec, "expiry", 0.02))
-    dt = float(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS))
-    measure = str(sec.get("measure", "risk_neutral"))
+    seed, n_paths, expiry, dt = _run_settings(args, cfg, "simulate", 100)
+    measure = str(_section(cfg, "simulate").get("measure", "risk_neutral"))
     if measure not in ("risk_neutral", "physical"):
         raise ConfigError(f"simulate.measure must be 'risk_neutral' or 'physical', "
                           f"got {measure!r}")
-    if expiry <= 0 or dt <= 0 or n_paths < 1:
-        raise ConfigError("expiry and dt must be positive and paths >= 1")
 
-    horizon_hours = expiry * pricing.TRADING_HOURS_PER_YEAR
-    dt_hours = dt * pricing.TRADING_HOURS_PER_YEAR
-    ens, diag, _ = simulate_ensemble(params, n_paths, horizon_hours, dt_hours,
+    hours = pricing.TRADING_HOURS_PER_YEAR
+    ens, diag, _ = simulate_ensemble(params, n_paths, expiry * hours, dt * hours,
                                      seed=seed, risk_neutral=measure == "risk_neutral")
     if args.verbose:
         sys.stderr.write(_steps_text(diag))
@@ -286,6 +290,7 @@ def cmd_simulate(args) -> int:
         f"n_relabel,{diag.n_relabel}",
         f"n_aborted_top,{diag.n_aborted_top}",
         f"n_aborted_bottom,{diag.n_aborted_bottom}",
+        f"n_aborted_broken,{diag.n_aborted_broken}",
         f"n_aborted_singular,{diag.n_aborted_singular}",
         f"max_rel_residual,{diag.max_rel_residual:.6e}",
     ]
@@ -299,11 +304,8 @@ def cmd_simulate(args) -> int:
 
 
 def _build_request(args, cfg: dict, params: ModelParams) -> pricing.PricingRequest:
+    seed, n_paths, expiry, dt = _run_settings(args, cfg, "pricing", 10_000)
     sec = _section(cfg, "pricing")
-    seed = int(_pick(args.seed, sec, "seed", _section(cfg, "sheet").get("seed", 0)))
-    n_paths = int(_pick(args.paths, sec, "paths", 10_000))
-    expiry = float(_pick(args.expiry, sec, "expiry", 0.02))
-    dt = float(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS))
     rate = float(sec.get("rate", 0.0))
     if args.strikes is not None:
         strikes = _parse_strikes(args.strikes)

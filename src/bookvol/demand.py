@@ -155,6 +155,7 @@ class StepRow(NamedTuple):
     relabels: int
     top: int
     bottom: int
+    broken: int             # non-finite curve
     singular: int
     residual: float         # path-0 drift-kill relative residual; nan when not solved
 
@@ -169,11 +170,10 @@ class SimDiagnostics:
     n_relabel = property(lambda self: sum(r.relabels for r in self.rows))
     n_aborted_top = property(lambda self: sum(r.top for r in self.rows))
     n_aborted_bottom = property(lambda self: sum(r.bottom for r in self.rows))
+    n_aborted_broken = property(lambda self: sum(r.broken for r in self.rows))
     n_aborted_singular = property(lambda self: sum(r.singular for r in self.rows))
-
-    @property
-    def n_aborted(self) -> int:
-        return self.n_aborted_top + self.n_aborted_bottom + self.n_aborted_singular
+    n_aborted = property(lambda self: sum(r.top + r.bottom + r.broken + r.singular
+                                          for r in self.rows))
 
     @property
     def max_rel_residual(self) -> float:
@@ -181,11 +181,10 @@ class SimDiagnostics:
 
     def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
               residual: float) -> None:
-        """Append one step's row; a non-finite curve is booked as a bottom breach."""
+        """Append one step's row."""
         self.rows.append(StepRow(int(alive.sum()), int(cleared.relabeled.sum()),
-                                 int(cleared.top.sum()),
-                                 int((cleared.bottom | cleared.broken).sum()),
-                                 int(singular.sum()), residual))
+                                 int(cleared.top.sum()), int(cleared.bottom.sum()),
+                                 int(cleared.broken.sum()), int(singular.sum()), residual))
 
 
 def init_ensemble(params: ModelParams, n_paths: int) -> Ensemble:

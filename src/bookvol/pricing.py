@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigError
 from .params import ModelParams
@@ -41,6 +40,16 @@ ONE_MINUTE_YEARS = 1.0 / (60.0 * TRADING_HOURS_PER_YEAR)
 
 # Bisection bracket for implied-vol inversion.
 VOL_BRACKET = (1e-6, 5.0)
+
+
+def check_run(expiry: float, n_paths: int, dt: float) -> None:
+    """Reject a simulation with no horizon, no path, or a step outside (0, expiry]."""
+    if not expiry > 0.0:
+        raise ConfigError(f"expiry must be positive, got {expiry}")
+    if n_paths < 1:
+        raise ConfigError(f"need at least one path, got {n_paths}")
+    if not 0.0 < dt <= expiry:
+        raise ConfigError(f"dt must be in (0, expiry], got dt={dt} expiry={expiry}")
 
 
 @dataclass(frozen=True)
@@ -60,14 +69,7 @@ class PricingRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "strikes", tuple(float(k) for k in self.strikes))
-        if not self.expiry > 0.0:
-            raise ConfigError(f"expiry must be positive, got {self.expiry}")
-        if self.n_paths < 1:
-            raise ConfigError(f"need at least one path, got {self.n_paths}")
-        if not 0.0 < self.dt <= self.expiry:
-            raise ConfigError(
-                f"dt must be in (0, expiry], got dt={self.dt} expiry={self.expiry}"
-            )
+        check_run(self.expiry, self.n_paths, self.dt)
         if any(k <= 0.0 for k in self.strikes):
             raise ConfigError("strikes must be positive")
 
@@ -116,10 +118,8 @@ def simulate_terminals(params: ModelParams, req: PricingRequest) -> np.ndarray:
     """
     horizon_hours = req.expiry * TRADING_HOURS_PER_YEAR
     dt_hours = req.dt * TRADING_HOURS_PER_YEAR
-    ens, diag, _ = simulate_ensemble(
-        params, req.n_paths, horizon_hours, dt_hours, seed=req.seed,
-        risk_neutral=True,
-    )
+    ens, diag, _ = simulate_ensemble(params, req.n_paths, horizon_hours, dt_hours,
+                                     seed=req.seed, risk_neutral=True)
     if diag.n_aborted:
         warnings.warn(f"{diag.n_aborted} of {req.n_paths} paths aborted and were excluded "
                       "from the terminal sample", RuntimeWarning, stacklevel=2)
@@ -157,7 +157,12 @@ def bs_call(spot: float, strike: float, expiry: float, rate: float,
     srt = sigma * math.sqrt(expiry)
     d1 = (math.log(spot / strike) + (rate + 0.5 * sigma * sigma) * expiry) / srt
     d2 = d1 - srt
-    return spot * float(norm.cdf(d1)) - strike * disc * float(norm.cdf(d2))
+    return spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d2)
+
+
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF; the erfc form keeps its precision in the lower tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def implied_vol(price: float, spot: float, strike: float, expiry: float,

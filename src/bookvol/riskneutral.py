@@ -240,11 +240,11 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     """Run n_paths of the book under the physical or risk-neutral measure.
 
     The horizon is divided into ceil(horizon/dt) equal steps.  Paths that
-    breach the grid or meet a singular drift kill are frozen and counted in
-    the diagnostics, one row per step; their terminal π is left at the value
-    before the abort.  If all abort, SingularSystemError (all singular) or
-    SimulationError is raised.  When record_pi > 0 the π trajectory of that
-    many paths is returned as an array (steps+1, record_pi).
+    breach the grid, turn non-finite or meet a singular drift kill are frozen
+    and counted by cause, one row per step; their terminal π is left at the
+    value before the abort.  If all abort, SingularSystemError (all singular)
+    or SimulationError is raised.  When record_pi > 0 the π trajectory of
+    that many paths is returned as an array (steps+1, record_pi).
     """
     if horizon_hours <= 0 or dt_hours <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -279,7 +279,8 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
         if not ens.alive.any():
             error = SingularSystemError if diag.n_aborted_singular == n_paths else SimulationError
             raise error(f"all {n_paths} simulated paths aborted (top {diag.n_aborted_top}, "
-                        f"bottom {diag.n_aborted_bottom}, singular {diag.n_aborted_singular})")
+                        f"bottom {diag.n_aborted_bottom}, broken {diag.n_aborted_broken}, "
+                        f"singular {diag.n_aborted_singular})")
         if track is not None:
             track[step + 1] = ens.pi[:record_pi]
     return ens, diag, track

@@ -116,7 +116,7 @@ def test_criterion_02_risk_neutral_clearing_price_is_martingale():
         demo_params(), 10_000, 0.02 * TRADING_HOURS_PER_YEAR, ONE_MINUTE,
         seed=2026)
     terminal = ens.pi[ens.alive]
-    assert diag.n_aborted_top == diag.n_aborted_bottom == 0
+    assert diag.n_aborted_top == diag.n_aborted_bottom == diag.n_aborted_broken == 0
     se = terminal.std(ddof=1) / math.sqrt(terminal.size)
     assert abs(terminal.mean() - SPOT) <= 3.0 * se
     assert time.perf_counter() - start < 120.0

@@ -265,6 +265,7 @@ def test_summarize_by_hand():
     assert s.se_mean == pytest.approx(math.sqrt(2.5 / 5))
     lo, hi = s.ci95
     assert lo < 3.0 < hi
+    assert hi - lo == pytest.approx(2 * 1.959963984540054 * s.se_mean, rel=1e-15)
     assert "excess kurtosis" in s.to_text()
 
 

@@ -5,7 +5,6 @@ concrete reproduction per exit code."""
 import importlib.resources
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -128,17 +127,18 @@ def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measur
     artifact = dict(line.split(",", 1)
                     for line in captured.out.split("# diagnostics\n")[1].splitlines())
     table = captured.err.split("# per-step diagnostics\n")[1].splitlines()
-    assert table[0] == ("step,alive,relabels,aborted_top,aborted_bottom,aborted_singular,"
-                        "path0_rel_residual")
+    assert table[0] == ("step,alive,relabels,aborted_top,aborted_bottom,aborted_broken,"
+                        "aborted_singular,path0_rel_residual")
     rows = [line.split(",") for line in table[1:] if line[:1].isdigit()]
     assert [int(r[0]) for r in rows] == list(range(int(artifact["n_steps"])))
     columns = {name: [r[i] for r in rows] for i, name in enumerate(table[0].split(","))}
     for column, key in [("relabels", "n_relabel"), ("aborted_top", "n_aborted_top"),
                         ("aborted_bottom", "n_aborted_bottom"),
+                        ("aborted_broken", "n_aborted_broken"),
                         ("aborted_singular", "n_aborted_singular")]:
         assert sum(map(int, columns[column])) == int(artifact[key])
     aborted = sum(int(artifact[k]) for k in ("n_aborted_top", "n_aborted_bottom",
-                                             "n_aborted_singular"))
+                                             "n_aborted_broken", "n_aborted_singular"))
     assert int(columns["alive"][-1]) == 60 - aborted
     residuals = [float(v) for v in columns["path0_rel_residual"]]
     solved = [v for v in residuals if not math.isnan(v)]
@@ -169,6 +169,11 @@ def test_broken_config_exits_2(tmp_path, capsys):
                  "--expiry", "0.0002"]) == 2
 
 
+def test_simulate_step_longer_than_expiry_exits_2(capsys):
+    assert main(["simulate", "--paths", "3", "--expiry", "0.0002", "--dt", "0.01"]) == 2
+    assert "dt must be in (0, expiry]" in capsys.readouterr().err
+
+
 def test_calibrate_without_grid_spec_exits_2(tmp_path, capsys):
     log = tmp_path / "tiny.log"
     log.write_text("A,B,%d,x,20.3,5\n" % SESSION_START_NS)
@@ -193,9 +198,8 @@ def test_inconsistent_demand_exits_4(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "huge.json"),
                "--paths", "2", "--expiry", "0.0002", "--seed", "0"])
     assert rc == 4
-    breakdown = re.search(r"all 2 simulated paths aborted \(top (\d+), bottom (\d+), "
-                          r"singular 0\)", capsys.readouterr().err)
-    assert breakdown and int(breakdown[1]) + int(breakdown[2]) == 2
+    assert ("all 2 simulated paths aborted (top 0, bottom 0, broken 2, singular 0)"
+            in capsys.readouterr().err)
 
 
 def test_singular_kill_on_every_path_exits_3(tmp_path, capsys):
@@ -206,7 +210,7 @@ def test_singular_kill_on_every_path_exits_3(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "thin.json"),
                "--paths", "2", "--expiry", "0.0002", "--seed", "0"])
     assert rc == 3
-    assert "(top 0, bottom 0, singular 2)" in capsys.readouterr().err
+    assert "(top 0, bottom 0, broken 0, singular 2)" in capsys.readouterr().err
 
 
 def test_too_little_data_exits_5(tmp_path, capsys):
