@@ -109,9 +109,16 @@ def curve_value(state: DemandState, price: float) -> float:
 
 @dataclass
 class Ensemble:
+    """n paths of the book, stored bucket-major.
+
+    Row k of the (2K, n) log masses holds bucket k of every path, so each
+    per-step numpy loop runs along the long path axis, and per-bucket
+    parameters broadcast as (2K, 1) columns.  Path i is column i.
+    """
+
     delta_p: float
     log_edge: np.ndarray    # (n,)
-    log_q: np.ndarray       # (n, 2K)
+    log_q: np.ndarray       # (2K, n)
     pi: np.ndarray          # (n,)
     alive: np.ndarray       # (n,) bool
     t: float = 0.0
@@ -120,14 +127,14 @@ class Ensemble:
     def of(cls, state: DemandState, n_paths: int = 1) -> Ensemble:
         """Ensemble of n_paths copies of `state`."""
         return cls(delta_p=state.delta_p, log_edge=np.full(n_paths, state.log_edge, dtype=float),
-                   log_q=np.tile(np.asarray(state.log_q, dtype=float), (n_paths, 1)),
+                   log_q=np.tile(np.asarray(state.log_q, dtype=float)[:, None], (1, n_paths)),
                    pi=np.full(n_paths, state.pi, dtype=float),
                    alive=np.ones(n_paths, dtype=bool), t=state.t)
 
     def path(self, i: int = 0) -> DemandState:
         """Path i as a DemandState; its log masses are a view into the ensemble."""
         return DemandState(delta_p=self.delta_p, log_edge=float(self.log_edge[i]),
-                           log_q=self.log_q[i], pi=float(self.pi[i]), t=self.t)
+                           log_q=self.log_q[:, i], pi=float(self.pi[i]), t=self.t)
 
 
 class Cleared(NamedTuple):
@@ -191,42 +198,58 @@ def init_ensemble(params: ModelParams, n_paths: int) -> Ensemble:
     return Ensemble.of(init_state(params), n_paths)
 
 
+def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative sums down the rows of x, into `out` when given.
+
+    The additions and their order are those of np.cumsum(x, axis=0), which
+    is several times slower on a few long rows than this loop over them.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    out[0] = x[0]
+    for i in range(1, len(x)):
+        np.add(out[i - 1], x[i], out=out[i])
+    return out
+
+
 def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     """Vectorized zero-crossing, relabeling, and edge re-anchoring (in place).
 
     Live paths whose curve is non-finite or does not cross zero inside the
     grid are marked dead and reported instead of cleared.
     """
-    n, twoK = ens.log_q.shape
+    twoK, n = ens.log_q.shape
     K = twoK // 2
     dp = ens.delta_p
-    # overflow to inf is a legitimate outcome here: such rows fail the
-    # finiteness screen below and are reported as broken, not crashed
+    # (2K+1, n) node values, the edge first; overflow to inf is a legitimate
+    # outcome here: such paths fail the finiteness screen below and are
+    # reported as broken, not crashed
+    vals = np.empty((twoK + 1, n))
     with np.errstate(over="ignore"):
         q = np.exp(ens.log_q)
-        vals = np.exp(ens.log_edge)[:, None] - np.concatenate(
-            [np.zeros((n, 1)), np.cumsum(q, axis=1)], axis=1)
+        vals[0] = np.exp(ens.log_edge)
+        np.subtract(vals[0], _running_sum(q, out=vals[1:]), out=vals[1:])
     offs = (np.arange(-K, K + 1) + 0.5) * dp
 
-    finite = np.isfinite(vals).all(axis=1)
-    top = ens.alive & finite & (vals[:, -1] >= 0.0)
-    bottom = ens.alive & finite & (vals[:, 0] <= 0.0)
+    finite = np.isfinite(vals).all(axis=0)
+    top = ens.alive & finite & (vals[-1] >= 0.0)
+    bottom = ens.alive & finite & (vals[0] <= 0.0)
     broken = ens.alive & ~finite
     ens.alive &= finite & ~(top | bottom)
     if broken.any():        # placeholder state so later vector math stays finite
-        ens.log_q[broken] = params.mean_logq
+        ens.log_q[:, broken] = params.mean_logq[:, None]
         ens.log_edge[broken] = params.mean_log_edge
-        vals[broken] = 1.0
+        vals[:, broken] = 1.0
     live = ens.alive
     if not live.any():
         return Cleared(top, bottom, broken, np.zeros(n, dtype=bool))
 
-    neg = np.where(np.isfinite(vals), vals, 0.0) < 0.0
-    neg[:, 0] = False                      # live rows start positive anyway
-    j = np.clip(np.argmax(neg, axis=1), 1, twoK)
-    rows = np.arange(n)
-    v_hi = vals[rows, j - 1]
-    v_lo = vals[rows, j]
+    # a live curve falls from positive at the edge to negative at the top, so
+    # its first negative node is 1 + the count of non-negative ones between
+    j = 1 + np.count_nonzero(vals[1:-1] >= 0.0, axis=0)
+    paths = np.arange(n)
+    v_hi = vals[j - 1, paths]
+    v_lo = vals[j, paths]
     denom = np.where(live, v_hi - v_lo, 1.0)
     z = np.where(live, offs[j - 1] + dp * v_hi / denom, 0.0)
     ens.pi = ens.pi + z
@@ -236,15 +259,15 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     kstar = np.floor(z / dp + 0.5).astype(int)
     moved = live & (kstar != 0)
     if moved.any():
-        idx = np.where(moved)[0]
-        src = np.arange(twoK)[None, :] + kstar[idx][:, None]
+        idx = np.flatnonzero(moved)
+        src = np.arange(twoK)[:, None] + kstar[idx]
         inside = (src >= 0) & (src < twoK)
-        block = np.take_along_axis(ens.log_q[idx], np.clip(src, 0, twoK - 1), axis=1)
-        ens.log_q[idx] = np.where(inside, block, params.mean_logq[None, :])
-
-    q = np.exp(ens.log_q)
-    edge = q[:, : K - 1].sum(axis=1) + 0.5 * q[:, K - 1]   # zero sits mid-bucket 0
-    ens.log_edge = np.log(edge)
+        block = np.take_along_axis(ens.log_q[:, idx], np.clip(src, 0, twoK - 1), axis=0)
+        ens.log_q[:, idx] = np.where(inside, block, params.mean_logq[:, None])
+        q[:, idx] = np.exp(ens.log_q[:, idx])
+    # live edges re-anchor so the zero sits mid-bucket 0; dead paths stay frozen
+    edge = q[: K - 1].sum(axis=0) + 0.5 * q[K - 1]
+    np.copyto(ens.log_edge, np.log(edge), where=live)
     return Cleared(top, bottom, broken, moved)
 
 
@@ -273,26 +296,33 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
 
     The (n, F) factor increments `inc`, projected on the loadings and scaled
     to unit variance, drive the exact OU update of the log masses and edge;
-    the rotated drift-kill solutions `kill` = (y, e) shift those drivers by
-    -y·Δp·√dt and -e·Δp·√dt.  Live prices then move by `translation`.
+    the rotated drift-kill solutions `kill` = (y, e), of shapes (2K, n) and
+    (n,), shift those drivers by -y·Δp·√dt and -e·Δp·√dt.  Live prices then
+    move by `translation`.
     `factors` is ou_step_factors(params, dt), computed once per run; a caller
     passes `clear_paths` to resolve _batch_clear at call time, so that timing
     hooks installed on its own module see each pass.
     """
     decay_q, vol_q, decay_e, vol_e = factors
     root_dt = math.sqrt(dt)
-    z_q = (inc @ params.loadings.T) * (math.sqrt(params.delta_p) / root_dt)
+    z_q = params.loadings @ inc.T
+    z_q *= math.sqrt(params.delta_p) / root_dt
     z_e = (inc @ params.edge_loadings) * (math.sqrt(params.delta_p) / root_dt)
     if kill is not None:
         y, e = kill
         z_q -= y * (params.delta_p * root_dt)
         z_e -= e * (params.delta_p * root_dt)
-    new_log_q = params.mean_logq + (ens.log_q - params.mean_logq) * decay_q + vol_q * z_q
+    mean = params.mean_logq[:, None]
+    new_log_q = ens.log_q - mean
+    new_log_q *= decay_q[:, None]
+    new_log_q += mean
+    z_q *= vol_q[:, None]
+    new_log_q += z_q
     new_log_edge = (params.mean_log_edge
                     + (ens.log_edge - params.mean_log_edge) * decay_e + vol_e * z_e)
     live = ens.alive
-    ens.log_q[live] = new_log_q[live]
-    ens.log_edge[live] = new_log_edge[live]
+    np.copyto(ens.log_q, new_log_q, where=live)
+    np.copyto(ens.log_edge, new_log_edge, where=live)
     cleared = clear_paths(ens, params)
     if translation:
         ens.pi[ens.alive] += translation

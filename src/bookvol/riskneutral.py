@@ -28,15 +28,14 @@ sigma_pi exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import sheet
-from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _step_state,
-                     init_ensemble, ou_step_factors, step_ensemble)
+from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _running_sum,
+                     _step_state, init_ensemble, ou_step_factors, step_ensemble)
 from .errors import SimulationError, SingularSystemError
 from .params import ModelParams
 
@@ -115,30 +114,40 @@ def _kill_matrix(state: DemandState, params: ModelParams) -> np.ndarray:
 
 def _kill_rhs(ens: Ensemble, params: ModelParams
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 2K) right sides b of the drift-kill system, one row per path, with
-    the q̃σ (n, 2K) and edge σ (n,) products they were built from.
+    """(2K, n) right sides b of the drift-kill system, one column per path, with
+    the q̃σ (2K, n) and edge σ (n,) products they were built from.
     """
+    sigma = params.sigma_q_rel[:, None]
     q = np.exp(ens.log_q)
     edge = np.exp(ens.log_edge)
-    qs = q * params.sigma_q_rel
+    qs = q * sigma
     es = edge * params.sigma_edge_rel
     below_gram = np.tril(params.loadings @ params.loadings.T, k=-1)   # row i: buckets l < i
-    cross = params.sigma_q_rel * (
-        es[:, None] * (params.loadings @ params.edge_loadings)
-        - qs @ below_gram.T) * ens.delta_p
-    mu_q = q * (-params.a_q * (ens.log_q - params.mean_logq) + 0.5 * params.sigma_q_rel**2)
+    cross = np.multiply.outer(params.loadings @ params.edge_loadings, es)
+    cross -= below_gram @ qs
+    cross *= sigma
+    cross *= ens.delta_p
+    mu_q = ens.log_q - params.mean_logq[:, None]
+    mu_q *= -params.a_q[:, None]
+    mu_q += 0.5 * sigma**2
+    mu_q *= q
     mu_e = edge * (-params.a_edge * (ens.log_edge - params.mean_log_edge)
                    + 0.5 * params.sigma_edge_rel**2)
-    below = np.cumsum(mu_q, axis=1) - mu_q          # sum over buckets l < i
-    b = (below - mu_e[:, None] + _row_anchors(params) * (mu_q - q * params.sigma_q_rel**2)
-         + cross)
+    b = _running_sum(mu_q)
+    b -= mu_q                                       # sum over buckets l < i
+    b -= mu_e
+    q *= sigma**2
+    np.subtract(mu_q, q, out=q)
+    q *= _row_anchors(params)[:, None]
+    b += q
+    b += cross
     return b, qs, es
 
 
 def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
     """Assemble the drift-kill equations, one row per potential clearing bucket."""
     b, _, _ = _kill_rhs(Ensemble.of(state), params)
-    return MprSystem(Sigma=_kill_matrix(state, params), b=b[0])
+    return MprSystem(Sigma=_kill_matrix(state, params), b=b[:, 0])
 
 
 def solve_mpr(system: MprSystem, cond_limit: float = COND_LIMIT) -> MprSystem:
@@ -196,30 +205,31 @@ class _KillTransform:
 
 def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rotated drift-kill solution (y, e) for every path, the b vectors, and
-    the live paths whose kill is singular: a pivot q̃σ (buckets below the top,
-    and the edge) under 1/COND_LIMIT of the path's largest q̃σ, or a non-finite
-    y or e.  Singular shifts are zeroed.
+    """Rotated drift-kill solution y (2K, n) and e (n,) for every path, the
+    (2K, n) b vectors, and the live paths whose kill is singular: a pivot q̃σ
+    (buckets below the top, and the edge) under 1/COND_LIMIT of the path's
+    largest q̃σ, or a non-finite y or e.  Singular shifts are zeroed.
     """
     dp = ens.delta_p
     i0 = params.idx(0)
+    twoK, n = ens.log_q.shape
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         b, qs, es = _kill_rhs(ens, params)
-        db = np.diff(b, axis=1)
+        db = np.diff(b, axis=0)
         y = np.empty_like(b)
-        y[:, :-1] = db / (qs[:, :-1] * dp)
-        y[:, i0] = 2.0 * db[:, i0] / (qs[:, i0] * dp)
+        np.divide(db, qs[:-1] * dp, out=y[:-1])
+        y[i0] = 2.0 * db[i0] / (qs[i0] * dp)
         if i0 >= 1:
-            y[:, i0 - 1] = (db[:, i0 - 1] / dp - 0.5 * qs[:, i0] * y[:, i0]) / qs[:, i0 - 1]
-        e = (_row_anchors(params)[0] * qs[:, 0] * y[:, 0] * dp - b[:, 0]) / (es * dp)
-        c = np.concatenate([e[:, None], y[:, :-1]], axis=1)
-        y[:, -1] = c @ kt.g
-        # row-wise tests as column loops (numpy reduces a short last axis slowly);
-        # a row of y - y sums to nan exactly when the row holds an inf or a nan
-        pivot = functools.reduce(np.minimum, qs[:, :-1].T, es)
-        sound = (pivot >= functools.reduce(np.maximum, qs.T) / COND_LIMIT) \
-            & np.isfinite((y - y) @ np.ones(y.shape[1])) & np.isfinite(e)
-    y[~sound] = 0.0
+            y[i0 - 1] = (db[i0 - 1] / dp - 0.5 * qs[i0] * y[i0]) / qs[i0 - 1]
+        e = (_row_anchors(params)[0] * qs[0] * y[0] * dp - b[0]) / (es * dp)
+        c = np.empty((n, twoK))     # path-major: g @ c.T would sum in another order
+        c[:, 0] = e
+        c[:, 1:] = y[:-1].T
+        y[-1] = c @ kt.g
+        pivot = np.minimum(qs[:-1].min(axis=0), es)
+        sound = (pivot >= qs.max(axis=0) / COND_LIMIT) \
+            & np.isfinite(y).all(axis=0) & np.isfinite(e)
+    np.copyto(y, 0.0, where=~sound)
     e[~sound] = 0.0
     return y, e, b, ens.alive & ~sound
 
@@ -227,9 +237,10 @@ def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
 def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
                         y, e, b) -> float:
     """Residual of the full system on path 0, as a solve-quality telltale."""
-    lam0 = np.linalg.solve(kt.A, np.concatenate(([e[0]], y[0, :-1])))
-    bnorm = float(np.linalg.norm(b[0]))
-    residual = _kill_matrix(ens.path(0), params) @ lam0 - b[0]
+    lam0 = np.linalg.solve(kt.A, np.concatenate(([e[0]], y[:-1, 0])))
+    b0 = b[:, 0]
+    bnorm = float(np.linalg.norm(b0))
+    residual = _kill_matrix(ens.path(0), params) @ lam0 - b0
     return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
 
 

@@ -35,13 +35,15 @@ class SheetConfig:
         return self.factor_count * self.delta_p
 
 
-def _chunk_block(cfg: SheetConfig, step: int, chunk: int, rows: int = _CHUNK) -> np.ndarray:
-    """Leading `rows` rows of one chunk's standard-normal (_CHUNK, factor_count) block."""
+def _chunk_block(cfg: SheetConfig, step: int, chunk: int, rows: int = _CHUNK,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Leading `rows` rows of one chunk's standard-normal (_CHUNK, factor_count)
+    block, drawn into `out` when given."""
     bits = np.random.Philox(
         key=np.array([cfg.seed, chunk], dtype=np.uint64),
         counter=np.array([0, 0, 0, step], dtype=np.uint64),
     )
-    return np.random.Generator(bits).standard_normal((rows, cfg.factor_count))
+    return np.random.Generator(bits).standard_normal((rows, cfg.factor_count), out=out)
 
 
 def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> np.ndarray:
@@ -49,9 +51,12 @@ def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> 
     if dt < 0:
         raise ValueError("dt must be non-negative")
     n_chunks = -(-n_streams // _CHUNK)
-    blocks = [_chunk_block(cfg, step, c) for c in range(n_chunks)]
-    out = np.concatenate(blocks, axis=0)[:n_streams]
-    return out * np.sqrt(dt)
+    draws = np.empty((n_chunks * _CHUNK, cfg.factor_count))
+    for c in range(n_chunks):
+        _chunk_block(cfg, step, c, out=draws[c * _CHUNK:(c + 1) * _CHUNK])
+    out = draws[:n_streams]
+    out *= np.sqrt(dt)
+    return out
 
 
 def increments(cfg: SheetConfig, dt: float, step: int, stream: int = 0) -> np.ndarray:

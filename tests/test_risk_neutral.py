@@ -12,10 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bookvol import riskneutral
-from bookvol.demand import Ensemble, clear, init_state, step_physical
+from bookvol.demand import (Ensemble, clear, init_state, ou_step_factors, step_ensemble,
+                            step_physical)
 from bookvol.errors import BoundaryBreachError, SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
+    COND_LIMIT,
     _batch_kill_shifts,
     _KillTransform,
     build_mpr_system,
@@ -27,7 +29,7 @@ from bookvol.riskneutral import (
     solve_mpr,
     step_risk_neutral,
 )
-from bookvol.sheet import SheetConfig, increments
+from bookvol.sheet import SheetConfig, increments, increments_block
 
 
 def _random_states(n, seed=0):
@@ -179,7 +181,7 @@ def test_closed_form_kill_matches_dense_solve(data):
         assume(False)
     y, e, _, singular = _batch_kill_shifts(Ensemble.of(state), params, _KillTransform(params))
     assert not singular[0]
-    got = np.concatenate([y[0], e])
+    got = np.concatenate([y[:, 0], e])
     want = np.concatenate([params.loadings @ system.lam, [params.edge_loadings @ system.lam]])
     tol = 100 * system.cond * np.finfo(float).eps
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -192,7 +194,7 @@ def test_thin_bucket_kill_is_singular_not_bottom(monkeypatch):
 
     def degenerate_paths(p, n_paths):
         ens = init_ensemble(p, n_paths)
-        ens.log_q[1, 2] = -700.0            # interior bucket k = -4 holds e^-700
+        ens.log_q[2, 1] = -700.0            # interior bucket k = -4 holds e^-700
         ens.log_q[2, 2] = -10.0             # pivot ~1e-16 of the largest, y still finite
         ens.log_edge[3] = 709.0             # edge drift overflows: b and e are not finite
         return ens
@@ -205,7 +207,7 @@ def test_thin_bucket_kill_is_singular_not_bottom(monkeypatch):
     assert np.all(ens.pi[1:4] == params.pi0)
     others = [0, 4]
     assert np.array_equal(ens.pi[others], clean.pi[others])
-    assert np.array_equal(ens.log_q[others], clean.log_q[others])
+    assert np.array_equal(ens.log_q[:, others], clean.log_q[:, others])
     assert np.array_equal(ens.log_edge[others], clean.log_edge[others])
 
 
@@ -244,7 +246,98 @@ def test_ensemble_matches_explicit_single_path():
         system = solve_mpr(build_mpr_system(state, params))
         state = step_risk_neutral(state, params, system.lam, increments(cfg, dt, step), dt)
     assert ens.pi[0] == pytest.approx(state.pi, rel=1e-9)
-    assert np.allclose(ens.log_q[0], state.log_q, rtol=1e-9)
+    assert np.allclose(ens.log_q[:, 0], state.log_q, rtol=1e-9)
+
+
+def _adverse_ensemble(params):
+    """Six paths: zero mid top bucket (relabels by +K), zero mid bottom bucket
+    (by -(K-1)), a NaN log mass, a bucket below the top thinned to half the
+    singular guard, and two clean paths."""
+    K = params.K
+    ens = Ensemble.of(init_state(params), 6)
+    others = np.exp(ens.log_q[1:, 3]) * params.sigma_q_rel[1:]
+    ens.log_q[0, 3] = math.log(0.5 * others.max() / COND_LIMIT / params.sigma_q_rel[0])
+    ens.log_q[K - 1, 2] = np.nan
+    q = np.exp(ens.log_q)
+    ens.log_edge[0] = math.log(q[:-1, 0].sum() + 0.5 * q[-1, 0])
+    ens.log_edge[1] = math.log(0.5 * q[0, 1])
+    ens.log_edge[3] = math.log(q[:K - 1, 3].sum() + 0.5 * q[K - 1, 3])
+    return ens
+
+
+def _path_alone(ens, i):
+    """Path i of `ens` as an ensemble of one that shares no memory with it."""
+    return Ensemble(ens.delta_p, ens.log_edge[i:i + 1].copy(), ens.log_q[:, i:i + 1].copy(),
+                    ens.pi[i:i + 1].copy(), ens.alive[i:i + 1].copy())
+
+
+def _step_once(ens, params, inc, dt, risk_neutral):
+    """One step of simulate_ensemble's loop: kill, drop singular paths, step."""
+    singular = np.zeros(ens.pi.size, dtype=bool)
+    shifts = None
+    if risk_neutral:
+        y, e, _, singular = _batch_kill_shifts(ens, params, _KillTransform(params))
+        ens.alive &= ~singular
+        shifts = (y, e)
+    cleared = step_ensemble(ens, params, inc, dt, ou_step_factors(params, dt), kill=shifts,
+                            translation=0.0 if risk_neutral else params.drift_c * dt)
+    return cleared, singular, shifts
+
+
+@pytest.mark.parametrize("risk_neutral", [True, False])
+@pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
+def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral):
+    """Each column of a stepped adverse ensemble equals that path stepped alone.
+
+    Masks agree exactly.  The kill and the loading projection hold BLAS
+    products whose summation order may depend on n, so values agree to
+    rel 1e-12; the test below pins clearing alone bit for bit."""
+    K, dt = params.K, 1.0 / 60.0
+    inc = increments_block(SheetConfig(params.factor_count, params.delta_p, seed=7), dt, 0, 6)
+    ens = _adverse_ensemble(params)
+    pi_before = ens.pi.copy()
+    cleared, singular, shifts = _step_once(ens, params, inc, dt, risk_neutral)
+
+    moved = np.floor((ens.pi - pi_before) / params.delta_p + 0.5)
+    assert moved[:2].tolist() == [K, -(K - 1)]
+    assert cleared.relabeled.tolist() == [True, K > 1, False, False, False, False]
+    assert singular.tolist() == [False, False, risk_neutral, risk_neutral, False, False]
+    assert cleared.broken.tolist() == [False, False, not risk_neutral, False, False, False]
+    assert ens.alive.tolist() == [True, True, False, not risk_neutral, True, True]
+
+    for i in range(6):
+        one = _path_alone(_adverse_ensemble(params), i)
+        alone, alone_singular, alone_shifts = _step_once(one, params, inc[i:i + 1], dt,
+                                                         risk_neutral)
+        assert alone_singular[0] == singular[i]
+        for batch, single in zip(cleared, alone):
+            assert single[0] == batch[i]
+        assert one.alive[0] == ens.alive[i]
+        if shifts is not None:
+            np.testing.assert_allclose(alone_shifts[0][:, 0], shifts[0][:, i], rtol=1e-12)
+            np.testing.assert_allclose(alone_shifts[1], shifts[1][i:i + 1], rtol=1e-12)
+        np.testing.assert_allclose(one.log_q[:, 0], ens.log_q[:, i], rtol=1e-12)
+        np.testing.assert_allclose(one.log_edge, ens.log_edge[i:i + 1], rtol=1e-12)
+        np.testing.assert_allclose(one.pi, ens.pi[i:i + 1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
+def test_batch_clear_matches_single_paths_exactly(params):
+    """Clearing has no BLAS product: on the adverse states each path clears
+    to the same bits alone as in the batch."""
+    ens = _adverse_ensemble(params)
+    cleared = riskneutral._batch_clear(ens, params)
+    assert cleared.relabeled.tolist() == [True, params.K > 1, False, False, False, False]
+    assert cleared.broken.tolist() == [False, False, True, False, False, False]
+    for i in range(6):
+        one = _path_alone(_adverse_ensemble(params), i)
+        alone = riskneutral._batch_clear(one, params)
+        for batch, single in zip(cleared, alone):
+            assert single[0] == batch[i]
+        assert np.array_equal(one.log_q[:, 0], ens.log_q[:, i])
+        assert np.array_equal(one.log_edge, ens.log_edge[i:i + 1])
+        assert np.array_equal(one.pi, ens.pi[i:i + 1])
+        assert one.alive[0] == ens.alive[i]
 
 
 def test_physical_ensemble_matches_step_physical():
@@ -294,6 +387,6 @@ def test_init_ensemble_replicates_initial_state():
     params = demo_params()
     ens = init_ensemble(params, 3)
     state = init_state(params)
-    assert np.allclose(ens.log_q, state.log_q[None, :])
+    assert np.allclose(ens.log_q, state.log_q[:, None])
     assert np.allclose(ens.pi, state.pi)
     assert ens.alive.all()
