@@ -136,10 +136,11 @@ def _kill_rhs(ens: Ensemble, params: ModelParams
     b = _running_sum(mu_q)
     b -= mu_q                                       # sum over buckets l < i
     b -= mu_e
-    q *= sigma**2
-    np.subtract(mu_q, q, out=q)
-    q *= _row_anchors(params)[:, None]
-    b += q
+    own = q                                         # the anchored own-drift share, in place
+    own *= sigma**2
+    np.subtract(mu_q, own, out=own)
+    own *= _row_anchors(params)[:, None]
+    b += own
     b += cross
     return b, qs, es
 
