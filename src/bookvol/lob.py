@@ -12,17 +12,23 @@ or matched against an incoming order.  Matching follows exchange rules:
 * the clearing price is the price of the last trade and is defined by
   continuation: before any trade it equals the opening price.
 
-Quantities are strictly positive and order ids unique; violations raise
-instead of corrupting the book.  The module also provides the message-event
-record used for replaying exchange logs and a net-demand sampler used by the
-curve model and the calibration pipeline.
+Each side keeps one FIFO queue of resting orders per price level and one
+heap entry per level (see ``OrderBook``).  Prices and quantities must be
+positive and finite and order ids unique; violations raise instead of
+corrupting the book.  The module also provides the message-event record
+used for replaying exchange logs.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from heapq import heappop, heappush
+from operator import add
+from typing import NamedTuple
 
 from .errors import OrderError, UnknownOrderError
 
@@ -32,31 +38,24 @@ class Side(Enum):
     SELL = "S"
 
 
-class OrderClass(Enum):
-    """Definition of an incoming order relative to the current clearing price."""
-
-    CROSS = "cross"      # buy above / sell below the clearing price (strict)
-    UNCROSS = "uncross"
+_BUY = Side.BUY  # a module global reads faster than the enum attribute
 
 
-@dataclass(frozen=True)
-class LimitOrder:
+class LimitOrder(NamedTuple):
     order_id: str
     side: Side
     price: float
     quantity: float
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     price: float          # resting (maker) order's limit price
     quantity: float
     maker_id: str
     taker_id: str
 
 
-@dataclass(frozen=True)
-class MessageEvent:
+class MessageEvent(NamedTuple):
     """One line of an exchange message log.
 
     ``msg_type`` is ``"A"`` (add), ``"M"`` (modify) or ``"D"`` (delete);
@@ -71,20 +70,22 @@ class MessageEvent:
     size: float
 
 
-@dataclass
+# eq=False: cancels find their record in a level with deque.remove, which
+# must compare by identity, not field by field.
+@dataclass(eq=False, slots=True)
 class _Resting:
     order: LimitOrder
     remaining: float
-    seq: int
 
 
 class OrderBook:
-    """Price-time priority book with lazily cleaned heaps.
+    """Price-time priority book over FIFO price levels.
 
-    Buy orders are kept in a max-heap on price, sells in a min-heap; entries
-    are tombstoned on cancel/fill and skipped when they surface.  ``seq``
-    numbers assigned at submission implement time priority and make replay
-    fully deterministic.
+    Each side maps a price to a deque of resting records in submission order,
+    and keeps a heap with one entry per level: prices for sells, negated
+    prices for buys, so the top is the best level.  A cancel removes its
+    record from its level and an emptied level is deleted; a heap price whose
+    level is gone is skipped and dropped when it reaches the top.
     """
 
     def __init__(self, opening_price: float):
@@ -93,9 +94,10 @@ class OrderBook:
         self.opening_price = opening_price
         self.last_trade_price: float | None = None
         self._resting: dict[str, _Resting] = {}
-        self._buys: list[tuple[float, int, str]] = []   # (-price, seq, id)
-        self._sells: list[tuple[float, int, str]] = []  # (price, seq, id)
-        self._seq = 0
+        self._buy_levels: dict[float, deque[_Resting]] = {}
+        self._sell_levels: dict[float, deque[_Resting]] = {}
+        self._buys: list[float] = []    # -price of each buy level
+        self._sells: list[float] = []   # price of each sell level
 
     # ------------------------------------------------------------------
     # inspection
@@ -105,82 +107,73 @@ class OrderBook:
         """Last trade price, or the opening price before any trade."""
         return self.opening_price if self.last_trade_price is None else self.last_trade_price
 
-    def classify(self, order: LimitOrder) -> OrderClass:
-        """Cross/uncross classification against the pre-submission price."""
-        pi = self.clearing_price
-        if order.side is Side.BUY and order.price > pi:
-            return OrderClass.CROSS
-        if order.side is Side.SELL and order.price < pi:
-            return OrderClass.CROSS
-        return OrderClass.UNCROSS
-
     def resting_orders(self) -> list[tuple[LimitOrder, float]]:
-        """All resting orders with their remaining quantities."""
+        """All resting orders with their remaining quantities, oldest first."""
         return [(r.order, r.remaining) for r in self._resting.values()]
 
     def book_table(self, side: Side) -> dict[float, float]:
         """Aggregate resting quantity by price level, best price first."""
-        levels: dict[float, float] = {}
-        for r in self._resting.values():
-            if r.order.side is side:
-                levels[r.order.price] = levels.get(r.order.price, 0.0) + r.remaining
-        reverse = side is Side.BUY
-        return dict(sorted(levels.items(), reverse=reverse))
-
-    def net_demand(self, price: float) -> float:
-        """Resting buy quantity with limit >= price minus sell quantity with limit <= price."""
-        total = 0.0
-        for r in self._resting.values():
-            if r.order.side is Side.BUY and r.order.price >= price:
-                total += r.remaining
-            elif r.order.side is Side.SELL and r.order.price <= price:
-                total -= r.remaining
-        return total
+        levels = self._buy_levels if side is _BUY else self._sell_levels
+        # reduce, not sum: from Python 3.12 sum() compensates float rounding
+        return {price: reduce(add, [r.remaining for r in levels[price]])
+                for price in sorted(levels, reverse=side is _BUY)}
 
     # ------------------------------------------------------------------
     # mutation
 
     def submit(self, order: LimitOrder) -> list[Trade]:
         """Match an incoming order, rest any remainder, return the fills."""
-        if order.quantity <= 0:
-            raise OrderError(f"order {order.order_id!r}: quantity must be positive")
-        if order.price <= 0:
-            raise OrderError(f"order {order.order_id!r}: price must be positive")
-        if order.order_id in self._resting:
-            raise OrderError(f"duplicate order id {order.order_id!r}")
+        order_id, side, price, quantity = order
+        if not 0 < quantity < math.inf:
+            raise OrderError(f"order {order_id!r}: quantity must be positive and finite")
+        if not 0 < price < math.inf:
+            raise OrderError(f"order {order_id!r}: price must be positive and finite")
+        resting = self._resting
+        if order_id in resting:
+            raise OrderError(f"duplicate order id {order_id!r}")
 
-        remaining = float(order.quantity)
+        remaining = float(quantity)
         trades: list[Trade] = []
-        book, crosses = (
-            (self._sells, lambda best: best <= order.price)
-            if order.side is Side.BUY
-            else (self._buys, lambda best: -best >= order.price)
-        )
-        while remaining > 0 and book:
-            key, seq, maker_id = book[0]
-            maker = self._resting.get(maker_id)
-            if maker is None or maker.seq != seq:
-                heapq.heappop(book)  # tombstone
+        if side is _BUY:
+            heap, levels, sign, own_heap, own_levels = (
+                self._sells, self._sell_levels, 1.0, self._buys, self._buy_levels)
+        else:
+            heap, levels, sign, own_heap, own_levels = (
+                self._buys, self._buy_levels, -1.0, self._sells, self._sell_levels)
+        # heap keys are prices on the sell side and -price on the buy side;
+        # ``sign`` turns an opposite-side key back into its price
+        limit = sign * price
+        while remaining > 0 and heap:
+            key = heap[0]
+            queue = levels.get(sign * key)
+            if queue is None:
+                heappop(heap)  # level emptied by cancels
                 continue
-            if not crosses(key):
+            if key > limit:
                 break
-            qty = min(remaining, maker.remaining)
-            trades.append(Trade(maker.order.price, qty, maker_id, order.order_id))
-            self.last_trade_price = maker.order.price
-            remaining -= qty
-            maker.remaining -= qty
-            if maker.remaining <= 0:
-                heapq.heappop(book)
-                del self._resting[maker_id]
+            while remaining > 0 and queue:
+                maker = queue[0]
+                maker_id, _, maker_price, _ = maker.order
+                qty = maker.remaining if maker.remaining < remaining else remaining
+                trades.append(Trade(maker_price, qty, maker_id, order_id))
+                remaining -= qty
+                maker.remaining -= qty
+                if maker.remaining <= 0:
+                    queue.popleft()
+                    del resting[maker_id]
+            self.last_trade_price = maker_price
+            if not queue:
+                heappop(heap)
+                del levels[sign * key]
 
         if remaining > 0:
-            self._seq += 1
-            rest = _Resting(order, remaining, self._seq)
-            self._resting[order.order_id] = rest
-            if order.side is Side.BUY:
-                heapq.heappush(self._buys, (-order.price, rest.seq, order.order_id))
+            rest = resting[order_id] = _Resting(order, remaining)
+            queue = own_levels.get(price)
+            if queue is None:
+                own_levels[price] = deque((rest,))
+                heappush(own_heap, -limit)
             else:
-                heapq.heappush(self._sells, (order.price, rest.seq, order.order_id))
+                queue.append(rest)
         return trades
 
     def cancel(self, order_id: str) -> float:
@@ -188,7 +181,13 @@ class OrderBook:
         rest = self._resting.pop(order_id, None)
         if rest is None:
             raise UnknownOrderError(f"no resting order with id {order_id!r}")
-        return rest.remaining  # heap entry becomes a tombstone
+        order = rest.order
+        levels = self._buy_levels if order.side is _BUY else self._sell_levels
+        queue = levels[order.price]
+        queue.remove(rest)
+        if not queue:
+            del levels[order.price]  # its heap price goes stale
+        return rest.remaining
 
 
 @dataclass
@@ -214,28 +213,29 @@ def replay(
     the calibration pipeline takes bar snapshots.
     """
     book = OrderBook(opening_price)
+    submit, cancel = book.submit, book.cancel
     result = ReplayResult(book=book, trades=[])
     for ev in events:
-        if ev.msg_type == "A":
-            fills = book.submit(LimitOrder(ev.order_id, ev.side, ev.price, ev.size))
-        elif ev.msg_type == "D":
-            fills = []
+        msg_type, side, timestamp, order_id, price, size = ev
+        if msg_type == "A":
+            fills = submit(LimitOrder(order_id, side, price, size))
+        elif msg_type == "D":
+            fills = None
             try:
-                book.cancel(ev.order_id)
+                cancel(order_id)
             except UnknownOrderError:
                 result.orphan_deletes += 1
-        elif ev.msg_type == "M":
-            fills = []
+        elif msg_type == "M":
             try:
-                book.cancel(ev.order_id)
+                cancel(order_id)
             except UnknownOrderError:
                 result.orphan_modifies += 1
-            fills = book.submit(LimitOrder(ev.order_id, ev.side, ev.price, ev.size))
+            fills = submit(LimitOrder(order_id, side, price, size))
         else:
-            raise OrderError(f"unknown message type {ev.msg_type!r}")
+            raise OrderError(f"unknown message type {msg_type!r}")
         if fills:
             result.trades.extend(fills)
-            result.clearing_prices.append((ev.timestamp, book.clearing_price))
+            result.clearing_prices.append((timestamp, book.last_trade_price))
         if on_event is not None:
             on_event(ev, book)
     return result

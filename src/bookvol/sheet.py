@@ -50,11 +50,10 @@ def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> 
     """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    n_chunks = -(-n_streams // _CHUNK)
-    draws = np.empty((n_chunks * _CHUNK, cfg.factor_count))
-    for c in range(n_chunks):
-        _chunk_block(cfg, step, c, out=draws[c * _CHUNK:(c + 1) * _CHUNK])
-    out = draws[:n_streams]
+    out = np.empty((n_streams, cfg.factor_count))
+    for c, start in enumerate(range(0, n_streams, _CHUNK)):
+        block = out[start:start + _CHUNK]
+        _chunk_block(cfg, step, c, len(block), out=block)
     out *= np.sqrt(dt)
     return out
 

@@ -1,10 +1,10 @@
 """Matching-engine tests: the worked single-auction example, exchange rules,
-and conservation invariants."""
+conservation invariants, and replay against a list-scan reference matcher."""
 
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bookvol.errors import OrderError, UnknownOrderError
@@ -12,7 +12,6 @@ from bookvol.lob import (
     LimitOrder,
     MessageEvent,
     OrderBook,
-    OrderClass,
     Side,
     replay,
 )
@@ -132,23 +131,19 @@ def test_nonpositive_quantity_rejected():
         book.submit(_order("z", "B", 99.0, 0.0))
 
 
-def test_classify_cross_is_strict():
+@pytest.mark.parametrize("price, qty", [
+    (float("nan"), 1.0),     # would rest under a nan price level
+    (float("inf"), 1.0),
+    (101.0, float("inf")),   # would sweep the asks and rest inf
+    (101.0, float("nan")),
+])
+def test_non_finite_order_rejected(price, qty):
     book = OrderBook(100.0)
-    assert book.classify(_order("a", "B", 100.5, 1.0)) is OrderClass.CROSS
-    assert book.classify(_order("b", "B", 100.0, 1.0)) is OrderClass.UNCROSS
-    assert book.classify(_order("c", "S", 99.5, 1.0)) is OrderClass.CROSS
-    assert book.classify(_order("d", "S", 100.0, 1.0)) is OrderClass.UNCROSS
-
-
-def test_net_demand_is_buy_minus_sell():
-    book = OrderBook(100.0)
-    book.submit(_order("b1", "B", 99.0, 10.0))
-    book.submit(_order("b2", "B", 98.0, 5.0))
-    book.submit(_order("s1", "S", 101.0, 7.0))
-    assert book.net_demand(98.0) == 15.0
-    assert book.net_demand(99.0) == 10.0
-    assert book.net_demand(100.0) == 0.0
-    assert book.net_demand(101.0) == -7.0
+    book.submit(_order("s", "S", 101.0, 5.0))
+    with pytest.raises(OrderError):
+        book.submit(_order("b", "B", price, qty))
+    assert book.book_table(Side.BUY) == {}
+    assert book.book_table(Side.SELL) == {101.0: 5.0}
 
 
 # ----------------------------------------------------------------------
@@ -220,3 +215,124 @@ def test_book_never_stays_crossed(orders):
         sells = book.book_table(Side.SELL)
         if buys and sells:
             assert max(buys) < min(sells)
+
+
+# ----------------------------------------------------------------------
+# replay against a reference matcher
+
+class _ListBook:
+    """Reference matcher: every resting order in one list, oldest first.
+
+    Each fill scans the whole list for the best crossing price; ``min``
+    returns the first of equal prices, which is the oldest.
+    """
+
+    def __init__(self, opening_price):
+        self.orders = []                 # [order_id, side, price, remaining]
+        self.last_price = opening_price
+
+    def cancel(self, order_id):
+        for i, o in enumerate(self.orders):
+            if o[0] == order_id:
+                del self.orders[i]
+                return True
+        return False
+
+    def submit(self, order_id, side, price, qty):
+        buy = side is Side.BUY
+        trades = []
+        while qty > 0:
+            crossing = [o for o in self.orders if o[1] is not side
+                        and (o[2] <= price if buy else o[2] >= price)]
+            if not crossing:
+                break
+            maker = min(crossing, key=lambda o: o[2] if buy else -o[2])
+            fill = min(qty, maker[3])
+            trades.append((maker[2], fill, maker[0], order_id))
+            self.last_price = maker[2]
+            qty -= fill
+            maker[3] -= fill
+            if maker[3] == 0:
+                self.orders = [o for o in self.orders if o is not maker]
+        if qty > 0:
+            self.orders.append([order_id, side, price, qty])
+        return trades
+
+    def table(self, side):
+        levels = {}
+        for _, s, price, rem in self.orders:
+            if s is side:
+                levels[price] = levels.get(price, 0.0) + rem
+        return dict(sorted(levels.items(), reverse=side is Side.BUY))
+
+
+def _reference_replay(events, opening_price):
+    book = _ListBook(opening_price)
+    trades, clearing, orphans = [], [], [0, 0]
+    for ev in events:
+        fills = []
+        if ev.msg_type in "DM" and not book.cancel(ev.order_id):
+            orphans["DM".index(ev.msg_type)] += 1
+        if ev.msg_type in "AM":
+            fills = book.submit(ev.order_id, ev.side, ev.price, ev.size)
+        if fills:
+            trades += fills
+            clearing.append((ev.timestamp, book.last_price))
+    return book, trades, clearing, orphans
+
+
+@st.composite
+def _message_stream(draw):
+    """Adds, deletes and modifies over five ticks, with some orphans."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    known = {}                                     # order id -> (side, price)
+    events = []
+    for i in range(n):
+        kind = draw(st.sampled_from("AAADDM"))
+        if kind == "A" or not known:
+            kind, order_id = "A", f"o{i}"
+        else:
+            order_id = draw(st.sampled_from(sorted(known) + ["ghost"]))
+        side, price = known.get(order_id, (None, None))
+        if side is None:
+            side = draw(st.sampled_from([Side.BUY, Side.SELL]))
+        if price is None or draw(st.booleans()):   # a modify may keep its price
+            price = float(draw(st.integers(min_value=98, max_value=102)))
+        size = float(draw(st.integers(min_value=1, max_value=6)))
+        if kind != "D":
+            known[order_id] = (side, price)
+        events.append(MessageEvent(kind, side, i, order_id, price, size))
+    return events
+
+
+_STALE_LEVEL = [
+    MessageEvent("A", Side.SELL, 0, "s1", 101.0, 2.0),
+    MessageEvent("A", Side.SELL, 1, "s2", 102.0, 2.0),
+    MessageEvent("A", Side.SELL, 2, "s3", 101.0, 2.0),
+    MessageEvent("A", Side.SELL, 3, "s4", 101.0, 2.0),
+    MessageEvent("D", Side.SELL, 4, "s3", 101.0, 2.0),   # middle of the 101 level
+    MessageEvent("D", Side.SELL, 5, "s4", 101.0, 2.0),   # back
+    MessageEvent("D", Side.SELL, 6, "s1", 101.0, 2.0),   # 101 empties, its price stays in the heap
+    MessageEvent("A", Side.SELL, 7, "s5", 101.0, 1.0),   # and the level comes back
+    MessageEvent("A", Side.SELL, 8, "s6", 101.0, 1.0),
+    MessageEvent("M", Side.SELL, 9, "s5", 101.0, 1.0),   # same price, now behind s6
+    MessageEvent("A", Side.BUY, 10, "b1", 102.0, 4.0),   # takes s6, s5, then s2
+    MessageEvent("D", Side.BUY, 11, "b1", 102.0, 4.0),   # orphan: b1 filled in full
+    MessageEvent("M", Side.BUY, 12, "b9", 99.0, 1.0),    # orphan modify rests b9
+]
+
+
+@given(_message_stream())
+@example(_STALE_LEVEL)
+@settings(max_examples=200, deadline=None)
+def test_replay_matches_reference_matcher(events):
+    result = replay(events, opening_price=100.0)
+    book, trades, clearing, orphans = _reference_replay(events, 100.0)
+
+    assert [(t.price, t.quantity, t.maker_id, t.taker_id) for t in result.trades] == trades
+    assert result.clearing_prices == clearing
+    assert [result.orphan_deletes, result.orphan_modifies] == orphans
+    for side in Side:
+        assert result.book.book_table(side) == book.table(side)
+    assert [(o.order_id, rem) for o, rem in result.book.resting_orders()] == \
+        [(o[0], o[3]) for o in book.orders]

@@ -27,6 +27,14 @@ def test_single_stream_matches_block_row():
         assert np.array_equal(increments(CFG, 0.5, 7, stream), block[stream])
 
 
+def test_short_last_chunk_is_a_prefix_of_the_whole_chunk():
+    # n=300 draws only 44 rows of the second chunk; n=512 draws all 256
+    short = increments_block(CFG, 0.5, step=7, n_streams=300)
+    whole = increments_block(CFG, 0.5, step=7, n_streams=512)
+    assert np.array_equal(short, whole[:300])
+    assert np.array_equal(increments(CFG, 0.5, 7, 299), short[299])
+
+
 def test_steps_and_seeds_decorrelate():
     a = increments_block(CFG, 1.0, step=0, n_streams=4)
     b = increments_block(CFG, 1.0, step=1, n_streams=4)
