@@ -13,9 +13,10 @@ as a parameter file), ``sheet`` (``seed``), ``pricing`` (``strikes``,
 ``expiry``, ``dt``, ``paths``, ``seed``, ``rate``), ``simulate``
 (``measure``, ``expiry``, ``dt``, ``paths``, ``seed``), ``calibrate``
 (``pi0``, ``K``, ``delta_p``, ``p_min``, ``p_max``, ``strict``) and
-``replay`` (``opening_price``).  A bare parameter file — such as the one
-``calibrate`` writes — is accepted wherever a config is and treated as its
-``model`` section, so a fitted file feeds straight back into ``simulate``.
+``replay`` (``opening_price``, ``strict``).  A bare parameter file — such as
+the one ``calibrate`` writes — is accepted wherever a config is and treated
+as its ``model`` section, so a fitted file feeds straight back into
+``simulate``.
 Command-line flags override config values.  Without ``--config`` the
 bundled demo parameter set is used.
 

@@ -40,13 +40,12 @@ from .params import ModelParams
 
 @dataclass
 class DemandState:
-    """Book state: log masses, log edge anchor, clearing price, elapsed hours."""
+    """Book state: log masses, log edge anchor, clearing price."""
 
     delta_p: float
     log_edge: float
     log_q: np.ndarray          # (2K,), k = -K+1 .. K
     pi: float
-    t: float = 0.0
 
     @property
     def K(self) -> int:
@@ -66,7 +65,6 @@ def init_state(params: ModelParams) -> DemandState:
         log_edge=float(np.log(params.edge0)),
         log_q=np.log(params.q0),
         pi=params.pi0,
-        t=0.0,
     )
 
 
@@ -80,14 +78,6 @@ def node_values(state: DemandState) -> np.ndarray:
     """Cumulative net demand at the node offsets; first entry is the edge."""
     q = state.quantities()
     return state.edge() - np.concatenate(([0.0], np.cumsum(q)))
-
-
-def net_demand(state: DemandState, k: int) -> float:
-    """Q̃(k) = Q̃(-K) - sum_{l<=k} q̃(l); k = -K gives the edge itself."""
-    K = state.K
-    if not -K <= k <= K:
-        raise GridError(f"bucket {k} outside grid [-{K}, {K}]")
-    return float(node_values(state)[k + K])
 
 
 def curve_value(state: DemandState, price: float) -> float:
@@ -121,7 +111,6 @@ class Ensemble:
     log_q: np.ndarray       # (2K, n)
     pi: np.ndarray          # (n,)
     alive: np.ndarray       # (n,) bool
-    t: float = 0.0
 
     @classmethod
     def of(cls, state: DemandState, n_paths: int = 1) -> Ensemble:
@@ -129,12 +118,12 @@ class Ensemble:
         return cls(delta_p=state.delta_p, log_edge=np.full(n_paths, state.log_edge, dtype=float),
                    log_q=np.tile(np.asarray(state.log_q, dtype=float)[:, None], (1, n_paths)),
                    pi=np.full(n_paths, state.pi, dtype=float),
-                   alive=np.ones(n_paths, dtype=bool), t=state.t)
+                   alive=np.ones(n_paths, dtype=bool))
 
     def path(self, i: int = 0) -> DemandState:
         """Path i as a DemandState; its log masses are a view into the ensemble."""
         return DemandState(delta_p=self.delta_p, log_edge=float(self.log_edge[i]),
-                           log_q=self.log_q[:, i], pi=float(self.pi[i]), t=self.t)
+                           log_q=self.log_q[:, i], pi=float(self.pi[i]))
 
 
 class Cleared(NamedTuple):
@@ -326,7 +315,6 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
     cleared = clear_paths(ens, params)
     if translation:
         ens.pi[ens.alive] += translation
-    ens.t += dt
     return cleared
 
 

@@ -12,21 +12,21 @@ or matched against an incoming order.  Matching follows exchange rules:
 * the clearing price is the price of the last trade and is defined by
   continuation: before any trade it equals the opening price.
 
-Each side keeps one FIFO queue of resting orders per price level and one
-heap entry per level (see ``OrderBook``).  Prices and quantities must be
-positive and finite and order ids unique; violations raise instead of
-corrupting the book.  The module also provides the message-event record
-used for replaying exchange logs.
+Each side keeps one FIFO queue of resting orders per price level and a
+sorted index with one key per live level (see ``OrderBook``).  Prices and
+quantities must be positive and finite and order ids unique; violations
+raise instead of corrupting the book.  The module also provides the
+message-event record used for replaying exchange logs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from heapq import heappop, heappush
 from operator import add
 from typing import NamedTuple
 
@@ -82,15 +82,14 @@ class OrderBook:
     """Price-time priority book over FIFO price levels.
 
     Each side maps a price to a deque of resting records in submission order,
-    and keeps a heap with one entry per level: prices for sells, negated
-    prices for buys, so the top is the best level.  A cancel removes its
-    record from its level and an emptied level is deleted; a heap price whose
-    level is gone is skipped and dropped when it reaches the top.
+    and keeps an ascending list with one key per live level: prices for
+    sells, negated prices for buys, so index 0 is the best level.  A level
+    and its key are created and deleted together.
     """
 
     def __init__(self, opening_price: float):
-        if opening_price <= 0:
-            raise OrderError(f"opening price must be positive, got {opening_price}")
+        if not 0 < opening_price < math.inf:
+            raise OrderError(f"opening price must be positive and finite, got {opening_price}")
         self.opening_price = opening_price
         self.last_trade_price: float | None = None
         self._resting: dict[str, _Resting] = {}
@@ -113,10 +112,12 @@ class OrderBook:
 
     def book_table(self, side: Side) -> dict[float, float]:
         """Aggregate resting quantity by price level, best price first."""
-        levels = self._buy_levels if side is _BUY else self._sell_levels
+        if side is _BUY:
+            levels, prices = self._buy_levels, [-key for key in self._buys]
+        else:
+            levels, prices = self._sell_levels, self._sells
         # reduce, not sum: from Python 3.12 sum() compensates float rounding
-        return {price: reduce(add, [r.remaining for r in levels[price]])
-                for price in sorted(levels, reverse=side is _BUY)}
+        return {price: reduce(add, [r.remaining for r in levels[price]]) for price in prices}
 
     # ------------------------------------------------------------------
     # mutation
@@ -135,22 +136,19 @@ class OrderBook:
         remaining = float(quantity)
         trades: list[Trade] = []
         if side is _BUY:
-            heap, levels, sign, own_heap, own_levels = (
+            keys, levels, sign, own_keys, own_levels = (
                 self._sells, self._sell_levels, 1.0, self._buys, self._buy_levels)
         else:
-            heap, levels, sign, own_heap, own_levels = (
+            keys, levels, sign, own_keys, own_levels = (
                 self._buys, self._buy_levels, -1.0, self._sells, self._sell_levels)
-        # heap keys are prices on the sell side and -price on the buy side;
+        # level keys are prices on the sell side and -price on the buy side;
         # ``sign`` turns an opposite-side key back into its price
         limit = sign * price
-        while remaining > 0 and heap:
-            key = heap[0]
-            queue = levels.get(sign * key)
-            if queue is None:
-                heappop(heap)  # level emptied by cancels
-                continue
+        while remaining > 0 and keys:
+            key = keys[0]
             if key > limit:
                 break
+            queue = levels[sign * key]
             while remaining > 0 and queue:
                 maker = queue[0]
                 maker_id, _, maker_price, _ = maker.order
@@ -163,7 +161,7 @@ class OrderBook:
                     del resting[maker_id]
             self.last_trade_price = maker_price
             if not queue:
-                heappop(heap)
+                del keys[0]
                 del levels[sign * key]
 
         if remaining > 0:
@@ -171,7 +169,7 @@ class OrderBook:
             queue = own_levels.get(price)
             if queue is None:
                 own_levels[price] = deque((rest,))
-                heappush(own_heap, -limit)
+                insort(own_keys, -limit)
             else:
                 queue.append(rest)
         return trades
@@ -181,12 +179,16 @@ class OrderBook:
         rest = self._resting.pop(order_id, None)
         if rest is None:
             raise UnknownOrderError(f"no resting order with id {order_id!r}")
-        order = rest.order
-        levels = self._buy_levels if order.side is _BUY else self._sell_levels
-        queue = levels[order.price]
+        _, side, price, _ = rest.order
+        if side is _BUY:
+            keys, levels, key = self._buys, self._buy_levels, -price
+        else:
+            keys, levels, key = self._sells, self._sell_levels, price
+        queue = levels[price]
         queue.remove(rest)
         if not queue:
-            del levels[order.price]  # its heap price goes stale
+            del levels[price]
+            del keys[bisect_left(keys, key)]
         return rest.remaining
 
 

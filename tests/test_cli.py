@@ -169,6 +169,15 @@ def test_broken_config_exits_2(tmp_path, capsys):
                  "--expiry", "0.0002"]) == 2
 
 
+def test_non_finite_opening_price_exits_2(tmp_path, capsys):
+    log = tmp_path / "one.log"
+    log.write_text("A,B,%d,x,20.3,5\n" % SESSION_START_NS)
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"replay": {"opening_price": "nan"}}))
+    assert main(["replay", str(log), "--config", str(cfg)]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_simulate_step_longer_than_expiry_exits_2(capsys):
     assert main(["simulate", "--paths", "3", "--expiry", "0.0002", "--dt", "0.01"]) == 2
     assert "dt must be in (0, expiry]" in capsys.readouterr().err

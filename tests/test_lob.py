@@ -55,6 +55,12 @@ def test_single_auction_example_is_fast():
     assert time.perf_counter() - start < 1e-3
 
 
+@pytest.mark.parametrize("opening", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_opening_price_rejected(opening):
+    with pytest.raises(OrderError, match="positive and finite"):
+        OrderBook(opening)
+
+
 def test_clearing_price_before_any_trade_is_opening():
     book = OrderBook(101.5)
     assert book.clearing_price == 101.5
@@ -312,8 +318,8 @@ _STALE_LEVEL = [
     MessageEvent("A", Side.SELL, 3, "s4", 101.0, 2.0),
     MessageEvent("D", Side.SELL, 4, "s3", 101.0, 2.0),   # middle of the 101 level
     MessageEvent("D", Side.SELL, 5, "s4", 101.0, 2.0),   # back
-    MessageEvent("D", Side.SELL, 6, "s1", 101.0, 2.0),   # 101 empties, its price stays in the heap
-    MessageEvent("A", Side.SELL, 7, "s5", 101.0, 1.0),   # and the level comes back
+    MessageEvent("D", Side.SELL, 6, "s1", 101.0, 2.0),   # 101 empties, its key leaves the index
+    MessageEvent("A", Side.SELL, 7, "s5", 101.0, 1.0),   # and comes back with the level
     MessageEvent("A", Side.SELL, 8, "s6", 101.0, 1.0),
     MessageEvent("M", Side.SELL, 9, "s5", 101.0, 1.0),   # same price, now behind s6
     MessageEvent("A", Side.BUY, 10, "b1", 102.0, 4.0),   # takes s6, s5, then s2
@@ -333,6 +339,10 @@ def test_replay_matches_reference_matcher(events):
     assert result.clearing_prices == clearing
     assert [result.orphan_deletes, result.orphan_modifies] == orphans
     for side in Side:
-        assert result.book.book_table(side) == book.table(side)
+        # items, not dicts: dict == ignores the best-first order replay prints
+        assert list(result.book.book_table(side).items()) == list(book.table(side).items())
+    # the index holds exactly one key per live level
+    assert result.book._sells == sorted(result.book._sell_levels)
+    assert result.book._buys == sorted(-p for p in result.book._buy_levels)
     assert [(o.order_id, rem) for o, rem in result.book.resting_orders()] == \
         [(o[0], o[3]) for o in book.orders]
