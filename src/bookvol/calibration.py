@@ -151,8 +151,8 @@ class PanelData:
     ``q`` has one column per bucket k = -K+1 .. K; ``edge`` is the net
     demand below the lowest bucket (all resting buys minus any sells under
     the grid floor); ``below_grid`` holds quantity clipped into bucket -K,
-    kept out of ``q`` as a diagnostic.  ``gap`` flags bars that carried the
-    previous bar forward because the book was empty.
+    kept out of ``q`` as a diagnostic.  ``gap`` flags bars that received no
+    message and so carry an adjacent bar's snapshot.
     """
 
     times: np.ndarray          # bar-end timestamps, ns
@@ -192,8 +192,11 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
 
     The book is snapshotted at every bar end (390 bars for a 6.5-hour
     session at one minute); resting quantity is assigned to relative
-    buckets by round-to-nearest with clipping.  Bars where the book is
-    empty carry the adjacent snapshot forward and are flagged as gaps.
+    buckets by round-to-nearest with clipping.  Bars that receive no
+    message carry the snapshot of the last bar that did (of the first one,
+    before any message) and are flagged as gaps.  A book that is empty at
+    a bar end is snapshotted as it is, with zero masses, which
+    ``fit_report`` rejects.
     """
     start, end = session
     n_bars = int((end - start) // delta_t_ns)

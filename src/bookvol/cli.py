@@ -49,12 +49,9 @@ from .errors import (
     BoundaryBreachError,
     ConfigError,
     FitError,
-    GridError,
     OrderError,
-    ParseError,
     SimulationError,
     SingularSystemError,
-    UndefinedInverseError,
 )
 from .lob import Side, replay
 from .params import ModelParams, demo_params, params_from_dict, params_to_dict
@@ -402,10 +399,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, OrderError, GridError,
-            UndefinedInverseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,9 +5,11 @@ its criterion; the interior-minimum sub-check of criterion 6 is split out
 as an expected failure because the bundled dynamics produce a monotone
 skew over this strike range (see the README's acceptance notes)."""
 
+import inspect
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,11 +77,27 @@ def _jittered_states(n, seed):
 
 
 @pytest.fixture(scope="module")
-def smile_table():
-    """One 10^4-path common-random-number valuation shared by criterion 6."""
-    req = PricingRequest(strikes=SMILE_STRIKES, expiry=0.02,
-                         n_paths=10_000, seed=2026)
-    return smile(demo_params(), req)
+def smile_run():
+    """Criterion 6's 10^4-path smile and the one ensemble it simulated.
+
+    That risk-neutral ensemble is also criterion 2's martingale sample, so a
+    spy on ``simulate_ensemble`` keeps each call's arguments and result.
+    """
+    calls = []
+
+    def spy(*args, **kwargs):
+        call = inspect.signature(simulate_ensemble).bind(*args, **kwargs)
+        call.apply_defaults()
+        calls.append((call.arguments, simulate_ensemble(*args, **kwargs)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bookvol.pricing.simulate_ensemble", spy)
+        start = time.perf_counter()
+        table = smile(demo_params(), PricingRequest(
+            SMILE_STRIKES, expiry=0.02, n_paths=10_000, seed=2026))
+        elapsed = time.perf_counter() - start
+    return SimpleNamespace(table=table, calls=calls, elapsed=elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -110,16 +128,18 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def test_criterion_02_risk_neutral_clearing_price_is_martingale():
-    start = time.perf_counter()
-    ens, diag, _ = simulate_ensemble(
-        demo_params(), 10_000, 0.02 * TRADING_HOURS_PER_YEAR, ONE_MINUTE,
-        seed=2026)
+def test_criterion_02_risk_neutral_clearing_price_is_martingale(smile_run):
+    (args, (ens, diag, _)), = smile_run.calls
+    assert args["n_paths"] == 10_000
+    assert args["horizon_hours"] == 0.02 * TRADING_HOURS_PER_YEAR
+    assert args["dt_hours"] == ONE_MINUTE
+    assert args["seed"] == 2026 and args["risk_neutral"]
+
     terminal = ens.pi[ens.alive]
     assert diag.n_aborted_top == diag.n_aborted_bottom == diag.n_aborted_broken == 0
     se = terminal.std(ddof=1) / math.sqrt(terminal.size)
     assert abs(terminal.mean() - SPOT) <= 3.0 * se
-    assert time.perf_counter() - start < 120.0
+    assert smile_run.elapsed < 120.0
 
 
 def test_criterion_03_drift_kill_solve_quality_over_100_steps():
@@ -153,9 +173,9 @@ def test_criterion_05_doubling_clearing_depth_halves_volatility():
             0.5 * sigma_pi_direct(state, params), rel=1e-12)
 
 
-def test_criterion_06_smile_exists_with_monotone_convex_prices(smile_table):
-    assert smile_table.n_aborted_paths == 0
-    quotes = smile_table.quotes
+def test_criterion_06_smile_exists_with_monotone_convex_prices(smile_run):
+    assert smile_run.table.n_aborted_paths == 0
+    quotes = smile_run.table.quotes
     assert len(quotes) == len(SMILE_STRIKES)
 
     defined = [q.implied_vol for q in quotes if q.implied_vol is not None]
@@ -173,8 +193,8 @@ def test_criterion_06_smile_exists_with_monotone_convex_prices(smile_table):
     reason="the bundled dynamics produce a monotone volatility skew over "
            "19.8-20.5; an interior minimum only appears as small-sample "
            "Monte-Carlo noise, so it is not a stable property of the model")
-def test_criterion_06_smile_has_interior_minimum(smile_table):
-    ivs = [q.implied_vol for q in smile_table.quotes]
+def test_criterion_06_smile_has_interior_minimum(smile_run):
+    ivs = [q.implied_vol for q in smile_run.table.quotes]
     assert all(v is not None for v in ivs)
     k_min = int(np.argmin(ivs))
     assert 0 < k_min < len(ivs) - 1

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from bookvol import __version__
+from bookvol import __version__, cli, errors
 from bookvol.calibration import SESSION_START_NS, format_log, synthesize_log
 from bookvol.cli import main
 from bookvol.params import demo_params, save_params
@@ -152,6 +152,28 @@ def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measur
 
 # ----------------------------------------------------------------------
 # exit codes
+
+@pytest.mark.parametrize("exc, code", [
+    (errors.ConfigError("boom"), 2),
+    (errors.ParseError("boom"), 2),
+    (errors.OrderError("boom"), 2),
+    (errors.GridError("boom"), 2),
+    (errors.UndefinedInverseError("boom"), 2),
+    (errors.UnknownOrderError("boom"), 2),
+    (OSError("boom"), 2),
+    (ValueError("boom"), 2),
+    (errors.SingularSystemError("boom"), 3),
+    (errors.SimulationError("boom"), 4),
+    (errors.BoundaryBreachError("top", "boom"), 4),
+    (errors.FitError("boom"), 5),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_error_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_replay", fail)
+    assert main(["replay", "any.log"]) == code
+    assert "boom" in capsys.readouterr().err
+
 
 def test_missing_log_exits_2(capsys):
     assert main(["replay", "/no/such/file.log"]) == 2
