@@ -5,8 +5,9 @@ Stages, each a pure transformation:
     parse_messages -> clean -> build_panel -> fits
 
 The panel replays the cleaned log through the matching engine, snapshots
-the book at one-minute bar ends, and books every resting order into a
-relative price bucket k = round((p - pi)/delta_p).  The fits are then
+the book at one-minute bar ends, and books every resting order into the
+relative price bucket k whose half-open range ((k - 1/2) delta_p,
+(k + 1/2) delta_p] holds its offset p - pi.  The fits are then
 straight time-series work: AR(1) per log-mass series (mapped to
 Ornstein-Uhlenbeck rates per hour), a correlation square root for the
 factor loadings, an OLS trend for the clearing-price drift, a Jarque-Bera
@@ -22,10 +23,11 @@ estimation tests are built on.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import statistics
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -149,8 +151,8 @@ class PanelData:
     """Bar-sampled book state in relative coordinates.
 
     ``q`` has one column per bucket k = -K+1 .. K; ``edge`` is the net
-    demand below the lowest bucket (all resting buys minus any sells under
-    the grid floor); ``below_grid`` holds quantity clipped into bucket -K,
+    demand below the lowest bucket (all resting buys minus the sells in
+    bucket -K); ``below_grid`` holds quantity clipped into bucket -K,
     kept out of ``q`` as a diagnostic.  ``gap`` flags bars that received no
     message and so carry an adjacent bar's snapshot.
     """
@@ -170,88 +172,77 @@ class PanelData:
 
 
 def _snapshot(book: OrderBook, K: int, delta_p: float):
-    """Book state as (pi, bucket masses -K..K, edge net demand)."""
+    """Book state as (pi, bucket masses -K..K, edge net demand).
+
+    An order at offset p - pi sits in bucket k = ceil(offset/delta_p - 1/2),
+    the one whose range ((k - 1/2) delta_p, (k + 1/2) delta_p] holds it,
+    clipped to [-K, K].  The offset in buckets is rounded to 9 decimals
+    first, so float noise cannot move a price that lies on a boundary.  A
+    sell nets out of the edge exactly when it lands in bucket -K.
+    """
     pi = book.clearing_price
     masses = np.zeros(2 * K + 1)
     edge = 0.0
-    floor = pi - (K - 0.5) * delta_p
     for order, remaining in book.resting_orders():
-        k = max(-K, min(K, int(round((order.price - pi) / delta_p))))
+        k = max(-K, min(K, math.ceil(round((order.price - pi) / delta_p, 9) - 0.5)))
         masses[k + K] += remaining
         if order.side is Side.BUY:
             edge += remaining
-        elif order.price < floor:
+        elif k == -K:
             edge -= remaining
     return pi, masses, edge
 
 
 def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
-                delta_t_ns: int = BAR_NS,
                 session: tuple = (SESSION_START_NS, SESSION_END_NS)) -> PanelData:
     """Replay events through the matching engine and sample bars.
 
-    The book is snapshotted at every bar end (390 bars for a 6.5-hour
-    session at one minute); resting quantity is assigned to relative
-    buckets by round-to-nearest with clipping.  Bars that receive no
-    message carry the snapshot of the last bar that did (of the first one,
-    before any message) and are flagged as gaps.  A book that is empty at
-    a bar end is snapshotted as it is, with zero masses, which
-    ``fit_report`` rejects.
+    Bar b covers the timestamps (start + b BAR_NS, start + (b + 1) BAR_NS];
+    the first bar also takes messages at or before the session start, and
+    the last one any after its end.  The book is snapshotted at the last
+    message of every bar (390 bars for a 6.5-hour session), and resting
+    quantity is assigned to the half-open relative buckets of ``_snapshot``.
+    Bars that receive no message carry the snapshot of the last bar that
+    did (of the first one, before any message) and are flagged as gaps.  A
+    book that is empty at a bar end is snapshotted as it is, with zero
+    masses, which ``fit_report`` rejects.
     """
     start, end = session
-    n_bars = int((end - start) // delta_t_ns)
+    n_bars = int((end - start) // BAR_NS)
     if n_bars < 1:
         raise ValueError("session shorter than one bar")
-    events = sorted(events, key=lambda ev: ev.timestamp)
+    if not events:
+        raise FitError("no message to build a panel from")
+    timestamp = operator.attrgetter("timestamp")
+    events = sorted(events, key=timestamp)
 
-    # Bar index of each event; an event at exactly the session start joins
-    # the first bar.  ``closes`` maps the last event of each bar to its bar.
-    last_of_bar = {}
-    for i, ev in enumerate(events):
-        rel = ev.timestamp - start
-        last_of_bar[min(n_bars - 1, (rel - 1) // delta_t_ns if rel > 0 else 0)] = i
-    closes = {i: b for b, i in last_of_bar.items()}
-
-    pi = np.full(n_bars, np.nan)
-    q_all = np.zeros((n_bars, 2 * K + 1))
-    edge = np.full(n_bars, np.nan)
-    filled = np.zeros(n_bars, dtype=bool)
-    index = itertools.count()
+    # Messages replayed by the end of each bar; a bar closes where the
+    # count grows, and the snapshots are taken at those counts.
+    ends = [bisect_right(events, start + b * BAR_NS, key=timestamp)
+            for b in range(1, n_bars)] + [len(events)]
+    closes = sorted(set(ends) - {0})
+    snaps = []
+    seen = 0
 
     def on_event(ev, book):
-        b = closes.get(next(index))
-        if b is not None:
-            p, masses, e = _snapshot(book, K, delta_p)
-            pi[b] = p
-            q_all[b] = masses
-            edge[b] = e
-            filled[b] = True
+        nonlocal seen
+        seen += 1
+        if seen == closes[len(snaps)]:
+            snaps.append(_snapshot(book, K, delta_p))
 
     replay(events, pi0, on_event=on_event)
 
-    # Carry snapshots into empty bars: forward from the last filled bar,
-    # or backward from the first one for a leading gap.
-    gap = ~filled
-    idx = np.where(filled)[0]
-    if idx.size == 0:
-        raise FitError("no bars could be filled: the log produced an empty book")
-    last = idx[0]
-    for b in range(n_bars):
-        if filled[b]:
-            last = b
-        else:
-            pi[b] = pi[last]
-            q_all[b] = q_all[last]
-            edge[b] = edge[last]
-
-    times = start + delta_t_ns * np.arange(1, n_bars + 1)
+    # Each bar takes the snapshot of the last bar that closed by its end;
+    # a leading gap takes the first one.
+    take = np.maximum(np.searchsorted(closes, ends, side="right") - 1, 0)
+    pi, q_all, edge = (np.array(column)[take] for column in zip(*snaps))
     return PanelData(
-        times=times,
+        times=start + BAR_NS * np.arange(1, n_bars + 1),
         pi=pi,
         q=q_all[:, 1:],          # k = -K+1 .. K
         edge=edge,
         below_grid=q_all[:, 0],  # clipped into k = -K
-        gap=gap,
+        gap=np.diff(ends, prepend=0) == 0,
         K=K,
         delta_p=delta_p,
     )
@@ -559,6 +550,11 @@ def calibrate(source, pi0: float, K: int, delta_p: float,
             stacklevel=2,
         )
     cleaned = clean(parsed.events, p_min=p_min, p_max=p_max, session=session)
+    if not cleaned.events:
+        raise FitError(
+            f"no message to calibrate on: clean dropped all {len(parsed.events)} "
+            f"parsed messages as outside the session or the price window "
+            f"[{p_min}, {p_max}]")
     panel = build_panel(cleaned.events, pi0=pi0, K=K, delta_p=delta_p, session=session)
     return fit_report(panel)
 
@@ -566,9 +562,7 @@ def calibrate(source, pi0: float, K: int, delta_p: float,
 # ----------------------------------------------------------------------
 # synthetic log generation (round-trip oracle and bundled demo data)
 
-def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0,
-                   session_start_ns: int = SESSION_START_NS,
-                   delta_t_ns: int = BAR_NS) -> list:
+def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
     """Message log whose replayed panel equals a simulated physical path.
 
     One bar at a time: the previous bar's orders are deleted, a crossing
@@ -582,14 +576,14 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0,
     ens = init_ensemble(params, 1)
     cfg = SheetConfig(factor_count=2 * params.K, delta_p=params.delta_p,
                       seed=seed)
-    dt_hours = delta_t_ns / 3_600_000_000_000.0
+    dt_hours = BAR_NS / 3_600_000_000_000.0
     factors = ou_step_factors(params, dt_hours)
     K = params.K
     events: list = []
     live_ids: list = []
 
     for bar in range(n_bars):
-        t0 = session_start_ns + bar * delta_t_ns
+        t0 = SESSION_START_NS + bar * BAR_NS
         ts = t0 + 1_000_000  # strictly inside the bar
         if bar > 0:
             inc = increments(cfg, dt_hours, bar - 1)

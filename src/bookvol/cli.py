@@ -345,12 +345,12 @@ def cmd_smile(args) -> int:
 # ----------------------------------------------------------------------
 # parser and entry point
 
-def _add_common(sub, *, paths=False, strikes=False, log=False):
+def _add_common(sub, *, log=False, paths=False, strikes=False, verbose=False):
     if log:
         sub.add_argument("log", help="message-log file (msg_type,side,ts_ns,id,price,size)")
     sub.add_argument("--config", help="JSON config file (or a parameter file)")
-    sub.add_argument("--seed", type=int, help="noise seed (overrides config)")
     if paths:
+        sub.add_argument("--seed", type=int, help="noise seed (overrides config)")
         sub.add_argument("--paths", type=int, help="number of Monte-Carlo paths")
         sub.add_argument("--expiry", type=float, help="horizon in trading years")
         sub.add_argument("--dt", type=float,
@@ -358,8 +358,9 @@ def _add_common(sub, *, paths=False, strikes=False, log=False):
     if strikes:
         sub.add_argument("--strikes", help="comma-separated strike list")
     sub.add_argument("--out", help="artifact path (default: stdout)")
-    sub.add_argument("--verbose", action="store_true",
-                     help="extra diagnostics on stderr")
+    if verbose:
+        sub.add_argument("--verbose", action="store_true",
+                         help="extra diagnostics on stderr")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,15 +375,15 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("replay", help="replay a message log through the matching engine")
-    _add_common(p, log=True)
+    _add_common(p, log=True, verbose=True)
     p.set_defaults(func=cmd_replay)
 
     p = subs.add_parser("calibrate", help="fit model parameters from a message log")
-    _add_common(p, log=True)
+    _add_common(p, log=True, verbose=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = subs.add_parser("simulate", help="simulate terminal clearing prices")
-    _add_common(p, paths=True)
+    _add_common(p, paths=True, verbose=True)
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("price", help="Monte-Carlo option quotes")

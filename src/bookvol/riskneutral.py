@@ -55,13 +55,13 @@ class PriceVol:
     b_pi: np.ndarray    # factor loadings, sum_j b^2 Δp = 1
 
 
-def price_vol(state: DemandState, params: ModelParams, bucket: int = 0) -> PriceVol:
-    """Volatility of π when the curve clears in `bucket`, via loading normalization.
+def price_vol(state: DemandState, params: ModelParams) -> PriceVol:
+    """Volatility of π in the clearing bucket 0, via loading normalization.
 
-    The unnormalized loading vector of dπ is -V·Δp/q̃(bucket); its Δp-norm is
+    The unnormalized loading vector of dπ is -V·Δp/q̃(0); its Δp-norm is
     sigma_pi and the normalized remainder is b_pi.
     """
-    i = params.idx(bucket)
+    i = params.idx(0)
     q_i = float(np.exp(state.log_q[i]))
     u = -kill_vectors(state, params)[i] * state.delta_p / q_i
     sigma = float(np.sqrt((u**2).sum() * state.delta_p))
@@ -70,9 +70,9 @@ def price_vol(state: DemandState, params: ModelParams, bucket: int = 0) -> Price
     return PriceVol(sigma, u / sigma)
 
 
-def sigma_pi_direct(state: DemandState, params: ModelParams, bucket: int = 0) -> float:
-    """Same volatility evaluated directly: ||V||·Δp / q̃(bucket)."""
-    i = params.idx(bucket)
+def sigma_pi_direct(state: DemandState, params: ModelParams) -> float:
+    """Same volatility evaluated directly: ||V||·Δp / q̃(0)."""
+    i = params.idx(0)
     v = kill_vectors(state, params)[i]
     q_i = float(np.exp(state.log_q[i]))
     return float(np.sqrt((v**2).sum() * state.delta_p) * state.delta_p / q_i)
@@ -151,13 +151,13 @@ def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
     return MprSystem(Sigma=_kill_matrix(state, params), b=b[:, 0])
 
 
-def solve_mpr(system: MprSystem, cond_limit: float = COND_LIMIT) -> MprSystem:
+def solve_mpr(system: MprSystem) -> MprSystem:
     """Solve for λ by dense factorization; record residual and condition number."""
     try:
         cond = float(np.linalg.cond(system.Sigma))
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularSystemError(
-                f"market-price-of-risk system condition number {cond:.3e} exceeds {cond_limit:.0e}")
+                f"market-price-of-risk system condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
         lam = np.linalg.solve(system.Sigma, system.b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"market-price-of-risk system is singular: {exc}") from exc

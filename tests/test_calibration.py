@@ -138,30 +138,56 @@ def test_panel_counts_a_hand_book():
         MessageEvent("A", Side.SELL, 1003, "s2", 20.2, 3.0),   # bucket +2
         MessageEvent("A", Side.SELL, 1004, "s3", 20.3, 2.0),   # clips into +2
     ]
-    panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1,
-                        delta_t_ns=60_000_000_000, session=(start, 60_000_000_000))
+    panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1, session=(start, BAR_NS))
     assert panel.n_bars == 1
     assert panel.pi[0] == 20.0                      # no trade: opening price holds
     assert panel.q[0].tolist() == [5.0, 0.0, 7.0, 5.0]
     assert panel.below_grid[0] == 4.0
-    assert panel.edge[0] == 9.0                     # all buys; no sells below floor
+    assert panel.edge[0] == 9.0                     # all buys; no sells in bucket -K
     # conservation: buckets + clipped tails account for all resting quantity
     assert panel.q[0].sum() + panel.below_grid[0] == 21.0
 
 
 def test_panel_carries_book_across_empty_bars():
-    events = [MessageEvent("A", Side.BUY, 50, "b", 19.9, 5.0)]
-    panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1,
-                        delta_t_ns=100, session=(0, 400))
+    events = [MessageEvent("A", Side.BUY, BAR_NS // 2, "b", 19.9, 5.0)]
+    panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1, session=(0, 4 * BAR_NS))
     assert panel.n_bars == 4
     assert not panel.gap[0] and panel.gap[1:].all()
     assert np.all(panel.q[:, 0] == 5.0)
 
+    # a leading gap takes the first snapshot; a bar closes at its end time
+    events = [MessageEvent("A", Side.BUY, 2 * BAR_NS, "b", 19.9, 5.0),
+              MessageEvent("A", Side.BUY, 3 * BAR_NS + 1, "c", 19.9, 2.0)]
+    panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1, session=(0, 5 * BAR_NS))
+    assert panel.gap.tolist() == [True, False, True, False, True]
+    assert panel.q[:, 0].tolist() == [5.0, 5.0, 5.0, 7.0, 7.0]
+
 
 def test_panel_requires_some_events():
     with pytest.raises(FitError):
-        build_panel([], pi0=20.0, K=2, delta_p=0.1,
-                    delta_t_ns=100, session=(0, 400))
+        build_panel([], pi0=20.0, K=2, delta_p=0.1, session=(0, 4 * BAR_NS))
+
+
+@pytest.mark.parametrize("side, ticks, k", [
+    (Side.SELL, 1, 0),      # offset +Δp/2: top of bucket 0
+    (Side.BUY, -1, -1),     # offset -Δp/2: top of bucket -1
+    (Side.SELL, -5, -3),    # offset -(K-1/2)Δp: bucket -K, netted out of the edge
+])
+def test_panel_puts_boundary_prices_in_the_bucket_below(side, ticks, k):
+    """Bucket k is ((k-1/2)Δp, (k+1/2)Δp] at every clearing price, whatever
+    float noise the tick prices carry (K = 3, Δp = 2 ticks of 0.01)."""
+    K, dp, size = 3, 0.02, 2.0
+    landed, edges = [], []
+    for i in range(62):
+        pi = round(20.00 + 0.01 * i, 2)
+        order = MessageEvent("A", side, 1, "o", round(pi + 0.01 * ticks, 2), size)
+        panel = build_panel([order], pi0=pi, K=K, delta_p=dp, session=(0, BAR_NS))
+        masses = np.concatenate([panel.below_grid, panel.q[0]])
+        landed.append(int(np.flatnonzero(masses)[0]) - K)
+        edges.append(panel.edge[0])
+    edge = size if side is Side.BUY else -size if k == -K else 0.0
+    assert landed == [k] * 62
+    assert edges == [edge] * 62
 
 
 def test_synthetic_log_round_trip_is_exact():

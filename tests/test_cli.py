@@ -175,6 +175,18 @@ def test_error_exit_codes(monkeypatch, capsys, exc, code):
     assert "boom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["replay", EXAMPLE_LOG, "--seed", "1"],
+    ["calibrate", EXAMPLE_LOG, "--seed", "1"],
+    ["price", "--verbose"],
+    ["smile", "--verbose"],
+], ids=["replay--seed", "calibrate--seed", "price--verbose", "smile--verbose"])
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_missing_log_exits_2(capsys):
     assert main(["replay", "/no/such/file.log"]) == 2
 
@@ -252,3 +264,13 @@ def test_too_little_data_exits_5(tmp_path, capsys):
     config.write_text(json.dumps({"calibrate": {"pi0": 20.0, "K": 2,
                                                 "delta_p": 0.1}}))
     assert main(["calibrate", str(log), "--config", str(config)]) == 5
+
+
+def test_log_outside_the_session_exits_5_naming_the_dropped_messages(tmp_path, capsys):
+    log = tmp_path / "early.log"
+    log.write_text("A,B,100,x,20.3,5\nA,S,101,y,20.4,5\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"calibrate": {"pi0": 20.0, "K": 2,
+                                                "delta_p": 0.1}}))
+    assert main(["calibrate", str(log), "--config", str(config)]) == 5
+    assert "clean dropped all 2 parsed messages" in capsys.readouterr().err
