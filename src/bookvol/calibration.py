@@ -33,11 +33,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .demand import init_ensemble, ou_step_factors, step_ensemble
+from .demand import SimDiagnostics, init_ensemble
 from .errors import FitError, ParseError
 from .lob import MessageEvent, OrderBook, Side, replay
 from .params import ModelParams, uniform_loadings
-from .sheet import SheetConfig, increments
+from .riskneutral import run_steps
 
 SESSION_START_NS = 34_200_000_000_000   # 09:30
 SESSION_END_NS = 57_600_000_000_000     # 16:00
@@ -572,12 +572,12 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
     deep buy that makes the edge aggregate match).  Replaying the log and
     rebuilding the panel therefore recovers pi, every q(k), and the edge
     series exactly, which is what makes parameter-recovery tests sharp.
+    Bar b shows the path after b one-minute physical steps of run_steps; a
+    path that aborts raises SimulationError.
     """
     ens = init_ensemble(params, 1)
-    cfg = SheetConfig(factor_count=2 * params.K, delta_p=params.delta_p,
-                      seed=seed)
-    dt_hours = BAR_NS / 3_600_000_000_000.0
-    factors = ou_step_factors(params, dt_hours)
+    steps = run_steps(params, ens, SimDiagnostics(), n_bars - 1,
+                      BAR_NS / 3_600_000_000_000.0, seed, risk_neutral=False)
     K = params.K
     events: list = []
     live_ids: list = []
@@ -586,9 +586,7 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
         t0 = SESSION_START_NS + bar * BAR_NS
         ts = t0 + 1_000_000  # strictly inside the bar
         if bar > 0:
-            inc = increments(cfg, dt_hours, bar - 1)
-            step_ensemble(ens, params, inc[None, :], dt_hours, factors,
-                          translation=params.drift_c * dt_hours).raise_if_aborted()
+            next(steps)
         state = ens.path()
 
         def emit(msg_type, side, order_id, price, size):

@@ -93,9 +93,9 @@ def curve_value(state: DemandState, price: float) -> float:
 # path ensembles and the one stepping core
 #
 # Per-path state is stored as flat arrays so that the OU update and the
-# clearing search run batched over paths.  step_ensemble is the only step;
-# a single DemandState is stepped as an ensemble of one (clear,
-# step_physical and riskneutral.step_risk_neutral wrap it).
+# clearing search run batched over paths.  step_ensemble is the only step and
+# riskneutral.run_steps the only loop over steps; a single DemandState steps
+# as an ensemble of one (clear, step_physical and step_risk_neutral wrap it).
 
 @dataclass
 class Ensemble:
@@ -178,9 +178,8 @@ class SimDiagnostics:
     def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
               residual: float) -> None:
         """Append one step's row."""
-        self.rows.append(StepRow(int(alive.sum()), int(cleared.relabeled.sum()),
-                                 int(cleared.top.sum()), int(cleared.bottom.sum()),
-                                 int(cleared.broken.sum()), int(singular.sum()), residual))
+        masks = (alive, cleared.relabeled, cleared.top, cleared.bottom, cleared.broken, singular)
+        self.rows.append(StepRow(*(int(np.count_nonzero(m)) for m in masks), residual))
 
 
 def init_ensemble(params: ModelParams, n_paths: int) -> Ensemble:

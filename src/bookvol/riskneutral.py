@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -245,34 +246,21 @@ def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
     return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
 
 
-def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
-                      dt_hours: float, seed: int = 0, *,
-                      risk_neutral: bool = True,
-                      record_pi: int = 0) -> tuple[Ensemble, SimDiagnostics, np.ndarray | None]:
-    """Run n_paths of the book under the physical or risk-neutral measure.
+def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps: int,
+              dt: float, seed: int = 0, *, risk_neutral: bool = True) -> Iterator[None]:
+    """The one simulation loop: step `ens` in place n_steps times by dt hours,
+    append each step's row to `diag`, and yield after each step.
 
-    The horizon is divided into ceil(horizon/dt) equal steps.  Paths that
-    breach the grid, turn non-finite or meet a singular drift kill are frozen
-    and counted by cause, one row per step; their terminal π is left at the
-    value before the abort.  If all abort, SingularSystemError (all singular)
-    or SimulationError is raised.  When record_pi > 0 the π trajectory of
-    that many paths is returned as an array (steps+1, record_pi).
+    Paths that breach the grid, turn non-finite or meet a singular drift kill
+    are frozen and counted by cause.  If all abort, SingularSystemError (all
+    singular) or SimulationError is raised.
     """
-    if horizon_hours <= 0 or dt_hours <= 0:
-        raise ValueError("horizon and dt must be positive")
-    n_steps = max(1, int(math.ceil(horizon_hours / dt_hours - 1e-12)))
-    dt = horizon_hours / n_steps
-
-    ens = init_ensemble(params, n_paths)
-    diag = SimDiagnostics()
+    n_paths = ens.pi.size
     cfg = sheet.SheetConfig(factor_count=params.factor_count, delta_p=params.delta_p, seed=seed)
     noiseless = not (np.any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0)
     kill = risk_neutral and not noiseless   # no noise: measure change is a no-op
     kt = _KillTransform(params) if kill else None
     translation = 0.0 if risk_neutral else params.drift_c * dt
-    track = np.empty((n_steps + 1, record_pi)) if record_pi else None
-    if track is not None:
-        track[0] = ens.pi[:record_pi]
     factors = ou_step_factors(params, dt)
     singular = np.zeros(n_paths, dtype=bool)
 
@@ -293,6 +281,20 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
             raise error(f"all {n_paths} simulated paths aborted (top {diag.n_aborted_top}, "
                         f"bottom {diag.n_aborted_bottom}, broken {diag.n_aborted_broken}, "
                         f"singular {diag.n_aborted_singular})")
-        if track is not None:
-            track[step + 1] = ens.pi[:record_pi]
-    return ens, diag, track
+        yield
+
+
+def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
+                      dt_hours: float, seed: int = 0, *,
+                      risk_neutral: bool = True) -> tuple[Ensemble, SimDiagnostics, None]:
+    """Run n_paths through run_steps in ceil(horizon/dt) equal steps; an aborted
+    path keeps its π from before the abort.  The None in the returned
+    (ens, diag, None) is kept for callers that unpack three values."""
+    if horizon_hours <= 0 or dt_hours <= 0:
+        raise ValueError("horizon and dt must be positive")
+    n_steps = max(1, int(math.ceil(horizon_hours / dt_hours - 1e-12)))
+    ens, diag = init_ensemble(params, n_paths), SimDiagnostics()
+    for _ in run_steps(params, ens, diag, n_steps, horizon_hours / n_steps, seed,
+                       risk_neutral=risk_neutral):
+        pass
+    return ens, diag, None

@@ -3,6 +3,7 @@ hand-counted books, the exact synthetic round trip, and every estimator
 against an independent oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from bookvol.calibration import (
     PanelData,
 )
 from bookvol.demand import init_state, step_physical
-from bookvol.errors import FitError, ParseError
+from bookvol.errors import FitError, ParseError, SimulationError
 from bookvol.lob import MessageEvent, Side
 from bookvol.params import demo_params
 from bookvol.sheet import SheetConfig, increments
@@ -215,6 +216,44 @@ def test_synthetic_log_round_trip_is_exact():
         assert panel.below_grid[bar] == pytest.approx(
             0.5 * state.quantities()[params.K - 1], rel=1e-12)
     assert not panel.gap.any()
+
+
+def test_synthetic_log_of_zero_and_one_bars(monkeypatch):
+    """No bars give no messages; one bar is the initial book and draws no step."""
+    params = demo_params()
+    K, dp, pi0 = params.K, params.delta_p, params.pi0
+    q = init_state(params).quantities()
+
+    def no_draw(*args):
+        raise AssertionError("a one-bar log drew sheet noise")
+
+    monkeypatch.setattr("bookvol.sheet.increments_block", no_draw)
+    assert synthesize_log(params, 0) == []
+    events = synthesize_log(params, 1)
+    assert [(ev.msg_type, ev.side, ev.price, ev.size) for ev in events[:2]] == [
+        ("A", Side.SELL, pi0, 1.0), ("A", Side.BUY, pi0, 1.0)]
+    buckets = events[2:2 + 2 * K]
+    assert [ev.price for ev in buckets] == [pi0 + k * dp for k in range(-K + 1, K + 1)]
+    assert [ev.size for ev in buckets] == q.tolist()
+    assert [ev.side for ev in buckets] == [Side.BUY] * (K - 1) + [Side.SELL] * (K + 1)
+    deep, = events[2 + 2 * K:]
+    assert (deep.msg_type, deep.side, deep.price) == ("A", Side.BUY, pi0 - K * dp)
+    assert deep.size == init_state(params).edge() - q[:K - 1].sum()
+    assert {ev.timestamp // BAR_NS for ev in events} == {SESSION_START_NS // BAR_NS}
+
+
+def test_synthetic_log_raises_when_its_path_aborts():
+    """An edge reverting to a mean e^1000 above its start grows some e^4 in
+    the first step, past the whole book: the top of the grid breaches, and
+    the simulation loop reports it."""
+    params = demo_params()
+    params = replace(params, mean_log_edge=params.mean_log_edge + 1000.0)
+    assert len(synthesize_log(params, 1)) == 2 + 2 * params.K + 1
+    with pytest.raises(SimulationError) as info:
+        synthesize_log(params, 2)
+    assert type(info.value) is SimulationError
+    assert str(info.value) == ("all 1 simulated paths aborted "
+                               "(top 1, bottom 0, broken 0, singular 0)")
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bookvol import riskneutral
-from bookvol.demand import (Ensemble, clear, init_state, ou_step_factors, step_ensemble,
-                            step_physical)
+from bookvol.demand import (Ensemble, SimDiagnostics, clear, init_state, ou_step_factors,
+                            step_ensemble, step_physical)
 from bookvol.errors import BoundaryBreachError, SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
@@ -26,6 +26,7 @@ from bookvol.riskneutral import (
     init_ensemble,
     kill_vectors,
     price_vol,
+    run_steps,
     simulate_ensemble,
     solve_mpr,
     step_risk_neutral,
@@ -171,20 +172,18 @@ def test_closed_form_kill_matches_dense_solve(data):
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
-def test_thin_bucket_kill_is_singular_not_bottom(monkeypatch):
+def test_thin_bucket_kill_is_singular_not_bottom():
     params = demo_params()
     dt = 1.0 / 60.0
     clean, _, _ = simulate_ensemble(params, 5, 3 * dt, dt, seed=2)
 
-    def degenerate_paths(p, n_paths):
-        ens = init_ensemble(p, n_paths)
-        ens.log_q[2, 1] = -700.0            # interior bucket k = -4 holds e^-700
-        ens.log_q[2, 2] = -10.0             # pivot ~1e-16 of the largest, y still finite
-        ens.log_edge[3] = 709.0             # edge drift overflows: b and e are not finite
-        return ens
-
-    monkeypatch.setattr(riskneutral, "init_ensemble", degenerate_paths)
-    ens, diag, _ = simulate_ensemble(params, 5, 3 * dt, dt, seed=2)
+    ens = init_ensemble(params, 5)
+    ens.log_q[2, 1] = -700.0                # interior bucket k = -4 holds e^-700
+    ens.log_q[2, 2] = -10.0                 # pivot ~1e-16 of the largest, y still finite
+    ens.log_edge[3] = 709.0                 # edge drift overflows: b and e are not finite
+    diag = SimDiagnostics()
+    for _ in run_steps(params, ens, diag, 3, dt, seed=2):
+        pass
     assert (diag.n_aborted_singular, diag.n_aborted_bottom, diag.n_aborted_top) == (3, 0, 0)
     assert [r.singular for r in diag.rows] == [3, 0, 0]
     assert ens.alive.tolist() == [True, False, False, False, True]
@@ -256,7 +255,7 @@ def _path_alone(ens, i):
 
 
 def _step_once(ens, params, inc, dt, risk_neutral):
-    """One step of simulate_ensemble's loop: kill, drop singular paths, step."""
+    """One step of run_steps' loop: kill, drop singular paths, step."""
     singular = np.zeros(ens.pi.size, dtype=bool)
     shifts = None
     if risk_neutral:
@@ -361,7 +360,11 @@ def test_noiseless_paths_stay_put_under_both_measures():
 
 def test_track_records_price_paths():
     params = demo_params()
-    ens, diag, track = simulate_ensemble(params, 4, 0.5, 0.125, seed=1, record_pi=2)
+    ens, diag = init_ensemble(params, 4), SimDiagnostics()
+    track = [ens.pi[:2].copy()]
+    for _ in run_steps(params, ens, diag, 4, 0.125, seed=1):
+        track.append(ens.pi[:2].copy())
+    track = np.array(track)
     assert track.shape == (diag.n_steps + 1, 2)
     assert np.allclose(track[0], params.pi0)
     assert track[-1, 0] == ens.pi[0]
