@@ -10,7 +10,11 @@ Q̃(-K,t) and decreases through the buckets:
 
 Between the node offsets (k+1/2)Δp the curve is linear (the bucket mass is
 spread uniformly), which makes the zero crossing, the inverse process and the
-liquidation integral all exact piecewise-linear computations.
+liquidation integral all exact piecewise-linear computations.  They share one
+node build (_nodes) and one segment search (_segment): clearing is the
+inverse at level 0, proceeds integrate the inverse segment by segment, and
+the quadratic-variation cost takes its slope from the segment the inverse
+finds.
 
 Dynamics: each log mass follows an Ornstein-Uhlenbeck process driven by the
 factor noise of the sheet module.  After every step the curve is re-cleared:
@@ -29,12 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoundaryBreachError,
-    GridError,
-    SimulationError,
-    UndefinedInverseError,
-)
+from .errors import BoundaryBreachError, GridError, SimulationError, UndefinedInverseError
 from .params import ModelParams
 
 
@@ -60,24 +59,19 @@ class DemandState:
 
 def init_state(params: ModelParams) -> DemandState:
     params.validate()
-    return DemandState(
-        delta_p=params.delta_p,
-        log_edge=float(np.log(params.edge0)),
-        log_q=np.log(params.q0),
-        pi=params.pi0,
-    )
+    return DemandState(delta_p=params.delta_p, log_edge=float(np.log(params.edge0)),
+                       log_q=np.log(params.q0), pi=params.pi0)
 
 
-def node_offsets(state: DemandState) -> np.ndarray:
+def node_offsets(state: DemandState | Ensemble) -> np.ndarray:
     """Offsets (m + 1/2)Δp, m = -K..K, where the cumulative curve has nodes."""
-    K = state.K
+    K = len(state.log_q) // 2
     return (np.arange(-K, K + 1) + 0.5) * state.delta_p
 
 
 def node_values(state: DemandState) -> np.ndarray:
     """Cumulative net demand at the node offsets; first entry is the edge."""
-    q = state.quantities()
-    return state.edge() - np.concatenate(([0.0], np.cumsum(q)))
+    return _nodes(Ensemble.of(state))[0][:, 0]
 
 
 def curve_value(state: DemandState, price: float) -> float:
@@ -192,12 +186,40 @@ def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The additions and their order are those of np.cumsum(x, axis=0), which
     is several times slower on a few long rows than this loop over them.
     """
-    if out is None:
-        out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     out[0] = x[0]
     for i in range(1, len(x)):
         np.add(out[i - 1], x[i], out=out[i])
     return out
+
+
+def _nodes(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """(2K+1, n) node values, the edge first, and the (2K, n) bucket masses.
+
+    Overflow to inf is left in place: _batch_clear reports such paths as broken.
+    """
+    vals = np.empty((len(ens.log_q) + 1, ens.pi.size))
+    with np.errstate(over="ignore"):
+        q = np.exp(ens.log_q)
+        vals[0] = np.exp(ens.log_edge)
+        np.subtract(vals[0], _running_sum(q, out=vals[1:]), out=vals[1:])
+    return vals, q
+
+
+def _segment(vals: np.ndarray, curve: DemandState | Ensemble, x, live=True):
+    """Width and offset of the segment holding level x on each column's curve.
+
+    `vals` holds the (2K+1, n) node values of n decreasing curves on the grid
+    of `curve`; x is one level or one per column.  Segment j = 1..2K joins
+    nodes j-1 and j.  A level equal to an interior node value falls in the
+    segment starting at that node (on its higher-price side), so its offset
+    is the node's exactly.  Columns off `live` get width 1 and offset 0.
+    """
+    j = 1 + np.count_nonzero(vals[1:-1] >= x, axis=0)
+    cols = np.arange(vals.shape[1])
+    v_hi, v_lo = vals[j - 1, cols], vals[j, cols]
+    width = np.where(live, v_hi - v_lo, 1.0)
+    return width, np.where(live, node_offsets(curve)[j - 1] + curve.delta_p * (v_hi - x) / width, 0.0)
 
 
 def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
@@ -208,17 +230,7 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     """
     twoK, n = ens.log_q.shape
     K = twoK // 2
-    dp = ens.delta_p
-    # (2K+1, n) node values, the edge first; overflow to inf is a legitimate
-    # outcome here: such paths fail the finiteness screen below and are
-    # reported as broken, not crashed
-    vals = np.empty((twoK + 1, n))
-    with np.errstate(over="ignore"):
-        q = np.exp(ens.log_q)
-        vals[0] = np.exp(ens.log_edge)
-        np.subtract(vals[0], _running_sum(q, out=vals[1:]), out=vals[1:])
-    offs = (np.arange(-K, K + 1) + 0.5) * dp
-
+    vals, q = _nodes(ens)
     finite = np.isfinite(vals).all(axis=0)
     top = ens.alive & finite & (vals[-1] >= 0.0)
     bottom = ens.alive & finite & (vals[0] <= 0.0)
@@ -232,19 +244,14 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     if not live.any():
         return Cleared(top, bottom, broken, np.zeros(n, dtype=bool))
 
-    # a live curve falls from positive at the edge to negative at the top, so
-    # its first negative node is 1 + the count of non-negative ones between
-    j = 1 + np.count_nonzero(vals[1:-1] >= 0.0, axis=0)
-    paths = np.arange(n)
-    v_hi = vals[j - 1, paths]
-    v_lo = vals[j, paths]
-    denom = np.where(live, v_hi - v_lo, 1.0)
-    z = np.where(live, offs[j - 1] + dp * v_hi / denom, 0.0)
+    # a live curve falls from positive at the edge to negative at the top:
+    # its zero crossing is the inverse at level 0
+    _, z = _segment(vals, ens, 0.0, live)
     ens.pi = ens.pi + z
 
     # labels rotate by the whole buckets the crossing moved; fresh far
     # buckets start at their long-run mean mass
-    kstar = np.floor(z / dp + 0.5).astype(int)
+    kstar = np.floor(z / ens.delta_p + 0.5).astype(int)
     moved = live & (kstar != 0)
     if moved.any():
         idx = np.flatnonzero(moved)
@@ -355,36 +362,30 @@ def step_physical(state: DemandState, params: ModelParams, inc: np.ndarray, dt: 
 # ----------------------------------------------------------------------
 # inverse process and liquidation proceeds
 
-def inverse(state: DemandState, x) -> float:
+def inverse(state: DemandState, x: float) -> float:
     """Price at which net demand equals x (unique: the curve is strictly decreasing)."""
     vals = node_values(state)
-    offs = node_offsets(state)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr > vals[0]) or np.any(x_arr < vals[-1]):
+    if not (vals[-1] <= x <= vals[0]):
         raise UndefinedInverseError(f"net demand level {x} outside curve range "
                                     f"[{vals[-1]:.6g}, {vals[0]:.6g}]")
-    s = np.interp(x_arr, vals[::-1], offs[::-1])
-    out = state.pi + s
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    return state.pi + float(_segment(vals[:, None], state, x)[1][0])
 
 
 def liquidation_proceeds(state: DemandState, theta: float) -> float:
     """L(θ) = ∫_0^θ P(x) dx, the value of unwinding θ shares against the curve.
 
-    The curve is piecewise linear, so the integral is an exact sum of
-    trapezoids between the node levels crossed by [0, θ].
+    P is linear on each segment, so the integral is exact: the sum over the
+    segments of their overlap with [0, θ] times P at the overlap's midpoint.
     """
     if theta == 0.0:
         return 0.0
     vals = node_values(state)
     lo, hi = (0.0, theta) if theta > 0 else (theta, 0.0)
-    if hi > vals[0] or lo < vals[-1]:
+    if not (vals[-1] <= lo and hi <= vals[0]):
         raise UndefinedInverseError(f"liquidation of {theta} shares exceeds the curve range")
-    interior = vals[(vals > lo) & (vals < hi)]
-    grid = np.concatenate(([lo], np.sort(interior), [hi]))
-    prices = inverse(state, grid)
-    segments = np.diff(grid) * (prices[:-1] + prices[1:]) / 2.0
-    total = float(segments.sum())
+    top, bottom = np.minimum(vals[:-1], hi), np.maximum(vals[1:], lo)   # overlaps, per segment
+    _, s = _segment(np.broadcast_to(vals[:, None], (len(vals), len(top))), state, 0.5 * (top + bottom))
+    total = float(np.maximum(top - bottom, 0.0) @ (state.pi + s))
     return total if theta > 0 else -total
 
 
@@ -408,9 +409,8 @@ def wealth_increment(state_before: DemandState, state_after: DemandState,
     dv = liquidation_proceeds(state_after, theta_before) - liquidation_proceeds(state_before, theta_before)
 
     if theta_qv != 0.0:
-        vals = node_values(state_after)
-        j = min(max(int(np.searchsorted(-vals, -theta_before, side="left")), 1), len(vals) - 1)
-        slope = state_after.delta_p / (vals[j - 1] - vals[j])   # |dP/dx| on the segment
+        width, _ = _segment(node_values(state_after)[:, None], state_after, theta_before)
+        slope = state_after.delta_p / width[0]      # |dP/dx| on the segment
         dv -= 0.5 * slope * theta_qv
 
     if jump and theta_after != theta_before:

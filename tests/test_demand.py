@@ -163,6 +163,7 @@ def test_clear_on_adverse_books_matches_crossing_oracle(K, target, kstar):
 
     pi_new, cleared = clear(state, params)
     assert pi_new == pytest.approx(state.pi + z_expected, rel=1e-12)
+    assert pi_new == inverse(state, 0.0)      # clearing is the inverse at level 0, bit for bit
     n = 2 * K
     kept, landed = slice(max(kstar, 0), n + min(kstar, 0)), slice(max(-kstar, 0), n - max(kstar, 0))
     assert np.array_equal(cleared.log_q[landed], state.log_q[kept])
@@ -227,26 +228,59 @@ def test_drift_translates_price_exactly():
 # ----------------------------------------------------------------------
 # inverse process and proceeds
 
-def test_inverse_round_trip():
-    state = init_state(demo_params())
-    vals = node_values(state)
-    xs = np.linspace(vals[-1], vals[0], 1001)
-    scale = max(abs(vals[0]), abs(vals[-1]))
-    for x in xs:
-        assert abs(curve_value(state, inverse(state, x)) - x) <= 1e-9 * scale
-
-
 def test_inverse_rejects_out_of_range():
     state = init_state(demo_params())
     vals = node_values(state)
-    with pytest.raises(UndefinedInverseError):
-        inverse(state, vals[0] * 1.01)
-    with pytest.raises(UndefinedInverseError):
-        inverse(state, vals[-1] * 1.01)
+    for level in (vals[0] * 1.01, vals[-1] * 1.01, math.nan):
+        with pytest.raises(UndefinedInverseError):
+            inverse(state, level)
+        with pytest.raises(UndefinedInverseError):
+            liquidation_proceeds(state, level)
+        with pytest.raises(UndefinedInverseError):
+            jump_penalty(state, 0.0, level)
 
 
 def test_proceeds_of_no_position_are_zero():
-    assert liquidation_proceeds(init_state(demo_params()), 0.0) == 0.0
+    proceeds = liquidation_proceeds(init_state(demo_params()), 0.0)
+    assert proceeds == 0.0 and math.copysign(1.0, proceeds) == 1.0
+
+
+def _thin_bucket_book():
+    """Demo book with one bucket below the clearing price thinned 3000-fold."""
+    state = init_state(demo_params())
+    log_q = state.log_q.copy()
+    log_q[3] -= 8.0
+    return replace(state, log_q=log_q)
+
+
+@pytest.mark.parametrize("book", ["K1", "thin"])
+def test_proceeds_match_dense_quadrature_on_adverse_curves(book):
+    # criterion 11's oracle and tolerance, out to both ends of the curve range
+    if book == "K1":
+        params = _flat_params(K=1)
+        state = _book_crossing_at(params, 0.3 * params.delta_p)
+    else:
+        state = _thin_bucket_book()
+    vals = node_values(state)
+    for theta in (vals[0], vals[-1]):
+        xs = np.linspace(0.0, theta, 10_001)
+        oracle = np.trapezoid([inverse(state, x) for x in xs], xs)
+        assert liquidation_proceeds(state, theta) == pytest.approx(oracle, rel=1e-6)
+
+
+def test_node_level_falls_in_the_segment_starting_there():
+    # at an interior node level the inverse is the node's offset exactly, and
+    # the quadratic-variation cost takes the slope of the segment on the
+    # node's higher-price side; pick the node whose neighbouring slopes differ most
+    state = init_state(demo_params())
+    vals, offs = node_values(state), node_offsets(state)
+    widths = -np.diff(vals)                   # level drop of segment m+1, from node m
+    m = 1 + int(np.argmax(np.abs(np.log(widths[1:] / widths[:-1]))))
+    theta = vals[m]
+    assert inverse(state, theta) == state.pi + offs[m]
+    dv = wealth_increment(state, state, theta, theta, jump=False, theta_qv=1.0)
+    assert dv == pytest.approx(-0.5 * state.delta_p / widths[m], rel=1e-12)
+    assert dv != pytest.approx(-0.5 * state.delta_p / widths[m - 1], rel=1e-3)
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bookvol import riskneutral
-from bookvol.demand import (Ensemble, SimDiagnostics, clear, init_state, ou_step_factors,
-                            step_ensemble, step_physical)
+from bookvol.demand import (Ensemble, SimDiagnostics, clear, init_state, inverse,
+                            ou_step_factors, step_ensemble, step_physical)
 from bookvol.errors import BoundaryBreachError, SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
@@ -307,11 +307,14 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
 def test_batch_clear_matches_single_paths_exactly(params):
     """Clearing has no BLAS product: on the adverse states each path clears
-    to the same bits alone as in the batch."""
+    to the same bits alone as in the batch, and each live path's π is the
+    inverse at net demand 0 of its curve before clearing, bit for bit."""
     ens = _adverse_ensemble(params)
+    before = _adverse_ensemble(params)
     cleared = riskneutral._batch_clear(ens, params)
     assert cleared.relabeled.tolist() == [True, params.K > 1, False, False, False, False]
     assert cleared.broken.tolist() == [False, False, True, False, False, False]
+    assert ens.alive.tolist() == [True, True, False, True, True, True]
     for i in range(6):
         one = _path_alone(_adverse_ensemble(params), i)
         alone = riskneutral._batch_clear(one, params)
@@ -321,6 +324,8 @@ def test_batch_clear_matches_single_paths_exactly(params):
         assert np.array_equal(one.log_edge, ens.log_edge[i:i + 1])
         assert np.array_equal(one.pi, ens.pi[i:i + 1])
         assert one.alive[0] == ens.alive[i]
+        if ens.alive[i]:
+            assert ens.pi[i] == inverse(before.path(i), 0.0)
 
 
 def test_physical_ensemble_matches_step_physical():
