@@ -114,7 +114,7 @@ def _run_settings(args, cfg: dict, section: str, default_paths: int) -> tuple:
     n_paths = int(_pick(args.paths, sec, "paths", default_paths))
     expiry = float(_pick(args.expiry, sec, "expiry", 0.02))
     dt = float(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS))
-    pricing.check_run(expiry, n_paths, dt)
+    pricing.check_run(expiry, n_paths, dt, seed)
     return seed, n_paths, expiry, dt
 
 

@@ -231,7 +231,9 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     twoK, n = ens.log_q.shape
     K = twoK // 2
     vals, q = _nodes(ens)
-    finite = np.isfinite(vals).all(axis=0)
+    # the nodes fall from the edge by non-negative masses, so an inf or a NaN
+    # anywhere reaches the last node: test the edge and the last node only
+    finite = np.isfinite(vals[0]) & np.isfinite(vals[-1])
     top = ens.alive & finite & (vals[-1] >= 0.0)
     bottom = ens.alive & finite & (vals[0] <= 0.0)
     broken = ens.alive & ~finite
@@ -307,17 +309,20 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
         y, e = kill
         z_q -= y * (params.delta_p * root_dt)
         z_e -= e * (params.delta_p * root_dt)
+    dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
+    if dead is not None:        # frozen paths keep their state through the update
+        frozen = ens.log_q[:, dead], ens.log_edge[dead]
     mean = params.mean_logq[:, None]
-    new_log_q = ens.log_q - mean
-    new_log_q *= decay_q[:, None]
-    new_log_q += mean
+    log_q = ens.log_q           # updated in place
+    log_q -= mean
+    log_q *= decay_q[:, None]
+    log_q += mean
     z_q *= vol_q[:, None]
-    new_log_q += z_q
-    new_log_edge = (params.mean_log_edge
-                    + (ens.log_edge - params.mean_log_edge) * decay_e + vol_e * z_e)
-    live = ens.alive
-    np.copyto(ens.log_q, new_log_q, where=live)
-    np.copyto(ens.log_edge, new_log_edge, where=live)
+    log_q += z_q
+    np.add(params.mean_log_edge + (ens.log_edge - params.mean_log_edge) * decay_e,
+           vol_e * z_e, out=ens.log_edge)
+    if dead is not None:
+        ens.log_q[:, dead], ens.log_edge[dead] = frozen
     cleared = clear_paths(ens, params)
     if translation:
         ens.pi[ens.alive] += translation

@@ -42,14 +42,17 @@ ONE_MINUTE_YEARS = 1.0 / (60.0 * TRADING_HOURS_PER_YEAR)
 VOL_BRACKET = (1e-6, 5.0)
 
 
-def check_run(expiry: float, n_paths: int, dt: float) -> None:
-    """Reject a simulation with no horizon, no path, or a step outside (0, expiry]."""
+def check_run(expiry: float, n_paths: int, dt: float, seed: int) -> None:
+    """Reject a simulation with no horizon, no path, a step outside (0, expiry],
+    or a seed that is not a 64-bit unsigned key."""
     if not expiry > 0.0:
         raise ConfigError(f"expiry must be positive, got {expiry}")
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
     if not 0.0 < dt <= expiry:
         raise ConfigError(f"dt must be in (0, expiry], got dt={dt} expiry={expiry}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,9 @@ class PricingRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "strikes", tuple(float(k) for k in self.strikes))
-        check_run(self.expiry, self.n_paths, self.dt)
-        if any(k <= 0.0 for k in self.strikes):
-            raise ConfigError("strikes must be positive")
+        check_run(self.expiry, self.n_paths, self.dt, self.seed)
+        if not all(0.0 < k < math.inf for k in self.strikes):
+            raise ConfigError(f"strikes must be positive and finite, got {self.strikes}")
 
 
 @dataclass(frozen=True)

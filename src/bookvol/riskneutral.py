@@ -15,7 +15,11 @@ _row_anchors: mid-bucket for the live clearing row, bucket edge for the
 hypothetical ones).  The right side collects the physical drift of the
 curve value, the w_i share of the clearing bucket's own drift, and the
 covariance between the clearing-bucket mass and the price: see
-_kill_matrix and _kill_rhs, the one assembly of Σ and b.  Under the changed
+_kill_matrix and _kill_rhs, the one assembly of Σ and b.  b is assembled in
+difference form, as its first row b(0) and the row differences
+db(i) = b(i+1) - b(i): the closed-form kill reads only these, and the full
+b of one path (the dense system, the path-0 residual) is their cumulative
+sum.  Under the changed
 measure each factor increment picks up -λ_j√Δp·dt, which is how
 step_risk_neutral applies the solution.
 
@@ -30,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import sheet
-from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _running_sum,
-                     _step_state, init_ensemble, ou_step_factors, step_ensemble)
+from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _step_state,
+                     init_ensemble, ou_step_factors, step_ensemble)
 from .errors import SimulationError, SingularSystemError
 from .params import ModelParams
 
@@ -113,43 +117,72 @@ def _kill_matrix(state: DemandState, params: ModelParams) -> np.ndarray:
     return (-kill_vectors(state, params) + own) * state.delta_p
 
 
-def _kill_rhs(ens: Ensemble, params: ModelParams
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(2K, n) right sides b of the drift-kill system, one column per path, with
-    the q̃σ (2K, n) and edge σ (n,) products they were built from.
+class _RhsTerms(NamedTuple):
+    """Per-run constants of the drift-kill right sides."""
+
+    below_gram: np.ndarray  # (2K, 2K) tril(L·Lᵀ, -1): row i sums buckets l < i
+    edge_cross: np.ndarray  # (2K,) L·B_E
+    sigma_dp: np.ndarray    # (2K, 1) σ_q·Δp
+    w: np.ndarray           # (2K,) row anchors, non-zero only on the clearing row
+    i0: int                 # the clearing row
+
+
+def _rhs_terms(params: ModelParams) -> _RhsTerms:
+    return _RhsTerms(np.tril(params.loadings @ params.loadings.T, k=-1),
+                     params.loadings @ params.edge_loadings,
+                     params.sigma_q_rel[:, None] * params.delta_p,
+                     _row_anchors(params), params.idx(0))
+
+
+def _kill_rhs(ens: Ensemble, params: ModelParams, terms: _RhsTerms
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Right sides of the drift-kill system in difference form, one column per
+    path: the (2K-1, n) row differences db(i) = b(i+1) - b(i) and the (n,)
+    first row b(0), with the q̃σ (2K, n) and edge σ (n,) products they were
+    built from.
+
+    With μ the physical drifts of the masses and the edge, the right side is
+    b(i) = Σ_{l<i} μ_q(l) - μ_e + w_i·(μ_q(i) - q̃σ²(i)) + cross(i), so
+    db(i) = μ_q(i) + cross(i+1) - cross(i) away from the clearing row i0,
+    whose anchored share enters db(i0-1) and db(i0) (b(0) when i0 = 0).
     """
     sigma = params.sigma_q_rel[:, None]
     q = np.exp(ens.log_q)
     edge = np.exp(ens.log_edge)
     qs = q * sigma
     es = edge * params.sigma_edge_rel
-    below_gram = np.tril(params.loadings @ params.loadings.T, k=-1)   # row i: buckets l < i
-    cross = np.multiply.outer(params.loadings @ params.edge_loadings, es)
-    cross -= below_gram @ qs
-    cross *= sigma
-    cross *= ens.delta_p
+    cross = np.multiply.outer(terms.edge_cross, es)
+    cross -= terms.below_gram @ qs
+    cross *= terms.sigma_dp
     mu_q = ens.log_q - params.mean_logq[:, None]
     mu_q *= -params.a_q[:, None]
     mu_q += 0.5 * sigma**2
     mu_q *= q
     mu_e = edge * (-params.a_edge * (ens.log_edge - params.mean_log_edge)
                    + 0.5 * params.sigma_edge_rel**2)
-    b = _running_sum(mu_q)
-    b -= mu_q                                       # sum over buckets l < i
-    b -= mu_e
-    own = q                                         # the anchored own-drift share, in place
-    own *= sigma**2
-    np.subtract(mu_q, own, out=own)
-    own *= _row_anchors(params)[:, None]
-    b += own
-    b += cross
-    return b, qs, es
+    i0 = terms.i0
+    own = (mu_q[i0] - q[i0] * sigma[i0]**2) * terms.w[i0]
+    db = mu_q[:-1]                                  # in place
+    db += cross[1:]
+    db -= cross[:-1]
+    b0 = cross[0] - mu_e
+    if i0 >= 1:
+        db[i0 - 1] += own
+    else:
+        b0 += own
+    db[i0] -= own                                   # i0 = K-1 < 2K-1 rows of db
+    return db, b0, qs, es
+
+
+def _column_rhs(db: np.ndarray, b0: np.ndarray, col: int) -> np.ndarray:
+    """Full right side b of path `col`: b(0), then b(i+1) = b(i) + db(i)."""
+    return np.cumsum(np.concatenate(([b0[col]], db[:, col])))
 
 
 def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
     """Assemble the drift-kill equations, one row per potential clearing bucket."""
-    b, _, _ = _kill_rhs(Ensemble.of(state), params)
-    return MprSystem(Sigma=_kill_matrix(state, params), b=b[:, 0])
+    db, b0, _, _ = _kill_rhs(Ensemble.of(state), params, _rhs_terms(params))
+    return MprSystem(Sigma=_kill_matrix(state, params), b=_column_rhs(db, b0, 0))
 
 
 def solve_mpr(system: MprSystem) -> MprSystem:
@@ -203,46 +236,44 @@ class _KillTransform:
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"factor loadings do not identify the market prices of risk: {exc}") from exc
+        self.rhs = _rhs_terms(params)
 
 
 def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
     """Rotated drift-kill solution y (2K, n) and e (n,) for every path, the
-    (2K, n) b vectors, and the live paths whose kill is singular: a pivot q̃σ
-    (buckets below the top, and the edge) under 1/COND_LIMIT of the path's
-    largest q̃σ, or a non-finite y or e.  Singular shifts are zeroed.
+    right sides (db, b0) of _kill_rhs, and the live paths whose kill is
+    singular: a pivot q̃σ (buckets below the top, and the edge) under
+    1/COND_LIMIT of the path's largest q̃σ, or a non-finite y or e.  Singular
+    shifts are zeroed.
     """
     dp = ens.delta_p
-    i0 = params.idx(0)
-    twoK, n = ens.log_q.shape
+    i0 = kt.rhs.i0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        b, qs, es = _kill_rhs(ens, params)
-        db = np.diff(b, axis=0)
-        y = np.empty_like(b)
-        np.divide(db, qs[:-1] * dp, out=y[:-1])
-        y[i0] = 2.0 * db[i0] / (qs[i0] * dp)
+        db, b0, qs, es = _kill_rhs(ens, params, kt.rhs)
+        y = np.multiply(qs, dp)                     # the pivots, divided into db in place
+        np.divide(db, y[:-1], out=y[:-1])
+        y[i0] *= 2.0                                # the clearing row's anchor w = 1/2
         if i0 >= 1:
             y[i0 - 1] = (db[i0 - 1] / dp - 0.5 * qs[i0] * y[i0]) / qs[i0 - 1]
-        e = (_row_anchors(params)[0] * qs[0] * y[0] * dp - b[0]) / (es * dp)
-        c = np.empty((n, twoK))     # path-major: g @ c.T would sum in another order
-        c[:, 0] = e
-        c[:, 1:] = y[:-1].T
-        y[-1] = c @ kt.g
+        e = (kt.rhs.w[0] * qs[0] * y[0] * dp - b0) / (es * dp)
+        np.matmul(kt.g[1:], y[:-1], out=y[-1])      # y_last = g·(e, y_0..y_{2K-2})
+        y[-1] += kt.g[0] * e
         pivot = np.minimum(qs[:-1].min(axis=0), es)
         sound = (pivot >= qs.max(axis=0) / COND_LIMIT) \
             & np.isfinite(y).all(axis=0) & np.isfinite(e)
     np.copyto(y, 0.0, where=~sound)
     e[~sound] = 0.0
-    return y, e, b, ens.alive & ~sound
+    return y, e, (db, b0), ens.alive & ~sound
 
 
 def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
-                        y, e, b) -> float:
+                        y, e, rhs) -> float:
     """Residual of the full system on path 0, as a solve-quality telltale."""
     lam0 = np.linalg.solve(kt.A, np.concatenate(([e[0]], y[:-1, 0])))
-    b0 = b[:, 0]
-    bnorm = float(np.linalg.norm(b0))
-    residual = _kill_matrix(ens.path(0), params) @ lam0 - b0
+    b = _column_rhs(*rhs, 0)
+    bnorm = float(np.linalg.norm(b))
+    residual = _kill_matrix(ens.path(0), params) @ lam0 - b
     return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
 
 
@@ -268,10 +299,10 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
         inc = sheet.increments_block(cfg, dt, step, n_paths)
         shifts, residual = None, math.nan
         if kill:
-            y, e, b, singular = _batch_kill_shifts(ens, params, kt)
+            y, e, rhs, singular = _batch_kill_shifts(ens, params, kt)
             ens.alive &= ~singular
             if ens.alive[0]:
-                residual = _path0_rel_residual(ens, params, kt, y, e, b)
+                residual = _path0_rel_residual(ens, params, kt, y, e, rhs)
             shifts = (y, e)
         cleared = step_ensemble(ens, params, inc, dt, factors, kill=shifts,
                                 translation=translation, clear_paths=_batch_clear)

@@ -8,7 +8,7 @@ sum_j b_j * sqrt(delta_p) * dW_j, and Cov(W(t,s1), W(t,s2)) = t * min(s1,s2).
 Draws come from a counter-based Philox generator keyed by (seed, stream
 chunk) with the step index in the counter, so any (stream, step) block can be
 regenerated independently and runs are bit-identical for a fixed seed and
-step schedule.  Streams are grouped in chunks of 256 per generator; a single
+step schedule.  Streams are grouped in chunks of 256 per key; a single
 stream's draw is defined as its row within the chunk block; the normals come
 off the generator in row order, so drawing the block only up to that row
 reproduces it.
@@ -35,32 +35,51 @@ class SheetConfig:
         return self.factor_count * self.delta_p
 
 
-def _chunk_block(cfg: SheetConfig, step: int, chunk: int, rows: int = _CHUNK,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Leading `rows` rows of one chunk's standard-normal (_CHUNK, factor_count)
-    block, drawn into `out` when given."""
-    bits = np.random.Philox(
-        key=np.array([cfg.seed, chunk], dtype=np.uint64),
-        counter=np.array([0, 0, 0, step], dtype=np.uint64),
-    )
-    return np.random.Generator(bits).standard_normal((rows, cfg.factor_count), out=out)
+def _chunk_block(cfg: SheetConfig, step: int, chunk: int, out: np.ndarray,
+                 gen: np.random.Generator | None = None) -> np.random.Generator:
+    """Draw the leading len(out) rows of one chunk's standard-normal
+    (_CHUNK, factor_count) block into `out`, and return the generator.
+
+    The generator is a Philox keyed (seed, chunk) with counter (0, 0, 0, step).
+    A `gen` from an earlier call is re-keyed to that state, with an empty
+    buffer, instead of building a new one: building a Philox seeds a
+    SeedSequence from OS entropy that the key then overrides, about four
+    times the cost of setting the state.
+    """
+    key = np.array([cfg.seed, chunk], dtype=np.uint64)
+    counter = np.array([0, 0, 0, step], dtype=np.uint64)
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    else:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+    gen.standard_normal(out.shape, out=out)
+    return gen
+
+
+def _check_dt(dt: float) -> None:
+    if not dt >= 0:
+        raise ValueError(f"dt must be non-negative, got {dt}")
 
 
 def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> np.ndarray:
     """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
+    _check_dt(dt)
     out = np.empty((n_streams, cfg.factor_count))
+    gen = None
     for c, start in enumerate(range(0, n_streams, _CHUNK)):
-        block = out[start:start + _CHUNK]
-        _chunk_block(cfg, step, c, len(block), out=block)
+        gen = _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
     out *= np.sqrt(dt)
     return out
 
 
 def increments(cfg: SheetConfig, dt: float, step: int, stream: int = 0) -> np.ndarray:
     """One stream's factor increments; row ``stream`` of the block draw."""
-    block = _chunk_block(cfg, step, stream // _CHUNK, stream % _CHUNK + 1)
+    _check_dt(dt)
+    block = np.empty((stream % _CHUNK + 1, cfg.factor_count))
+    _chunk_block(cfg, step, stream // _CHUNK, block)
     return block[-1] * np.sqrt(dt)
 
 

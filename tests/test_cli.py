@@ -196,6 +196,24 @@ def test_unparseable_strikes_exit_2(capsys):
                  "--expiry", "0.001"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["smile", "--paths", "10", "--strikes", "nan,20.0"],
+    ["price", "--paths", "10", "--expiry", "0.002", "--strikes", "inf"],
+], ids=["nan", "inf"])
+def test_non_finite_strike_exits_2_before_simulating(argv, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated despite a rejected strike")
+    monkeypatch.setattr(cli.pricing, "simulate_ensemble", no_run)
+    assert main(argv) == 2
+    assert "strikes must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "price", "smile"])
+def test_negative_seed_exits_2(command, capsys):
+    assert main([command, "--paths", "10", "--expiry", "0.002", "--seed", "-1"]) == 2
+    assert "seed must be in [0, 2**64), got -1" in capsys.readouterr().err
+
+
 def test_broken_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

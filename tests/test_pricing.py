@@ -131,8 +131,13 @@ def test_request_validation():
         PricingRequest(strikes=(20.0,), expiry=0.0)
     with pytest.raises(ConfigError):
         PricingRequest(strikes=(20.0,), expiry=0.02, n_paths=0)
-    with pytest.raises(ConfigError):
-        PricingRequest(strikes=(-1.0,), expiry=0.02)
+    for strikes in [(-1.0,), (math.nan, 20.0), (math.inf,)]:
+        with pytest.raises(ConfigError, match="positive and finite"):
+            PricingRequest(strikes=strikes, expiry=0.02)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            PricingRequest(strikes=(20.0,), expiry=0.02, seed=seed)
+    PricingRequest(strikes=(20.0,), expiry=0.02, seed=2**64 - 1)
     with pytest.raises(ConfigError):
         PricingRequest(strikes=(20.0,), expiry=0.02, dt=0.05)
     with pytest.raises(ConfigError):

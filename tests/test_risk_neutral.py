@@ -133,6 +133,35 @@ def test_system_matches_scalar_arithmetic():
     assert np.allclose(solved.lam, lam_expected, rtol=1e-10)
 
 
+def test_right_side_matches_its_definition_at_k7():
+    """b(i) built term by term with scalar loops: the physical drift of the
+    masses below bucket i less the edge's, the anchored share w_i of bucket
+    i's own drift, and the covariance σ_i·(B_i·V_i)·Δp of bucket i's mass
+    with the curve value entering it."""
+    params, states = _random_states(5, seed=3)
+    n, F, dp = 2 * params.K, params.factor_count, params.delta_p
+    i0 = params.idx(0)
+    for state in states:
+        q = [math.exp(x) for x in state.log_q]
+        edge = math.exp(state.log_edge)
+        s, se = params.sigma_q_rel, params.sigma_edge_rel
+        mu = [q[l] * (-params.a_q[l] * (state.log_q[l] - params.mean_logq[l]) + 0.5 * s[l]**2)
+              for l in range(n)]
+        mu_e = edge * (-params.a_edge * (state.log_edge - params.mean_log_edge) + 0.5 * se**2)
+        want = []
+        for i in range(n):
+            drift = sum(mu[l] for l in range(i)) - mu_e
+            if i == i0:
+                drift += 0.5 * (mu[i] - q[i] * s[i]**2)
+            v = [edge * se * params.edge_loadings[j]
+                 - sum(q[l] * s[l] * params.loadings[l, j] for l in range(i)) for j in range(F)]
+            cross = s[i] * sum(params.loadings[i, j] * v[j] for j in range(F)) * dp
+            want.append(drift + cross)
+        got = build_mpr_system(state, params).b
+        assert params.K == 7
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_solver_diagnostics_over_a_path():
     params = demo_params()
     state = init_state(params)

@@ -44,8 +44,26 @@ def test_steps_and_seeds_decorrelate():
 
 
 def test_negative_dt_rejected():
-    with pytest.raises(ValueError):
-        increments_block(CFG, -1.0, 0, 1)
+    for dt in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="dt must be non-negative"):
+            increments_block(CFG, dt, 0, 1)
+        with pytest.raises(ValueError, match="dt must be non-negative"):
+            increments(CFG, dt, 0)
+
+
+def test_rekeyed_draws_match_a_fresh_generator():
+    # one generator is re-keyed from chunk to chunk and from call to call;
+    # a state left over from the previous chunk or step (buffered bits, a
+    # pending half word) would shift the normals that follow
+    def fresh(step, chunk, rows):
+        bits = np.random.Philox(key=[CFG.seed, chunk], counter=[0, 0, 0, step])
+        return np.random.Generator(bits).standard_normal((rows, CFG.factor_count))
+
+    for step in (5, 0, 5, 3):
+        block = increments_block(CFG, 1.0, step, n_streams=300)
+        assert np.array_equal(block[:256], fresh(step, 0, 256))
+        assert np.array_equal(block[256:], fresh(step, 1, 44))
+        assert np.array_equal(increments(CFG, 1.0, step, 257), fresh(step, 1, 2)[-1])
 
 
 def test_increment_variance_is_dt():
