@@ -9,7 +9,7 @@ so the shape of the curve is signal, not noise.
 
 import math
 
-from bookvol.demand import init_state
+from bookvol.demand import init_ensemble
 from bookvol.params import demo_params
 from bookvol.pricing import PricingRequest, simulate_terminals, smile
 from bookvol.riskneutral import sigma_pi_direct
@@ -41,7 +41,7 @@ def main() -> None:
     ivs = [q.implied_vol for q in table.quotes if q.implied_vol is not None]
     print(f"implied vols defined at {len(ivs)}/{len(table.quotes)} strikes, "
           f"range {min(ivs):.4f} .. {max(ivs):.4f} (annual)")
-    spot_vol = sigma_pi_direct(init_state(params), params)   # per sqrt hour
+    spot_vol = sigma_pi_direct(init_ensemble(params), params)[0]   # per sqrt hour
     print(f"for scale: instantaneous clearing-price vol "
           f"{spot_vol * math.sqrt(HOURS_PER_YEAR):.4f} annualized")
 

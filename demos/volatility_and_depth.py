@@ -9,11 +9,10 @@ that makes the simulated price driftless.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from bookvol.demand import init_state
+from bookvol.demand import init_ensemble
 from bookvol.params import demo_params
 from bookvol.riskneutral import (
     build_mpr_system,
@@ -22,17 +21,9 @@ from bookvol.riskneutral import (
     solve_mpr,
     step_risk_neutral,
 )
-from bookvol.sheet import SheetConfig, increments
+from bookvol.sheet import SheetConfig, increments_block
 
 HOURS_PER_YEAR = 1638.0
-
-
-def scaled_state(params, factor: float):
-    """The demo book with the clearing bucket's mass scaled, all else equal."""
-    state = init_state(params)
-    bumped = replace(state, log_q=state.log_q.copy())
-    bumped.log_q[params.idx(0)] += math.log(factor)
-    return bumped
 
 
 def main() -> None:
@@ -40,18 +31,20 @@ def main() -> None:
 
     print("== depth sweep at the clearing bucket ==")
     print(f"{'depth x':>8s} {'sigma_pi /sqrt(h)':>18s} {'annualized':>11s}")
-    for factor in (0.25, 0.5, 1.0, 2.0, 4.0):
-        vol = sigma_pi_direct(scaled_state(params, factor), params)
+    factors = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    books = init_ensemble(params, len(factors))       # one column per depth
+    books.log_q[params.idx(0)] += np.log(factors)     # all else equal
+    vols = sigma_pi_direct(books, params)
+    for factor, vol in zip(factors, vols):
         print(f"{factor:8.2f} {vol:18.6f} {vol * math.sqrt(HOURS_PER_YEAR):10.4f}")
 
-    state = init_state(params)
-    base = sigma_pi_direct(state, params)
-    doubled = sigma_pi_direct(scaled_state(params, 2.0), params)
+    base, doubled = vols[2], vols[3]
     print(f"\ndoubling check: {doubled:.12f} == {base:.12f}/2 "
           f"(ratio {doubled / base:.15f})")
 
-    pv = price_vol(state, params)
-    print(f"normalization route agrees: {pv.sigma_pi:.15f} "
+    book = init_ensemble(params)
+    pv = price_vol(book, params)
+    print(f"normalization route agrees: {pv.sigma_pi[0]:.15f} "
           f"vs direct {base:.15f}")
 
     print("\n== drift-kill solve over ten one-minute steps ==")
@@ -59,12 +52,11 @@ def main() -> None:
     print(f"{'step':>4s} {'cond':>10s} {'residual/|b|':>13s} {'sigma_pi':>10s}")
     dt = 1.0 / 60.0
     for step in range(10):
-        system = solve_mpr(build_mpr_system(state, params))
-        rel = system.residual_norm / np.linalg.norm(system.b)
-        print(f"{step:4d} {system.cond:10.2e} {rel:13.2e} "
-              f"{sigma_pi_direct(state, params):10.6f}")
-        state = step_risk_neutral(state, params, system.lam,
-                                  increments(cfg, dt, step), dt)
+        system = solve_mpr(build_mpr_system(book, params))
+        rel = system.residual_norm[0] / np.linalg.norm(system.b[0])
+        print(f"{step:4d} {system.cond[0]:10.2e} {rel:13.2e} "
+              f"{sigma_pi_direct(book, params)[0]:10.6f}")
+        step_risk_neutral(book, params, system.lam, increments_block(cfg, dt, step, 1), dt)
 
 
 if __name__ == "__main__":

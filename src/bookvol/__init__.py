@@ -8,7 +8,6 @@ estimators that fit the model to an exchange message log.
 
 from .errors import (
     BookVolError,
-    BoundaryBreachError,
     ConfigError,
     FitError,
     GridError,
@@ -22,7 +21,7 @@ from .errors import (
 from .lob import LimitOrder, MessageEvent, OrderBook, Side, Trade, replay
 from .params import ModelParams, demo_params, load_params, save_params
 from .sheet import SheetConfig
-from .demand import DemandState, clear, init_state, step_physical
+from .demand import Ensemble, init_ensemble
 from .riskneutral import (
     build_mpr_system,
     price_vol,
@@ -37,9 +36,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BookVolError",
-    "BoundaryBreachError",
     "ConfigError",
-    "DemandState",
+    "Ensemble",
     "FitError",
     "FitReport",
     "GridError",
@@ -60,10 +58,9 @@ __all__ = [
     "UnknownOrderError",
     "build_mpr_system",
     "calibrate",
-    "clear",
     "demo_params",
     "implied_vol",
-    "init_state",
+    "init_ensemble",
     "load_params",
     "parse_messages",
     "price_vol",
@@ -73,7 +70,6 @@ __all__ = [
     "simulate_ensemble",
     "smile",
     "solve_mpr",
-    "step_physical",
     "to_model_params",
     "__version__",
 ]

@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .demand import SimDiagnostics, init_ensemble
-from .errors import FitError, ParseError
+from .errors import ConfigError, FitError, ParseError
 from .lob import MessageEvent, OrderBook, Side, replay
 from .params import ModelParams, uniform_loadings
 from .riskneutral import run_steps
@@ -205,8 +205,12 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
     Bars that receive no message carry the snapshot of the last bar that
     did (of the first one, before any message) and are flagged as gaps.  A
     book that is empty at a bar end is snapshotted as it is, with zero
-    masses, which ``fit_report`` rejects.
+    masses, which ``fit_report`` rejects.  A bad grid raises ConfigError.
     """
+    if not K >= 1:
+        raise ConfigError(f"K must be at least 1, got {K}")
+    if not 0.0 < delta_p < math.inf:
+        raise ConfigError(f"delta_p must be positive and finite, got {delta_p}")
     start, end = session
     n_bars = int((end - start) // BAR_NS)
     if n_bars < 1:
@@ -587,7 +591,6 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
         ts = t0 + 1_000_000  # strictly inside the bar
         if bar > 0:
             next(steps)
-        state = ens.path()
 
         def emit(msg_type, side, order_id, price, size):
             nonlocal ts
@@ -598,11 +601,11 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
             emit("D", side, order_id, price, size)
         live_ids = []
 
-        pi = state.pi
+        pi = float(ens.pi[0])
         emit("A", Side.SELL, f"x{bar}s", pi, 1.0)
         emit("A", Side.BUY, f"x{bar}b", pi, 1.0)  # prints the trade at pi
 
-        q = state.quantities()
+        q = np.exp(ens.log_q[:, 0])
         for j in range(2 * K):
             k = j - K + 1
             side = Side.BUY if k < 0 else Side.SELL
@@ -611,7 +614,7 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
             emit("A", side, oid, price, float(q[j]))
             live_ids.append((oid, side, price, float(q[j])))
         # Deep buy below the grid: brings total buys up to the edge value.
-        deep = state.edge() - float(q[: K - 1].sum())
+        deep = math.exp(ens.log_edge[0]) - float(q[: K - 1].sum())
         if deep > 0.0:
             oid = f"e{bar}"
             price = pi - K * params.delta_p

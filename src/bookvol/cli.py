@@ -46,7 +46,6 @@ from . import __version__
 from . import calibration, pricing
 from .errors import (
     BookVolError,
-    BoundaryBreachError,
     ConfigError,
     FitError,
     OrderError,
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"numerical failure (singular risk system): {exc}", file=sys.stderr)
         return 3
-    except (SimulationError, BoundaryBreachError) as exc:
+    except SimulationError as exc:
         print(f"numerical failure (simulation): {exc}", file=sys.stderr)
         return 4
     except FitError as exc:

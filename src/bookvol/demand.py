@@ -1,4 +1,4 @@
-"""Relative net-demand curve: state, dynamics, clearing, and the inverse process.
+"""Relative net-demand curve: book ensembles, dynamics, clearing, and the inverse process.
 
 The resting book is summarized by bucket masses q̃(k,t) on a grid of relative
 price offsets around the clearing price π(t).  Bucket k covers offsets
@@ -8,13 +8,15 @@ Q̃(-K,t) and decreases through the buckets:
 
     Q̃(k,t) = Q̃(-K,t) - sum_{l=-K+1..k} q̃(l,t)
 
+Books are the columns of an Ensemble; a single book is an ensemble of one
+(init_ensemble(params, 1)), and every curve function answers per column.
 Between the node offsets (k+1/2)Δp the curve is linear (the bucket mass is
 spread uniformly), which makes the zero crossing, the inverse process and the
 liquidation integral all exact piecewise-linear computations.  They share one
-node build (_nodes) and one segment search (_segment): clearing is the
-inverse at level 0, proceeds integrate the inverse segment by segment, and
-the quadratic-variation cost takes its slope from the segment the inverse
-finds.
+node build (_nodes).  One segment search (_segment) serves the inverse,
+clearing (the inverse at level 0) and the quadratic-variation cost, which
+takes its slope from the segment the inverse finds; proceeds integrate the
+inverse segment by segment.
 
 Dynamics: each log mass follows an Ornstein-Uhlenbeck process driven by the
 factor noise of the sheet module.  After every step the curve is re-cleared:
@@ -33,71 +35,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundaryBreachError, GridError, SimulationError, UndefinedInverseError
+from .errors import GridError, UndefinedInverseError
 from .params import ModelParams
 
 
-@dataclass
-class DemandState:
-    """Book state: log masses, log edge anchor, clearing price."""
-
-    delta_p: float
-    log_edge: float
-    log_q: np.ndarray          # (2K,), k = -K+1 .. K
-    pi: float
-
-    @property
-    def K(self) -> int:
-        return len(self.log_q) // 2
-
-    def quantities(self) -> np.ndarray:
-        return np.exp(self.log_q)
-
-    def edge(self) -> float:
-        return float(math.exp(self.log_edge))
-
-
-def init_state(params: ModelParams) -> DemandState:
-    params.validate()
-    return DemandState(delta_p=params.delta_p, log_edge=float(np.log(params.edge0)),
-                       log_q=np.log(params.q0), pi=params.pi0)
-
-
-def node_offsets(state: DemandState | Ensemble) -> np.ndarray:
-    """Offsets (m + 1/2)Δp, m = -K..K, where the cumulative curve has nodes."""
-    K = len(state.log_q) // 2
-    return (np.arange(-K, K + 1) + 0.5) * state.delta_p
-
-
-def node_values(state: DemandState) -> np.ndarray:
-    """Cumulative net demand at the node offsets; first entry is the edge."""
-    return _nodes(Ensemble.of(state))[0][:, 0]
-
-
-def curve_value(state: DemandState, price: float) -> float:
-    """Net demand at an absolute price, linear between nodes."""
-    offs = node_offsets(state)
-    s = price - state.pi
-    if not offs[0] <= s <= offs[-1]:
-        raise GridError(f"price {price} outside the bucket grid around pi={state.pi}")
-    return float(np.interp(s, offs, node_values(state)))
-
-
 # ----------------------------------------------------------------------
-# path ensembles and the one stepping core
+# book ensembles and the one stepping core
 #
-# Per-path state is stored as flat arrays so that the OU update and the
-# clearing search run batched over paths.  step_ensemble is the only step and
-# riskneutral.run_steps the only loop over steps; a single DemandState steps
-# as an ensemble of one (clear, step_physical and step_risk_neutral wrap it).
+# Per-book state is stored as flat arrays so that the OU update, clearing and
+# every curve function run batched over books.  step_ensemble is the only step
+# and riskneutral.run_steps the only loop over steps.
 
 @dataclass
 class Ensemble:
-    """n paths of the book, stored bucket-major.
+    """n books, stored bucket-major; a single book is an ensemble of one.
 
-    Row k of the (2K, n) log masses holds bucket k of every path, so each
-    per-step numpy loop runs along the long path axis, and per-bucket
-    parameters broadcast as (2K, 1) columns.  Path i is column i.
+    Row k of the (2K, n) log masses holds bucket k of every book, so each
+    per-step numpy loop runs along the long book axis, and per-bucket
+    parameters broadcast as (2K, 1) columns.  Book i is column i.
     """
 
     delta_p: float
@@ -106,36 +61,28 @@ class Ensemble:
     pi: np.ndarray          # (n,)
     alive: np.ndarray       # (n,) bool
 
-    @classmethod
-    def of(cls, state: DemandState, n_paths: int = 1) -> Ensemble:
-        """Ensemble of n_paths copies of `state`."""
-        return cls(delta_p=state.delta_p, log_edge=np.full(n_paths, state.log_edge, dtype=float),
-                   log_q=np.tile(np.asarray(state.log_q, dtype=float)[:, None], (1, n_paths)),
-                   pi=np.full(n_paths, state.pi, dtype=float),
-                   alive=np.ones(n_paths, dtype=bool))
+    def column(self, i: int) -> Ensemble:
+        """Book i as an ensemble of one whose arrays are views into this one."""
+        s = slice(i, i + 1)
+        return Ensemble(self.delta_p, self.log_edge[s], self.log_q[:, s], self.pi[s], self.alive[s])
 
-    def path(self, i: int = 0) -> DemandState:
-        """Path i as a DemandState; its log masses are a view into the ensemble."""
-        return DemandState(delta_p=self.delta_p, log_edge=float(self.log_edge[i]),
-                           log_q=self.log_q[:, i], pi=float(self.pi[i]))
+
+def init_ensemble(params: ModelParams, n_paths: int = 1) -> Ensemble:
+    """n_paths copies of the initial book of `params`."""
+    params.validate()
+    return Ensemble(delta_p=params.delta_p, log_edge=np.full(n_paths, np.log(params.edge0)),
+                    log_q=np.tile(np.log(params.q0)[:, None], (1, n_paths)),
+                    pi=np.full(n_paths, params.pi0, dtype=float),
+                    alive=np.ones(n_paths, dtype=bool))
 
 
 class Cleared(NamedTuple):
-    """Per-path outcome of one clearing pass; aborted paths are marked dead."""
+    """Per-book outcome of one clearing pass; aborted books are marked dead."""
 
     top: np.ndarray         # net demand non-negative at the top of the grid
     bottom: np.ndarray      # net demand non-positive at the bottom of the grid
     broken: np.ndarray      # non-finite curve values
     relabeled: np.ndarray   # grid labels rotated
-
-    def raise_if_aborted(self) -> None:
-        """Raise path 0's clearing failure, if any: the single-state contract."""
-        if self.broken[0]:
-            raise SimulationError("non-finite log quantities in state")
-        if self.bottom[0]:
-            raise BoundaryBreachError("bottom", "net demand non-positive at the bottom of the grid")
-        if self.top[0]:
-            raise BoundaryBreachError("top", "net demand non-negative at the top of the grid")
 
 
 class StepRow(NamedTuple):
@@ -176,15 +123,39 @@ class SimDiagnostics:
         self.rows.append(StepRow(*(int(np.count_nonzero(m)) for m in masks), residual))
 
 
-def init_ensemble(params: ModelParams, n_paths: int) -> Ensemble:
-    return Ensemble.of(init_state(params), n_paths)
+# ----------------------------------------------------------------------
+# the piecewise-linear curve
+
+def node_offsets(ens: Ensemble) -> np.ndarray:
+    """Offsets (m + 1/2)Δp, m = -K..K, where the cumulative curve has nodes."""
+    K = len(ens.log_q) // 2
+    return (np.arange(-K, K + 1) + 0.5) * ens.delta_p
+
+
+def node_values(ens: Ensemble) -> np.ndarray:
+    """(2K+1, n) cumulative net demand at the node offsets; the edge is row 0."""
+    return _nodes(ens)[0]
+
+
+def curve_value(ens: Ensemble, price) -> np.ndarray:
+    """Net demand of each book at an absolute price (one, or one per book),
+    linear between nodes."""
+    offs = node_offsets(ens)
+    s = price - ens.pi
+    if not np.all((offs[0] <= s) & (s <= offs[-1])):
+        raise GridError(f"price {price} outside the bucket grid around pi={ens.pi}")
+    m = np.minimum(((s - offs[0]) // ens.delta_p).astype(int), len(offs) - 2)
+    lo, hi = node_values(ens)[[m, m + 1], np.arange(ens.pi.size)]
+    return lo + (hi - lo) * (s - offs[m]) / ens.delta_p
 
 
 def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative sums down the rows of x, into `out` when given.
 
     The additions and their order are those of np.cumsum(x, axis=0), which
-    is several times slower on a few long rows than this loop over them.
+    is several times slower on a few long rows than this loop over them.  The
+    last row is the column sums, added in row order whatever the number of
+    columns; np.sum switches to pairwise summation on a single column.
     """
     out = np.empty_like(x) if out is None else out
     out[0] = x[0]
@@ -206,7 +177,7 @@ def _nodes(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     return vals, q
 
 
-def _segment(vals: np.ndarray, curve: DemandState | Ensemble, x, live=True):
+def _segment(vals: np.ndarray, curve: Ensemble, x, live=True):
     """Width and offset of the segment holding level x on each column's curve.
 
     `vals` holds the (2K+1, n) node values of n decreasing curves on the grid
@@ -225,7 +196,7 @@ def _segment(vals: np.ndarray, curve: DemandState | Ensemble, x, live=True):
 def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     """Vectorized zero-crossing, relabeling, and edge re-anchoring (in place).
 
-    Live paths whose curve is non-finite or does not cross zero inside the
+    Live books whose curve is non-finite or does not cross zero inside the
     grid are marked dead and reported instead of cleared.
     """
     twoK, n = ens.log_q.shape
@@ -249,7 +220,7 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     # a live curve falls from positive at the edge to negative at the top:
     # its zero crossing is the inverse at level 0
     _, z = _segment(vals, ens, 0.0, live)
-    ens.pi = ens.pi + z
+    ens.pi += z
 
     # labels rotate by the whole buckets the crossing moved; fresh far
     # buckets start at their long-run mean mass
@@ -329,78 +300,47 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
     return cleared
 
 
-def clear(state: DemandState, params: ModelParams) -> tuple[float, DemandState]:
-    """Re-locate the clearing price at the curve's zero and re-center the grid.
-
-    Returns (new clearing price, new state).  The crossing offset z is linear
-    interpolation inside the bucket where the cumulative curve changes sign;
-    labels rotate by round(z/Δp) buckets (fresh far buckets start at their
-    long-run mean mass) and the edge is re-anchored so the relabelled curve
-    passes through zero exactly at the new π.
-    """
-    ens = Ensemble.of(state)
-    _batch_clear(ens, params).raise_if_aborted()
-    new = ens.path()
-    return new.pi, new
-
-
-def _step_state(state: DemandState, params: ModelParams, inc: np.ndarray, dt: float,
-                translation: float) -> DemandState:
-    """One step of a single state, as an ensemble of one; clearing failures raise."""
-    ens = Ensemble.of(state)
-    step_ensemble(ens, params, np.asarray(inc, dtype=float)[None, :], dt,
-                  ou_step_factors(params, dt), translation=translation).raise_if_aborted()
-    return ens.path()
-
-
-def step_physical(state: DemandState, params: ModelParams, inc: np.ndarray, dt: float) -> DemandState:
-    """Advance the book one step under the physical measure and re-clear.
-
-    `inc` holds the factor increments over dt (see sheet.increments); they are
-    rescaled to unit variance before entering the exact OU update.  The fitted
-    clearing-price drift params.drift_c (a physical-measure diagnostic, per
-    hour) translates the price level on top of the relative-book move.
-    """
-    return _step_state(state, params, inc, dt, params.drift_c * dt)
-
-
 # ----------------------------------------------------------------------
 # inverse process and liquidation proceeds
 
-def inverse(state: DemandState, x: float) -> float:
-    """Price at which net demand equals x (unique: the curve is strictly decreasing)."""
-    vals = node_values(state)
-    if not (vals[-1] <= x <= vals[0]):
-        raise UndefinedInverseError(f"net demand level {x} outside curve range "
-                                    f"[{vals[-1]:.6g}, {vals[0]:.6g}]")
-    return state.pi + float(_segment(vals[:, None], state, x)[1][0])
+def inverse(ens: Ensemble, x) -> np.ndarray:
+    """Price at which each book's net demand equals x (one level, or one per
+    book); unique, as the curve is strictly decreasing."""
+    vals = node_values(ens)
+    if not np.all((vals[-1] <= x) & (x <= vals[0])):
+        raise UndefinedInverseError(f"net demand level {x} outside the curve range of a book")
+    return ens.pi + _segment(vals, ens, x)[1]
 
 
-def liquidation_proceeds(state: DemandState, theta: float) -> float:
-    """L(θ) = ∫_0^θ P(x) dx, the value of unwinding θ shares against the curve.
+def liquidation_proceeds(ens: Ensemble, theta) -> np.ndarray:
+    """L(θ) = ∫_0^θ P(x) dx per book, the value of unwinding θ shares (one
+    position, or one per book) against the curve.
 
     P is linear on each segment, so the integral is exact: the sum over the
     segments of their overlap with [0, θ] times P at the overlap's midpoint.
+    A non-empty overlap's midpoint lies strictly inside its own segment, so
+    P there needs no segment search.
     """
-    if theta == 0.0:
-        return 0.0
-    vals = node_values(state)
-    lo, hi = (0.0, theta) if theta > 0 else (theta, 0.0)
-    if not (vals[-1] <= lo and hi <= vals[0]):
-        raise UndefinedInverseError(f"liquidation of {theta} shares exceeds the curve range")
+    vals = node_values(ens)
+    lo, hi = np.minimum(theta, 0.0), np.maximum(theta, 0.0)
+    if not np.all((vals[-1] <= lo) & (hi <= vals[0])):
+        raise UndefinedInverseError(f"liquidation of {theta} shares exceeds a curve range")
     top, bottom = np.minimum(vals[:-1], hi), np.maximum(vals[1:], lo)   # overlaps, per segment
-    _, s = _segment(np.broadcast_to(vals[:, None], (len(vals), len(top))), state, 0.5 * (top + bottom))
-    total = float(np.maximum(top - bottom, 0.0) @ (state.pi + s))
-    return total if theta > 0 else -total
+    overlap = np.maximum(top - bottom, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):    # empty overlaps on empty segments
+        s = node_offsets(ens)[:-1, None] \
+            + ens.delta_p * (vals[:-1] - 0.5 * (top + bottom)) / (vals[:-1] - vals[1:])
+    total = _running_sum(overlap * (ens.pi + np.where(overlap > 0.0, s, 0.0)))[-1]
+    return np.where(theta < 0, -total, total)
 
 
 # ----------------------------------------------------------------------
 # wealth dynamics of a position held against the curve
 
-def wealth_increment(state_before: DemandState, state_after: DemandState,
-                     theta_before: float, theta_after: float, *,
-                     jump: bool = True, theta_qv: float = 0.0) -> float:
-    """Real-wealth change over one step for a position marked at liquidation value.
+def wealth_increment(before: Ensemble, after: Ensemble, theta_before, theta_after, *,
+                     jump: bool = True, theta_qv=0.0) -> np.ndarray:
+    """Real-wealth change over one step of each book's position (one, or one
+    per book), marked at liquidation value.
 
     Three contributions: the change of L(θ_before, ·) as the curve moves; a
     quadratic-variation trading cost 0.5*|P'|*d[θ] for strategies with a
@@ -411,19 +351,16 @@ def wealth_increment(state_before: DemandState, state_after: DemandState,
     for any non-zero block; it vanishes for continuous finite-variation
     trading (jump=False, theta_qv=0).
     """
-    dv = liquidation_proceeds(state_after, theta_before) - liquidation_proceeds(state_before, theta_before)
-
-    if theta_qv != 0.0:
-        width, _ = _segment(node_values(state_after)[:, None], state_after, theta_before)
-        slope = state_after.delta_p / width[0]      # |dP/dx| on the segment
-        dv -= 0.5 * slope * theta_qv
-
-    if jump and theta_after != theta_before:
-        dv -= jump_penalty(state_after, theta_before, theta_after)
-    return float(dv)
+    dv = liquidation_proceeds(after, theta_before) - liquidation_proceeds(before, theta_before)
+    if np.any(theta_qv != 0.0):
+        width, _ = _segment(node_values(after), after, theta_before)
+        dv -= 0.5 * (after.delta_p / width) * theta_qv     # |dP/dx| on the segment
+    if jump:
+        dv -= jump_penalty(after, theta_before, theta_after)    # 0 where θ is unchanged
+    return dv
 
 
-def jump_penalty(state: DemandState, theta_before: float, theta_after: float) -> float:
+def jump_penalty(ens: Ensemble, theta_before, theta_after) -> np.ndarray:
     """Displacement cost of a block trade: area between curve and post-trade price."""
-    gained = liquidation_proceeds(state, theta_after) - liquidation_proceeds(state, theta_before)
-    return float(gained - (theta_after - theta_before) * inverse(state, theta_after))
+    gained = liquidation_proceeds(ens, theta_after) - liquidation_proceeds(ens, theta_before)
+    return gained - (theta_after - theta_before) * inverse(ens, theta_after)

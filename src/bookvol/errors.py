@@ -27,19 +27,6 @@ class ConfigError(BookVolError):
     """Model parameter set failed validation or could not be parsed."""
 
 
-class BoundaryBreachError(BookVolError):
-    """Net-demand curve lost its interior zero crossing.
-
-    ``side`` records which failure occurred: ``"bottom"`` means the curve is
-    non-positive already at the lowest grid price, ``"top"`` means it is
-    non-negative at the highest.
-    """
-
-    def __init__(self, side: str, message: str = ""):
-        self.side = side
-        super().__init__(message or f"net demand curve breached the {side} of the grid")
-
-
 class UndefinedInverseError(BookVolError):
     """Inverse demand requested outside the curve's range."""
 

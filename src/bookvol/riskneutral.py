@@ -18,10 +18,12 @@ covariance between the clearing-bucket mass and the price: see
 _kill_matrix and _kill_rhs, the one assembly of Σ and b.  b is assembled in
 difference form, as its first row b(0) and the row differences
 db(i) = b(i+1) - b(i): the closed-form kill reads only these, and the full
-b of one path (the dense system, the path-0 residual) is their cumulative
-sum.  Under the changed
-measure each factor increment picks up -λ_j√Δp·dt, which is how
-step_risk_neutral applies the solution.
+b (the dense systems, the path-0 residual) is their cumulative sum.  Under
+the changed measure each factor increment picks up -λ_j√Δp·dt, which is how
+step_risk_neutral applies the dense solution.
+
+Every function here answers per book, for the columns of a demand.Ensemble;
+a single book is an ensemble of one.
 
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
 the curve-value loadings alone (price_vol); the live row of the linear
@@ -39,7 +41,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import sheet
-from .demand import (DemandState, Ensemble, SimDiagnostics, _batch_clear, _step_state,
+from .demand import (Cleared, Ensemble, SimDiagnostics, _batch_clear, _running_sum,
                      init_ensemble, ou_step_factors, step_ensemble)
 from .errors import SimulationError, SingularSystemError
 from .params import ModelParams
@@ -47,40 +49,40 @@ from .params import ModelParams
 COND_LIMIT = 1e12
 
 
-def kill_vectors(state: DemandState, params: ModelParams) -> np.ndarray:
-    """Rows i = -K+1..K: factor loadings V_i of the curve value entering bucket i."""
-    per_bucket = (state.quantities() * params.sigma_q_rel)[:, None] * params.loadings
-    below = np.vstack([np.zeros(params.factor_count), np.cumsum(per_bucket[:-1], axis=0)])
-    return state.edge() * params.sigma_edge_rel * params.edge_loadings[None, :] - below
+def kill_vectors(ens: Ensemble, params: ModelParams) -> np.ndarray:
+    """(2K, F, n): rows i = -K+1..K hold, per book, the factor loadings V_i of
+    the curve value entering bucket i."""
+    per_bucket = (np.exp(ens.log_q) * params.sigma_q_rel[:, None])[:, None, :] \
+        * params.loadings[:, :, None]
+    below = np.concatenate([np.zeros_like(per_bucket[:1]), np.cumsum(per_bucket[:-1], axis=0)])
+    edge = np.exp(ens.log_edge) * params.sigma_edge_rel
+    return edge * params.edge_loadings[:, None] - below
 
 
 @dataclass(frozen=True)
 class PriceVol:
-    sigma_pi: float     # currency per sqrt(hour)
-    b_pi: np.ndarray    # factor loadings, sum_j b^2 Δp = 1
+    sigma_pi: np.ndarray    # (n,) currency per sqrt(hour)
+    b_pi: np.ndarray        # (F, n) factor loadings, sum_j b^2 Δp = 1 per book
 
 
-def price_vol(state: DemandState, params: ModelParams) -> PriceVol:
-    """Volatility of π in the clearing bucket 0, via loading normalization.
+def price_vol(ens: Ensemble, params: ModelParams) -> PriceVol:
+    """Volatility of π in the clearing bucket 0 of each book, via loading
+    normalization.
 
     The unnormalized loading vector of dπ is -V·Δp/q̃(0); its Δp-norm is
-    sigma_pi and the normalized remainder is b_pi.
+    sigma_pi and the normalized remainder is b_pi (zero where sigma_pi is).
     """
     i = params.idx(0)
-    q_i = float(np.exp(state.log_q[i]))
-    u = -kill_vectors(state, params)[i] * state.delta_p / q_i
-    sigma = float(np.sqrt((u**2).sum() * state.delta_p))
-    if sigma == 0.0:
-        return PriceVol(0.0, np.zeros_like(u))
-    return PriceVol(sigma, u / sigma)
+    u = -kill_vectors(ens, params)[i] * ens.delta_p / np.exp(ens.log_q[i])
+    sigma = np.sqrt(_running_sum(u**2)[-1] * ens.delta_p)
+    return PriceVol(sigma, u / np.where(sigma > 0.0, sigma, np.inf))
 
 
-def sigma_pi_direct(state: DemandState, params: ModelParams) -> float:
-    """Same volatility evaluated directly: ||V||·Δp / q̃(0)."""
+def sigma_pi_direct(ens: Ensemble, params: ModelParams) -> np.ndarray:
+    """Same volatility evaluated directly: ||V||·Δp / q̃(0), per book."""
     i = params.idx(0)
-    v = kill_vectors(state, params)[i]
-    q_i = float(np.exp(state.log_q[i]))
-    return float(np.sqrt((v**2).sum() * state.delta_p) * state.delta_p / q_i)
+    v = kill_vectors(ens, params)[i]
+    return np.sqrt(_running_sum(v**2)[-1] * ens.delta_p) * ens.delta_p / np.exp(ens.log_q[i])
 
 
 # ----------------------------------------------------------------------
@@ -88,11 +90,13 @@ def sigma_pi_direct(state: DemandState, params: ModelParams) -> float:
 
 @dataclass
 class MprSystem:
-    Sigma: np.ndarray
-    b: np.ndarray
-    lam: np.ndarray | None = None
-    residual_norm: float | None = None
-    cond: float | None = None
+    """The drift-kill systems of n books, stacked for np.linalg."""
+
+    Sigma: np.ndarray                           # (n, 2K, F)
+    b: np.ndarray                               # (n, 2K)
+    lam: np.ndarray | None = None               # (n, F)
+    residual_norm: np.ndarray | None = None     # (n,)
+    cond: np.ndarray | None = None              # (n,)
 
 
 def _row_anchors(params: ModelParams) -> np.ndarray:
@@ -110,11 +114,12 @@ def _row_anchors(params: ModelParams) -> np.ndarray:
     return w
 
 
-def _kill_matrix(state: DemandState, params: ModelParams) -> np.ndarray:
-    """Left side Σ of the drift-kill system, one row per potential clearing bucket."""
-    own = (_row_anchors(params) * state.quantities() * params.sigma_q_rel)[:, None] \
-        * params.loadings
-    return (-kill_vectors(state, params) + own) * state.delta_p
+def _kill_matrix(ens: Ensemble, params: ModelParams) -> np.ndarray:
+    """Left sides Σ of the drift-kill systems, stacked (n, 2K, F): one row per
+    potential clearing bucket, one matrix per book."""
+    own = (_row_anchors(params)[:, None] * np.exp(ens.log_q) * params.sigma_q_rel[:, None]
+           )[:, None, :] * params.loadings[:, :, None]
+    return np.moveaxis((-kill_vectors(ens, params) + own) * ens.delta_p, -1, 0)
 
 
 class _RhsTerms(NamedTuple):
@@ -174,41 +179,46 @@ def _kill_rhs(ens: Ensemble, params: ModelParams, terms: _RhsTerms
     return db, b0, qs, es
 
 
-def _column_rhs(db: np.ndarray, b0: np.ndarray, col: int) -> np.ndarray:
-    """Full right side b of path `col`: b(0), then b(i+1) = b(i) + db(i)."""
-    return np.cumsum(np.concatenate(([b0[col]], db[:, col])))
+def _full_rhs(db: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """Full right sides b, (2K, n): b(0), then b(i+1) = b(i) + db(i)."""
+    return np.cumsum(np.vstack([b0, db]), axis=0)
 
 
-def build_mpr_system(state: DemandState, params: ModelParams) -> MprSystem:
-    """Assemble the drift-kill equations, one row per potential clearing bucket."""
-    db, b0, _, _ = _kill_rhs(Ensemble.of(state), params, _rhs_terms(params))
-    return MprSystem(Sigma=_kill_matrix(state, params), b=_column_rhs(db, b0, 0))
+def build_mpr_system(ens: Ensemble, params: ModelParams) -> MprSystem:
+    """Assemble each book's drift-kill equations, one row per potential
+    clearing bucket: Σ is (n, 2K, F) and b is (n, 2K)."""
+    db, b0, _, _ = _kill_rhs(ens, params, _rhs_terms(params))
+    return MprSystem(Sigma=_kill_matrix(ens, params), b=_full_rhs(db, b0).T)
 
 
 def solve_mpr(system: MprSystem) -> MprSystem:
-    """Solve for λ by dense factorization; record residual and condition number."""
+    """Solve every book's system for λ by dense factorization; record the
+    residual norms and condition numbers, one per book."""
     try:
-        cond = float(np.linalg.cond(system.Sigma))
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond = np.linalg.cond(system.Sigma)
+        if not np.all(cond <= COND_LIMIT):
             raise SingularSystemError(
-                f"market-price-of-risk system condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-        lam = np.linalg.solve(system.Sigma, system.b)
+                f"market-price-of-risk system condition number {np.max(cond):.3e} "
+                f"exceeds {COND_LIMIT:.0e}")
+        lam = np.linalg.solve(system.Sigma, system.b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"market-price-of-risk system is singular: {exc}") from exc
-    residual = float(np.linalg.norm(system.Sigma @ lam - system.b))
+    residual = np.linalg.norm((system.Sigma @ lam[..., None])[..., 0] - system.b, axis=-1)
     return replace(system, lam=lam, residual_norm=residual, cond=cond)
 
 
-def step_risk_neutral(state: DemandState, params: ModelParams, lam: np.ndarray,
-                      inc: np.ndarray, dt: float) -> DemandState:
-    """One step under the changed measure: dW_j -> dW_j - λ_j√Δp·dt, then re-clear.
+def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
+                      inc: np.ndarray, dt: float) -> Cleared:
+    """One step of every book under the changed measure with dense λ (n, F):
+    dW_j -> dW_j - λ_j√Δp·dt, then re-clear (in place).  The test oracle of
+    the closed-form kill that run_steps applies.
 
     The physical-measure price translation params.drift_c does not apply here;
     it is a diagnostic of the observed price series, not part of the
     martingale dynamics.
     """
     shifted = inc - lam * math.sqrt(params.delta_p) * dt
-    return _step_state(state, params, shifted, dt, 0.0)
+    return step_ensemble(ens, params, shifted, dt, ou_step_factors(params, dt))
 
 
 # ----------------------------------------------------------------------
@@ -269,11 +279,13 @@ def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
 
 def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
                         y, e, rhs) -> float:
-    """Residual of the full system on path 0, as a solve-quality telltale."""
+    """Residual of the full system on path 0, as a solve-quality telltale;
+    Σ is built for path 0 alone."""
     lam0 = np.linalg.solve(kt.A, np.concatenate(([e[0]], y[:-1, 0])))
-    b = _column_rhs(*rhs, 0)
+    db, b0 = rhs
+    b = _full_rhs(db[:, :1], b0[:1])[:, 0]
     bnorm = float(np.linalg.norm(b))
-    residual = _kill_matrix(ens.path(0), params) @ lam0 - b
+    residual = _kill_matrix(ens.column(0), params)[0] @ lam0 - b
     return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
 
 

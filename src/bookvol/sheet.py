@@ -29,6 +29,10 @@ class SheetConfig:
     delta_p: float
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:     # the Philox key is two 64-bit words
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+
     @property
     def span(self) -> float:
         """Total price span covered by the factor buckets."""

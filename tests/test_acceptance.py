@@ -5,10 +5,10 @@ its criterion; the interior-minimum sub-check of criterion 6 is split out
 as an expected failure because the bundled dynamics produce a monotone
 skew over this strike range (see the README's acceptance notes)."""
 
+import copy
 import inspect
 import math
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,14 +25,14 @@ from bookvol.calibration import (
     synthesize_log,
 )
 from bookvol.demand import (
-    clear,
+    SimDiagnostics,
+    _batch_clear,
     curve_value,
-    init_state,
+    init_ensemble,
     inverse,
     jump_penalty,
     liquidation_proceeds,
     node_values,
-    step_physical,
     wealth_increment,
 )
 from bookvol.lob import MessageEvent, Side, replay
@@ -46,12 +46,13 @@ from bookvol.pricing import PricingRequest, bs_call, implied_vol, smile
 from bookvol.riskneutral import (
     build_mpr_system,
     price_vol,
+    run_steps,
     sigma_pi_direct,
     simulate_ensemble,
     solve_mpr,
     step_risk_neutral,
 )
-from bookvol.sheet import SheetConfig, increments, increments_block, sheet_value
+from bookvol.sheet import SheetConfig, increments_block, sheet_value
 
 TRADING_HOURS_PER_YEAR = 1638.0
 ONE_MINUTE = 1.0 / 60.0
@@ -59,21 +60,17 @@ SPOT = 20.16
 SMILE_STRIKES = (19.8, 19.9, 20.0, 20.1, 20.2, 20.3, 20.4, 20.5)
 
 
-def _jittered_states(n, seed):
-    """Live demo-book states with perturbed masses, re-cleared."""
+def _jittered_books(n, seed):
+    """n live demo books with perturbed masses, re-cleared: one column each."""
     params = demo_params()
     rng = np.random.default_rng(seed)
-    base = init_state(params)
-    out = []
-    while len(out) < n:
-        jittered = replace(
-            base,
-            log_q=base.log_q + rng.normal(scale=0.05, size=base.log_q.shape),
-            log_edge=base.log_edge + rng.normal(scale=0.01),
-        )
-        _, state = clear(jittered, params)
-        out.append(state)
-    return params, out
+    books = init_ensemble(params, n)
+    for j in range(n):
+        books.log_q[:, j] += rng.normal(scale=0.05, size=2 * params.K)
+        books.log_edge[j] += rng.normal(scale=0.01)
+    _batch_clear(books, params)
+    assert books.alive.all()
+    return params, books
 
 
 @pytest.fixture(scope="module")
@@ -145,32 +142,30 @@ def test_criterion_02_risk_neutral_clearing_price_is_martingale(smile_run):
 def test_criterion_03_drift_kill_solve_quality_over_100_steps():
     params = demo_params()
     assert params.factor_count == 14
-    state = init_state(params)
+    book = init_ensemble(params)
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=7)
     for step in range(100):
-        system = solve_mpr(build_mpr_system(state, params))
-        assert system.residual_norm <= 1e-10 * np.linalg.norm(system.b)
-        assert system.cond < 1e12
-        state = step_risk_neutral(state, params, system.lam,
-                                  increments(cfg, ONE_MINUTE, step), ONE_MINUTE)
+        system = solve_mpr(build_mpr_system(book, params))
+        assert system.residual_norm[0] <= 1e-10 * np.linalg.norm(system.b[0])
+        assert system.cond[0] < 1e12
+        step_risk_neutral(book, params, system.lam,
+                          increments_block(cfg, ONE_MINUTE, step, 1), ONE_MINUTE)
+        assert book.alive[0]
 
 
 def test_criterion_04_volatility_routes_agree_on_1000_states():
-    params, states = _jittered_states(1000, seed=4)
-    for state in states:
-        direct = sigma_pi_direct(state, params)
-        assert price_vol(state, params).sigma_pi == pytest.approx(
-            direct, rel=1e-12)
+    params, books = _jittered_books(1000, seed=4)
+    direct = sigma_pi_direct(books, params)
+    assert price_vol(books, params).sigma_pi == pytest.approx(direct, rel=1e-12)
 
 
 def test_criterion_05_doubling_clearing_depth_halves_volatility():
-    params, states = _jittered_states(50, seed=6)
-    states.append(init_state(params))
-    for state in states:
-        doubled = replace(state, log_q=state.log_q.copy())
+    params, books = _jittered_books(50, seed=6)
+    for ens in (books, init_ensemble(params)):
+        doubled = copy.deepcopy(ens)
         doubled.log_q[params.idx(0)] += math.log(2.0)
         assert sigma_pi_direct(doubled, params) == pytest.approx(
-            0.5 * sigma_pi_direct(state, params), rel=1e-12)
+            0.5 * sigma_pi_direct(ens, params), rel=1e-12)
 
 
 def test_criterion_06_smile_exists_with_monotone_convex_prices(smile_run):
@@ -284,25 +279,27 @@ def test_criterion_10_sheet_covariance_structure():
 
 
 def test_criterion_11_inverse_and_proceeds_oracles():
-    state = init_state(demo_params())
-    vals = node_values(state)
+    # one column per level: the inverse answers each book at its own level
+    params = demo_params()
+    vals = node_values(init_ensemble(params))[:, 0]
     scale = max(abs(vals[0]), abs(vals[-1]))
-    for x in np.linspace(vals[-1], vals[0], 1000):
-        assert abs(curve_value(state, inverse(state, x)) - x) <= 1e-9 * scale
+    xs = np.linspace(vals[-1], vals[0], 1000)
+    books = init_ensemble(params, xs.size)
+    assert np.all(np.abs(curve_value(books, inverse(books, xs)) - xs) <= 1e-9 * scale)
 
+    book, books = init_ensemble(params), init_ensemble(params, 10_001)
     for theta in (0.3 * vals[0], -0.3 * abs(vals[-1])):
         xs = np.linspace(0.0, theta, 10_001)
-        oracle = np.trapezoid([inverse(state, x) for x in xs], xs)
-        assert liquidation_proceeds(state, theta) == pytest.approx(
-            oracle, rel=1e-6)
+        oracle = np.trapezoid(inverse(books, xs), xs)
+        assert liquidation_proceeds(book, theta)[0] == pytest.approx(oracle, rel=1e-6)
 
 
 def test_criterion_12_wealth_dynamics_structure():
     # strictly positive block-trade penalty on the strictly decreasing curve
-    state = init_state(demo_params())
-    top = node_values(state)[0]
-    assert jump_penalty(state, 0.0, 0.2 * top) > 0.0
-    assert jump_penalty(state, 0.0, -0.2 * top) > 0.0
+    book = init_ensemble(demo_params())
+    top = node_values(book)[0, 0]
+    assert jump_penalty(book, 0.0, 0.2 * top)[0] > 0.0
+    assert jump_penalty(book, 0.0, -0.2 * top)[0] > 0.0
 
     # a continuous finite-variation ramp: wealth minus the price integral
     # of the position must vanish linearly in the step size
@@ -320,14 +317,15 @@ def test_criterion_12_wealth_dynamics_structure():
 
     def gap(n_steps):
         dt = horizon / n_steps
-        cfg = SheetConfig(flat.factor_count, flat.delta_p, seed=2)
-        st, theta, wealth, stieltjes = init_state(flat), 0.0, 0.0, 0.0
-        for step in range(n_steps):
-            after = step_physical(st, flat, increments(cfg, dt, step), dt)
+        book, theta, wealth, stieltjes = init_ensemble(flat), 0.0, 0.0, 0.0
+        before = copy.deepcopy(book)
+        steps = run_steps(flat, book, SimDiagnostics(), n_steps, dt, seed=2, risk_neutral=False)
+        for step, _ in enumerate(steps):
+            assert book.alive[0]
             theta_new = rate * (step + 1) * dt
-            wealth += wealth_increment(st, after, theta, theta_new, jump=True)
-            stieltjes += theta * (after.pi - st.pi)
-            st, theta = after, theta_new
+            wealth += wealth_increment(before, book, theta, theta_new, jump=True)[0]
+            stieltjes += theta * (book.pi[0] - before.pi[0])
+            before, theta = copy.deepcopy(book), theta_new
         return wealth - stieltjes
 
     slope = dp / qbar

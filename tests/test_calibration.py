@@ -30,7 +30,7 @@ from bookvol.calibration import (
     to_model_params,
     PanelData,
 )
-from bookvol.demand import init_state, step_physical
+from bookvol.demand import init_ensemble, ou_step_factors, step_ensemble
 from bookvol.errors import FitError, ParseError, SimulationError
 from bookvol.lob import MessageEvent, Side
 from bookvol.params import demo_params
@@ -204,17 +204,20 @@ def test_synthetic_log_round_trip_is_exact():
                         delta_p=params.delta_p,
                         session=(SESSION_START_NS, SESSION_START_NS + n_bars * BAR_NS))
 
-    # replay the generating path independently
-    state = init_state(params)
+    # replay the generating path independently, one step and one stream draw at a time
+    book = init_ensemble(params)
     cfg = SheetConfig(2 * params.K, params.delta_p, seed=3)
+    dt = 1 / 60
+    factors = ou_step_factors(params, dt)
     for bar in range(n_bars):
         if bar > 0:
-            state = step_physical(state, params, increments(cfg, 1 / 60, bar - 1), 1 / 60)
-        assert panel.pi[bar] == state.pi
-        assert np.array_equal(panel.q[bar], state.quantities())
-        assert panel.edge[bar] == pytest.approx(state.edge(), rel=1e-12)
-        assert panel.below_grid[bar] == pytest.approx(
-            0.5 * state.quantities()[params.K - 1], rel=1e-12)
+            step_ensemble(book, params, increments(cfg, dt, bar - 1)[None, :], dt, factors,
+                          translation=params.drift_c * dt)
+        q = np.exp(book.log_q[:, 0])
+        assert panel.pi[bar] == book.pi[0]
+        assert np.array_equal(panel.q[bar], q)
+        assert panel.edge[bar] == pytest.approx(math.exp(book.log_edge[0]), rel=1e-12)
+        assert panel.below_grid[bar] == pytest.approx(0.5 * q[params.K - 1], rel=1e-12)
     assert not panel.gap.any()
 
 
@@ -222,7 +225,8 @@ def test_synthetic_log_of_zero_and_one_bars(monkeypatch):
     """No bars give no messages; one bar is the initial book and draws no step."""
     params = demo_params()
     K, dp, pi0 = params.K, params.delta_p, params.pi0
-    q = init_state(params).quantities()
+    book = init_ensemble(params)
+    q = np.exp(book.log_q[:, 0])
 
     def no_draw(*args):
         raise AssertionError("a one-bar log drew sheet noise")
@@ -238,7 +242,7 @@ def test_synthetic_log_of_zero_and_one_bars(monkeypatch):
     assert [ev.side for ev in buckets] == [Side.BUY] * (K - 1) + [Side.SELL] * (K + 1)
     deep, = events[2 + 2 * K:]
     assert (deep.msg_type, deep.side, deep.price) == ("A", Side.BUY, pi0 - K * dp)
-    assert deep.size == init_state(params).edge() - q[:K - 1].sum()
+    assert deep.size == math.exp(book.log_edge[0]) - q[:K - 1].sum()
     assert {ev.timestamp // BAR_NS for ev in events} == {SESSION_START_NS // BAR_NS}
 
 

@@ -164,7 +164,6 @@ def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measur
     (ValueError("boom"), 2),
     (errors.SingularSystemError("boom"), 3),
     (errors.SimulationError("boom"), 4),
-    (errors.BoundaryBreachError("top", "boom"), 4),
     (errors.FitError("boom"), 5),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
 def test_error_exit_codes(monkeypatch, capsys, exc, code):
@@ -272,6 +271,20 @@ def test_singular_kill_on_every_path_exits_3(tmp_path, capsys):
                "--paths", "2", "--expiry", "0.0002", "--seed", "0"])
     assert rc == 3
     assert "(top 0, bottom 0, broken 0, singular 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"delta_p": 0}, "delta_p must be positive and finite, got 0.0"),
+    ({"delta_p": -0.05}, "delta_p must be positive and finite, got -0.05"),
+    ({"delta_p": "nan"}, "delta_p must be positive and finite, got nan"),
+    ({"K": 0}, "K must be at least 1, got 0"),
+], ids=["delta_p=0", "delta_p<0", "delta_p=nan", "K=0"])
+def test_calibrate_rejects_a_bad_grid_with_exit_2(grid, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"calibrate": {"pi0": 20.16, "K": 7, "delta_p": 0.05, **grid}}))
+    log = str(importlib.resources.files("bookvol") / "data" / "synthetic_session.log")
+    assert main(["calibrate", log, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_too_little_data_exits_5(tmp_path, capsys):

@@ -1,30 +1,31 @@
 """Relative demand-curve tests: clearing against an independent interpolation
-oracle, re-centering bookkeeping, the inverse process, liquidation proceeds,
-and the wealth/jump-penalty identities."""
+oracle, re-centering bookkeeping, breached and broken books, the inverse
+process, liquidation proceeds, and the wealth/jump-penalty identities."""
 
+import copy
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bookvol.demand import (
+    SimDiagnostics,
+    _batch_clear,
     _ou_factors,
-    clear,
     curve_value,
-    init_state,
+    init_ensemble,
     inverse,
     jump_penalty,
     liquidation_proceeds,
     node_offsets,
     node_values,
-    step_physical,
+    ou_step_factors,
+    step_ensemble,
     wealth_increment,
 )
-from bookvol.errors import BoundaryBreachError, SimulationError, UndefinedInverseError
+from bookvol.errors import SimulationError, UndefinedInverseError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
-from bookvol.riskneutral import step_risk_neutral
-from bookvol.sheet import SheetConfig, increments
+from bookvol.riskneutral import run_steps, step_risk_neutral
 
 
 def _flat_params(K=4, delta_p=0.1, qbar=50.0, drift_c=0.0, sigma=0.0):
@@ -43,27 +44,44 @@ def _flat_params(K=4, delta_p=0.1, qbar=50.0, drift_c=0.0, sigma=0.0):
     )
 
 
+def _physical_steps(params, book, n_steps, dt, seed):
+    """Step `book` under the physical measure; yield after each step."""
+    return run_steps(params, book, SimDiagnostics(), n_steps, dt, seed, risk_neutral=False)
+
+
 # ----------------------------------------------------------------------
 # curve geometry
 
 def test_node_values_decrease_in_price():
-    state = init_state(demo_params())
-    vals = node_values(state)
-    assert np.all(np.diff(vals) < 0)
+    vals = node_values(init_ensemble(demo_params(), 2))
+    assert vals.shape == (15, 2)
+    assert np.all(np.diff(vals, axis=0) < 0)
 
 
 def test_curve_value_matches_interpolation():
-    state = init_state(demo_params())
-    offs, vals = node_offsets(state), node_values(state)
+    book = init_ensemble(demo_params())
+    offs, vals = node_offsets(book), node_values(book)[:, 0]
     for s in np.linspace(offs[0], offs[-1], 23):
-        assert curve_value(state, state.pi + s) == pytest.approx(
+        assert curve_value(book, book.pi + s)[0] == pytest.approx(
             np.interp(s, offs, vals), rel=1e-12)
 
 
 def test_initial_state_is_consistent():
     # demo parameters encode a book whose curve crosses zero mid-bucket
-    state = init_state(demo_params())
-    assert abs(curve_value(state, state.pi)) <= 1e-9 * state.edge()
+    book = init_ensemble(demo_params())
+    assert abs(curve_value(book, book.pi)[0]) <= 1e-9 * math.exp(book.log_edge[0])
+
+
+def test_column_is_a_view_of_its_book():
+    params = demo_params()
+    books = init_ensemble(params, 3)
+    books.log_edge[1] += 0.004
+    one = books.column(1)
+    assert (one.log_q.shape, one.pi.shape) == ((2 * params.K, 1), (1,))
+    _batch_clear(one, params)                 # clearing the view clears book 1 in place
+    assert books.pi[1] == one.pi[0] != params.pi0
+    assert books.log_edge[1] == one.log_edge[0]
+    assert np.array_equal(books.pi[[0, 2]], [params.pi0] * 2)
 
 
 # ----------------------------------------------------------------------
@@ -71,82 +89,90 @@ def test_initial_state_is_consistent():
 
 def test_clear_matches_independent_crossing():
     params = demo_params()
-    state = init_state(params)
-    # nudge the book off its consistency point, then re-clear
-    bumped = replace(state, log_edge=state.log_edge + 0.004)
-    offs, vals = node_offsets(bumped), node_values(bumped)
+    book = init_ensemble(params)
+    book.log_edge += 0.004                    # nudge the book off its consistency point
+    edge = math.exp(book.log_edge[0])
+    offs, vals = node_offsets(book), node_values(book)[:, 0]
     z_expected = float(np.interp(0.0, vals[::-1], offs[::-1]))
-    assert abs(z_expected) < bumped.delta_p / 2       # no relabelling here
+    assert abs(z_expected) < book.delta_p / 2       # no relabelling here
 
-    pi_new, cleared = clear(bumped, params)
-    assert pi_new == pytest.approx(bumped.pi + z_expected, rel=1e-12)
-    assert np.array_equal(cleared.log_q, bumped.log_q)
-    assert curve_value(cleared, cleared.pi) == pytest.approx(0.0, abs=1e-6 * bumped.edge())
+    log_q = book.log_q.copy()
+    cleared = _batch_clear(book, params)
+    assert book.alive[0] and not cleared.relabeled[0]
+    assert book.pi[0] == pytest.approx(params.pi0 + z_expected, rel=1e-12)
+    assert np.array_equal(book.log_q, log_q)
+    assert curve_value(book, book.pi)[0] == pytest.approx(0.0, abs=1e-6 * edge)
 
 
 def test_clear_relabels_grid_on_large_move():
     params = demo_params()
-    state = init_state(params)
-    offs, vals = node_offsets(state), node_values(state)
-    target = 1.2 * state.delta_p                      # crossing 1.2 buckets up
+    book = init_ensemble(params)
+    offs, vals = node_offsets(book), node_values(book)[:, 0]
+    target = 1.2 * book.delta_p                       # crossing 1.2 buckets up
     shift = float(np.interp(target, offs, vals))
-    bumped = replace(state, log_edge=float(np.log(state.edge() - shift)))
+    book.log_edge[0] = np.log(math.exp(book.log_edge[0]) - shift)
+    log_q = book.log_q[:, 0].copy()
 
-    pi_new, cleared = clear(bumped, params)
-    assert pi_new == pytest.approx(state.pi + target, rel=1e-12)
+    cleared = _batch_clear(book, params)
+    assert cleared.relabeled[0]
+    assert book.pi[0] == pytest.approx(params.pi0 + target, rel=1e-12)
     # bucket labels rolled down by one: new k holds the old k+1 series
-    assert np.array_equal(cleared.log_q[:-1], bumped.log_q[1:])
-    assert cleared.log_q[-1] == params.mean_logq[-1]  # rotated-in bucket
+    assert np.array_equal(book.log_q[:-1, 0], log_q[1:])
+    assert book.log_q[-1, 0] == params.mean_logq[-1]  # rotated-in bucket
 
 
 def test_clear_resets_edge_to_consistency_value():
     params = demo_params()
-    state = init_state(params)
-    bumped = replace(state, log_edge=state.log_edge + 0.004)
-    _, cleared = clear(bumped, params)
-    q = cleared.quantities()
-    K = cleared.K
-    assert cleared.edge() == pytest.approx(q[: K - 1].sum() + 0.5 * q[K - 1], rel=1e-12)
+    book = init_ensemble(params)
+    book.log_edge += 0.004
+    _batch_clear(book, params)
+    q = np.exp(book.log_q[:, 0])
+    K = params.K
+    assert math.exp(book.log_edge[0]) == pytest.approx(q[: K - 1].sum() + 0.5 * q[K - 1],
+                                                       rel=1e-12)
 
 
-def test_clear_raises_on_top_breach():
+@pytest.mark.parametrize("side", ["top", "bottom"])
+def test_breached_book_is_reported_and_frozen(side):
     params = demo_params()
-    state = init_state(params)
-    high = replace(state, log_edge=state.log_edge + 40.0)  # demand never crosses
-    with pytest.raises(BoundaryBreachError) as err:
-        clear(high, params)
-    assert err.value.side == "top"
+    books = init_ensemble(params, 2)
+    if side == "top":
+        books.log_edge[1] += 40.0                 # demand never crosses
+    else:
+        books.log_edge[1] = -800.0                # edge mass underflows to zero
+        assert node_values(books)[0, 1] <= 0.0    # no crossing for the oracle to find
+    log_q, log_edge = books.log_q[:, 1].copy(), books.log_edge[1]
 
-
-def test_clear_raises_on_bottom_breach():
-    params = demo_params()
-    state = init_state(params)
-    empty = replace(state, log_edge=-800.0)       # edge mass underflows to zero
-    assert node_values(empty)[0] <= 0.0           # no crossing for the oracle to find
-    with pytest.raises(BoundaryBreachError) as err:
-        clear(empty, params)
-    assert err.value.side == "bottom"
+    cleared = _batch_clear(books, params)
+    for mask in cleared._fields:
+        assert getattr(cleared, mask).tolist() == [False, mask == side]
+    assert books.alive.tolist() == [True, False]
+    assert np.array_equal(books.log_q[:, 1], log_q)
+    assert (books.log_edge[1], books.pi[1]) == (log_edge, params.pi0)
 
 
 @pytest.mark.parametrize("field", ["log_q", "log_edge"])
 def test_clear_rejects_non_finite_masses(field):
     params = demo_params()
-    state = init_state(params)
-    bad = replace(state, log_q=state.log_q.copy())
+    books = init_ensemble(params, 2)
     if field == "log_q":
-        bad.log_q[3] = np.nan
+        books.log_q[3, 1] = np.nan
     else:
-        bad.log_edge = np.inf
-    with pytest.raises(SimulationError):
-        clear(bad, params)
+        books.log_edge[1] = np.inf
+    cleared = _batch_clear(books, params)
+    assert cleared.broken.tolist() == [False, True]
+    assert not (cleared.top.any() or cleared.bottom.any())
+    assert books.alive.tolist() == [True, False]
+    assert books.pi[1] == params.pi0
 
 
 def _book_crossing_at(params, target):
     """Masses tilted off their means; the edge puts the curve's zero at offset target."""
-    state = init_state(params)
-    state = replace(state, log_q=params.mean_logq + 0.1 * np.linspace(-1.0, 1.0, 2 * params.K))
-    offs, vals = node_offsets(state), node_values(state)
-    return replace(state, log_edge=float(np.log(state.edge() - np.interp(target, offs, vals))))
+    book = init_ensemble(params)
+    book.log_q[:, 0] = params.mean_logq + 0.1 * np.linspace(-1.0, 1.0, 2 * params.K)
+    offs, vals = node_offsets(book), node_values(book)[:, 0]
+    book.log_edge[0] = np.log(math.exp(book.log_edge[0]) - np.interp(target, offs, vals))
+    return book
 
 
 @pytest.mark.parametrize("K, target, kstar", [
@@ -157,35 +183,53 @@ def _book_crossing_at(params, target):
 ])
 def test_clear_on_adverse_books_matches_crossing_oracle(K, target, kstar):
     params = _flat_params(K=K)
-    state = _book_crossing_at(params, target * params.delta_p)
-    offs, vals = node_offsets(state), node_values(state)
+    book = _book_crossing_at(params, target * params.delta_p)
+    offs, vals = node_offsets(book), node_values(book)[:, 0]
     z_expected = float(np.interp(0.0, vals[::-1], offs[::-1]))
+    log_q, at_zero = book.log_q[:, 0].copy(), inverse(book, 0.0)
 
-    pi_new, cleared = clear(state, params)
-    assert pi_new == pytest.approx(state.pi + z_expected, rel=1e-12)
-    assert pi_new == inverse(state, 0.0)      # clearing is the inverse at level 0, bit for bit
+    _batch_clear(book, params)
+    assert book.pi[0] == pytest.approx(params.pi0 + z_expected, rel=1e-12)
+    assert book.pi[0] == at_zero[0]           # clearing is the inverse at level 0, bit for bit
     n = 2 * K
     kept, landed = slice(max(kstar, 0), n + min(kstar, 0)), slice(max(-kstar, 0), n - max(kstar, 0))
-    assert np.array_equal(cleared.log_q[landed], state.log_q[kept])
+    assert np.array_equal(book.log_q[landed, 0], log_q[kept])
     fresh = np.ones(n, dtype=bool)
     fresh[landed] = False                     # buckets rotated in at their long-run mean
     assert fresh.sum() == abs(kstar)
-    assert np.array_equal(cleared.log_q[fresh], params.mean_logq[fresh])
-    assert curve_value(cleared, cleared.pi) == pytest.approx(0.0, abs=1e-9 * cleared.edge())
+    assert np.array_equal(book.log_q[fresh, 0], params.mean_logq[fresh])
+    assert curve_value(book, book.pi)[0] == pytest.approx(
+        0.0, abs=1e-9 * math.exp(book.log_edge[0]))
 
 
 @pytest.mark.parametrize("stepper", ["physical", "risk_neutral"])
 def test_single_state_steps_raise_clearing_errors(stepper):
+    """A single book is an ensemble of one: a step past the top of the grid
+    freezes it, and the run, with no book left, raises."""
     params = demo_params()
-    state = init_state(params)
-    high = replace(state, log_edge=state.log_edge + 40.0)
-    inc = np.zeros(params.factor_count)
-    with pytest.raises(BoundaryBreachError) as err:
-        if stepper == "physical":
-            step_physical(high, params, inc, 0.01)
-        else:
-            step_risk_neutral(high, params, np.zeros(params.factor_count), inc, 0.01)
-    assert err.value.side == "top"
+    book = init_ensemble(params)
+    book.log_edge[0] = math.log(1.01 * params.q0.sum())    # demand positive across the grid
+    steps = run_steps(params, book, SimDiagnostics(), 1, 0.01,
+                      risk_neutral=stepper == "risk_neutral")
+    with pytest.raises(SimulationError, match=r"all 1 simulated paths aborted \(top 1, bottom 0"):
+        next(steps)
+    assert not book.alive[0] and book.pi[0] == params.pi0
+
+
+@pytest.mark.parametrize("stepper", ["physical", "risk_neutral"])
+def test_a_step_freezes_a_breached_book(stepper):
+    params = demo_params()
+    books = init_ensemble(params, 2)
+    books.log_edge[1] += 40.0
+    inc, dt = np.zeros((2, params.factor_count)), 0.01
+    if stepper == "physical":
+        cleared = step_ensemble(books, params, inc, dt, ou_step_factors(params, dt),
+                                translation=params.drift_c * dt)
+    else:
+        cleared = step_risk_neutral(books, params, np.zeros_like(inc), inc, dt)
+    assert cleared.top.tolist() == [False, True]
+    assert books.alive.tolist() == [True, False]
+    assert books.pi[1] == params.pi0
 
 
 # ----------------------------------------------------------------------
@@ -208,79 +252,76 @@ def test_ou_factors_zero_rate_is_arithmetic():
 
 def test_noiseless_book_is_a_fixed_point():
     params = _flat_params()
-    state = init_state(params)
-    cfg = SheetConfig(params.factor_count, params.delta_p, seed=0)
-    for step in range(50):
-        state = step_physical(state, params, increments(cfg, 0.01, step), 0.01)
-    assert state.pi == pytest.approx(params.pi0, abs=1e-9)
+    book = init_ensemble(params)
+    for _ in _physical_steps(params, book, 50, 0.01, seed=0):
+        pass
+    assert book.pi[0] == pytest.approx(params.pi0, abs=1e-9)
 
 
 def test_drift_translates_price_exactly():
     params = _flat_params(drift_c=0.7)
-    state = init_state(params)
-    cfg = SheetConfig(params.factor_count, params.delta_p, seed=0)
+    book = init_ensemble(params)
     dt = 0.02
-    for step in range(25):
-        state = step_physical(state, params, increments(cfg, dt, step), dt)
-    assert state.pi == pytest.approx(params.pi0 + 0.7 * dt * 25, rel=1e-12)
+    for _ in _physical_steps(params, book, 25, dt, seed=0):
+        pass
+    assert book.pi[0] == pytest.approx(params.pi0 + 0.7 * dt * 25, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
 # inverse process and proceeds
 
 def test_inverse_rejects_out_of_range():
-    state = init_state(demo_params())
-    vals = node_values(state)
+    book = init_ensemble(demo_params())
+    vals = node_values(book)[:, 0]
     for level in (vals[0] * 1.01, vals[-1] * 1.01, math.nan):
         with pytest.raises(UndefinedInverseError):
-            inverse(state, level)
+            inverse(book, level)
         with pytest.raises(UndefinedInverseError):
-            liquidation_proceeds(state, level)
+            liquidation_proceeds(book, level)
         with pytest.raises(UndefinedInverseError):
-            jump_penalty(state, 0.0, level)
+            jump_penalty(book, 0.0, level)
 
 
 def test_proceeds_of_no_position_are_zero():
-    proceeds = liquidation_proceeds(init_state(demo_params()), 0.0)
-    assert proceeds == 0.0 and math.copysign(1.0, proceeds) == 1.0
+    proceeds = liquidation_proceeds(init_ensemble(demo_params()), 0.0)
+    assert proceeds.tolist() == [0.0] and math.copysign(1.0, proceeds[0]) == 1.0
 
 
 def _thin_bucket_book():
     """Demo book with one bucket below the clearing price thinned 3000-fold."""
-    state = init_state(demo_params())
-    log_q = state.log_q.copy()
-    log_q[3] -= 8.0
-    return replace(state, log_q=log_q)
+    book = init_ensemble(demo_params())
+    book.log_q[3] -= 8.0
+    return book
 
 
-@pytest.mark.parametrize("book", ["K1", "thin"])
-def test_proceeds_match_dense_quadrature_on_adverse_curves(book):
+@pytest.mark.parametrize("kind", ["K1", "thin"])
+def test_proceeds_match_dense_quadrature_on_adverse_curves(kind):
     # criterion 11's oracle and tolerance, out to both ends of the curve range
-    if book == "K1":
+    if kind == "K1":
         params = _flat_params(K=1)
-        state = _book_crossing_at(params, 0.3 * params.delta_p)
+        book = _book_crossing_at(params, 0.3 * params.delta_p)
     else:
-        state = _thin_bucket_book()
-    vals = node_values(state)
+        book = _thin_bucket_book()
+    vals = node_values(book)[:, 0]
     for theta in (vals[0], vals[-1]):
         xs = np.linspace(0.0, theta, 10_001)
-        oracle = np.trapezoid([inverse(state, x) for x in xs], xs)
-        assert liquidation_proceeds(state, theta) == pytest.approx(oracle, rel=1e-6)
+        oracle = np.trapezoid([inverse(book, x)[0] for x in xs], xs)
+        assert liquidation_proceeds(book, theta)[0] == pytest.approx(oracle, rel=1e-6)
 
 
 def test_node_level_falls_in_the_segment_starting_there():
     # at an interior node level the inverse is the node's offset exactly, and
     # the quadratic-variation cost takes the slope of the segment on the
     # node's higher-price side; pick the node whose neighbouring slopes differ most
-    state = init_state(demo_params())
-    vals, offs = node_values(state), node_offsets(state)
+    book = init_ensemble(demo_params())
+    vals, offs = node_values(book)[:, 0], node_offsets(book)
     widths = -np.diff(vals)                   # level drop of segment m+1, from node m
     m = 1 + int(np.argmax(np.abs(np.log(widths[1:] / widths[:-1]))))
     theta = vals[m]
-    assert inverse(state, theta) == state.pi + offs[m]
-    dv = wealth_increment(state, state, theta, theta, jump=False, theta_qv=1.0)
-    assert dv == pytest.approx(-0.5 * state.delta_p / widths[m], rel=1e-12)
-    assert dv != pytest.approx(-0.5 * state.delta_p / widths[m - 1], rel=1e-3)
+    assert inverse(book, theta)[0] == book.pi[0] + offs[m]
+    dv = wealth_increment(book, book, theta, theta, jump=False, theta_qv=1.0)[0]
+    assert dv == pytest.approx(-0.5 * book.delta_p / widths[m], rel=1e-12)
+    assert dv != pytest.approx(-0.5 * book.delta_p / widths[m - 1], rel=1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -290,33 +331,33 @@ def test_jump_penalty_closed_form_on_uniform_curve():
     # constant slope |dP/dx| = delta_p / qbar, so the displacement cost of a
     # block is exactly the triangle area slope * dtheta^2 / 2
     params = _flat_params(K=4, delta_p=0.1, qbar=50.0)
-    state = init_state(params)
+    book = init_ensemble(params)
     slope = params.delta_p / 50.0
     for dtheta in (30.0, -30.0, 80.0):
-        got = jump_penalty(state, 0.0, dtheta)
+        got = jump_penalty(book, 0.0, dtheta)[0]
         assert got == pytest.approx(0.5 * slope * dtheta**2, rel=1e-12)
-    assert jump_penalty(state, 25.0, 25.0) == 0.0
+    assert jump_penalty(book, 25.0, 25.0).tolist() == [0.0]
 
 
 def test_wealth_of_fixed_position_is_theta_dpi_under_translation():
     # with sigma = 0 the whole curve translates by c*dt each step, so the
     # liquidation value of a fixed position gains exactly theta * dpi
     params = _flat_params(drift_c=0.9)
-    state = init_state(params)
-    cfg = SheetConfig(params.factor_count, params.delta_p, seed=1)
+    book = init_ensemble(params)
+    before = copy.deepcopy(book)
     theta, dt = 40.0, 0.05
-    after = step_physical(state, params, increments(cfg, dt, 0), dt)
-    dv = wealth_increment(state, after, theta, theta, jump=False)
-    assert dv == pytest.approx(theta * (after.pi - state.pi), rel=1e-12)
+    next(_physical_steps(params, book, 1, dt, seed=1))
+    dv = wealth_increment(before, book, theta, theta, jump=False)[0]
+    assert dv == pytest.approx(theta * (book.pi[0] - before.pi[0]), rel=1e-12)
 
 
 def test_quadratic_variation_cost_on_uniform_curve():
     # constant slope |dP/dx| = delta_p / qbar on every segment, so on a still
     # curve the only wealth change is the cost 0.5 * slope * d[theta]
     params = _flat_params(K=4, delta_p=0.1, qbar=50.0)
-    state = init_state(params)
+    book = init_ensemble(params)
     for theta in (0.0, 30.0, -30.0):
-        dv = wealth_increment(state, state, theta, theta, jump=False, theta_qv=4.0)
+        dv = wealth_increment(book, book, theta, theta, jump=False, theta_qv=4.0)[0]
         assert dv == pytest.approx(-0.5 * (params.delta_p / 50.0) * 4.0, rel=1e-12)
 
 
@@ -330,16 +371,15 @@ def test_ramp_strategy_wealth_error_scales_linearly_in_dt():
 
     def run(n_steps):
         dt = horizon / n_steps
-        cfg = SheetConfig(params.factor_count, params.delta_p, seed=2)
-        state = init_state(params)
+        book = init_ensemble(params)
+        before = copy.deepcopy(book)
         theta = 0.0
         wealth = stieltjes = 0.0
-        for step in range(n_steps):
-            after = step_physical(state, params, increments(cfg, dt, step), dt)
+        for step, _ in enumerate(_physical_steps(params, book, n_steps, dt, seed=2)):
             theta_new = rate * (step + 1) * dt
-            wealth += wealth_increment(state, after, theta, theta_new, jump=True)
-            stieltjes += theta * (after.pi - state.pi)
-            state, theta = after, theta_new
+            wealth += wealth_increment(before, book, theta, theta_new, jump=True)[0]
+            stieltjes += theta * (book.pi[0] - before.pi[0])
+            before, theta = copy.deepcopy(book), theta_new
         return wealth - stieltjes
 
     expected_c = 0.5 * slope * rate**2 * horizon

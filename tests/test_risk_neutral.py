@@ -1,10 +1,11 @@
 """Risk-adjustment tests: the normalized price loadings, the drift-kill
 linear system against a scalar re-derivation, solver diagnostics, the
 closed-form kill against the dense solve on adverse states, and the
-vectorized ensemble against explicit single-path stepping.  The two
-clearing-volatility routes and the depth law are acceptance criteria 4
+ensemble's columns against the same books stepped and evaluated alone.  The
+two clearing-volatility routes and the depth law are acceptance criteria 4
 and 5."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -14,51 +15,48 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bookvol import riskneutral
-from bookvol.demand import (Ensemble, SimDiagnostics, clear, init_state, inverse,
-                            ou_step_factors, step_ensemble, step_physical)
-from bookvol.errors import BoundaryBreachError, SingularSystemError
+from bookvol.demand import (SimDiagnostics, _batch_clear, init_ensemble, inverse,
+                            liquidation_proceeds, node_values, ou_step_factors, step_ensemble,
+                            wealth_increment)
+from bookvol.errors import SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
     COND_LIMIT,
     _batch_kill_shifts,
     _KillTransform,
     build_mpr_system,
-    init_ensemble,
     kill_vectors,
     price_vol,
     run_steps,
+    sigma_pi_direct,
     simulate_ensemble,
     solve_mpr,
     step_risk_neutral,
 )
-from bookvol.sheet import SheetConfig, increments, increments_block
+from bookvol.sheet import SheetConfig, increments_block
 
 
-def _random_states(n, seed=0):
-    """Demo-book states with jittered masses and edge, re-cleared to be live."""
+def _jittered_books(n, seed=0):
+    """n demo books with jittered masses and edge, re-cleared to be live."""
     params = demo_params()
     rng = np.random.default_rng(seed)
-    base = init_state(params)
-    out = []
-    while len(out) < n:
-        jittered = replace(
-            base,
-            log_q=base.log_q + rng.normal(scale=0.05, size=base.log_q.shape),
-            log_edge=base.log_edge + rng.normal(scale=0.01),
-        )
-        _, state = clear(jittered, params)
-        out.append(state)
-    return params, out
+    books = init_ensemble(params, n)
+    for j in range(n):
+        books.log_q[:, j] += rng.normal(scale=0.05, size=2 * params.K)
+        books.log_edge[j] += rng.normal(scale=0.01)
+    _batch_clear(books, params)
+    assert books.alive.all()
+    return params, books
 
 
 # ----------------------------------------------------------------------
 # clearing-price volatility
 
 def test_price_vol_loadings_are_normalized():
-    params, states = _random_states(10, seed=5)
-    for state in states:
-        pv = price_vol(state, params)
-        assert (pv.b_pi**2).sum() * params.delta_p == pytest.approx(1.0, rel=1e-12)
+    params, books = _jittered_books(10, seed=5)
+    pv = price_vol(books, params)
+    assert pv.b_pi.shape == (params.factor_count, 10)
+    assert (pv.b_pi**2).sum(axis=0) * params.delta_p == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zero_noise_gives_zero_volatility():
@@ -70,10 +68,10 @@ def test_zero_noise_gives_zero_volatility():
         edge0=params.edge0, a_edge=params.a_edge,
         mean_log_edge=params.mean_log_edge, sigma_edge_rel=0.0,
         edge_loadings=params.edge_loadings)
-    state = init_state(quiet)
-    pv = price_vol(state, quiet)
-    assert pv.sigma_pi == 0.0
-    assert np.all(kill_vectors(state, quiet) == 0.0)
+    book = init_ensemble(quiet)
+    pv = price_vol(book, quiet)
+    assert pv.sigma_pi.tolist() == [0.0] and np.all(pv.b_pi == 0.0)
+    assert np.all(kill_vectors(book, quiet) == 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +90,7 @@ def _tiny_params():
 
 def test_system_matches_scalar_arithmetic():
     params = _tiny_params()
-    state = init_state(params)
+    book = init_ensemble(params)
     dp, rt = 0.5, 1.0 / math.sqrt(0.5)
     q0, q1, edge = 4.0, 2.0, 2.0
     s0, s1, se = 0.3, 0.1, 0.2
@@ -119,9 +117,9 @@ def test_system_matches_scalar_arithmetic():
         mu0 - mu_e + 0.0 + cross1,
     ])
 
-    system = build_mpr_system(state, params)
-    assert np.allclose(system.Sigma, sigma_expected, rtol=1e-12)
-    assert np.allclose(system.b, b_expected, rtol=1e-12)
+    system = build_mpr_system(book, params)
+    assert np.allclose(system.Sigma, sigma_expected[None], rtol=1e-12)
+    assert np.allclose(system.b, b_expected[None], rtol=1e-12)
 
     solved = solve_mpr(system)
     det = sigma_expected[0, 0] * sigma_expected[1, 1] \
@@ -130,7 +128,7 @@ def test_system_matches_scalar_arithmetic():
         (b_expected[0] * sigma_expected[1, 1] - sigma_expected[0, 1] * b_expected[1]) / det,
         (sigma_expected[0, 0] * b_expected[1] - b_expected[0] * sigma_expected[1, 0]) / det,
     ])
-    assert np.allclose(solved.lam, lam_expected, rtol=1e-10)
+    assert np.allclose(solved.lam, lam_expected[None], rtol=1e-10)
 
 
 def test_right_side_matches_its_definition_at_k7():
@@ -138,16 +136,18 @@ def test_right_side_matches_its_definition_at_k7():
     masses below bucket i less the edge's, the anchored share w_i of bucket
     i's own drift, and the covariance σ_i·(B_i·V_i)·Δp of bucket i's mass
     with the curve value entering it."""
-    params, states = _random_states(5, seed=3)
+    params, books = _jittered_books(5, seed=3)
     n, F, dp = 2 * params.K, params.factor_count, params.delta_p
     i0 = params.idx(0)
-    for state in states:
-        q = [math.exp(x) for x in state.log_q]
-        edge = math.exp(state.log_edge)
+    got = build_mpr_system(books, params).b
+    for col in range(5):
+        log_q, log_edge = books.log_q[:, col], books.log_edge[col]
+        q = [math.exp(x) for x in log_q]
+        edge = math.exp(log_edge)
         s, se = params.sigma_q_rel, params.sigma_edge_rel
-        mu = [q[l] * (-params.a_q[l] * (state.log_q[l] - params.mean_logq[l]) + 0.5 * s[l]**2)
+        mu = [q[l] * (-params.a_q[l] * (log_q[l] - params.mean_logq[l]) + 0.5 * s[l]**2)
               for l in range(n)]
-        mu_e = edge * (-params.a_edge * (state.log_edge - params.mean_log_edge) + 0.5 * se**2)
+        mu_e = edge * (-params.a_edge * (log_edge - params.mean_log_edge) + 0.5 * se**2)
         want = []
         for i in range(n):
             drift = sum(mu[l] for l in range(i)) - mu_e
@@ -157,21 +157,21 @@ def test_right_side_matches_its_definition_at_k7():
                  - sum(q[l] * s[l] * params.loadings[l, j] for l in range(i)) for j in range(F)]
             cross = s[i] * sum(params.loadings[i, j] * v[j] for j in range(F)) * dp
             want.append(drift + cross)
-        got = build_mpr_system(state, params).b
         assert params.K == 7
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[col], want, rtol=1e-12, atol=0)
 
 
 def test_solver_diagnostics_over_a_path():
     params = demo_params()
-    state = init_state(params)
+    book = init_ensemble(params)
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=9)
     dt = 1.0 / 60.0
     for step in range(20):
-        system = solve_mpr(build_mpr_system(state, params))
-        assert system.residual_norm <= 1e-10 * np.linalg.norm(system.b)
-        assert system.cond < 1e12
-        state = step_risk_neutral(state, params, system.lam, increments(cfg, dt, step), dt)
+        system = solve_mpr(build_mpr_system(book, params))
+        assert system.residual_norm[0] <= 1e-10 * np.linalg.norm(system.b[0])
+        assert system.cond[0] < 1e12
+        step_risk_neutral(book, params, system.lam, increments_block(cfg, dt, step, 1), dt)
+        assert book.alive[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,23 +181,24 @@ def test_closed_form_kill_matches_dense_solve(data):
     and freshly relabelled books, at demo size and at K = 1."""
     params = data.draw(st.sampled_from([demo_params(), _tiny_params()]))
     n = 2 * params.K
-    base = init_state(params)
-    log_q = base.log_q + np.array(data.draw(st.lists(
+    book = init_ensemble(params)
+    book.log_q[:, 0] += np.array(data.draw(st.lists(
         st.floats(-2.0, 2.0), min_size=n, max_size=n)))
     thin = data.draw(st.integers(0, n - 1))
-    log_q[thin] -= data.draw(st.floats(0.0, 12.0))
-    jittered = replace(base, log_q=log_q,
-                       log_edge=base.log_edge + data.draw(st.floats(-1.0, 1.0)))
+    book.log_q[thin] -= data.draw(st.floats(0.0, 12.0))
+    book.log_edge += data.draw(st.floats(-1.0, 1.0))
+    _batch_clear(book, params)                  # relabels whenever the zero left bucket 0
+    assume(book.alive[0])
     try:
-        _, state = clear(jittered, params)      # relabels whenever the zero left bucket 0
-        system = solve_mpr(build_mpr_system(state, params))
-    except (BoundaryBreachError, SingularSystemError):
+        system = solve_mpr(build_mpr_system(book, params))
+    except SingularSystemError:
         assume(False)
-    y, e, _, singular = _batch_kill_shifts(Ensemble.of(state), params, _KillTransform(params))
+    y, e, _, singular = _batch_kill_shifts(book, params, _KillTransform(params))
     assert not singular[0]
+    lam = system.lam[0]
     got = np.concatenate([y[:, 0], e])
-    want = np.concatenate([params.loadings @ system.lam, [params.edge_loadings @ system.lam]])
-    tol = 100 * system.cond * np.finfo(float).eps
+    want = np.concatenate([params.loadings @ lam, [params.edge_loadings @ lam]])
+    tol = 100 * system.cond[0] * np.finfo(float).eps
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
@@ -247,26 +248,31 @@ def test_partial_zero_volatility_rejected():
 # ensembles
 
 def test_ensemble_matches_explicit_single_path():
+    """simulate_ensemble's closed-form kill against each book stepped alone by
+    step_risk_neutral with its dense λ, on its own noise stream."""
     params = demo_params()
-    dt, n_steps = 1.0 / 60.0, 30
-    ens, diag, _ = simulate_ensemble(params, 3, n_steps * dt, dt, seed=14)
+    dt, n_steps, n = 1.0 / 60.0, 30, 3
+    ens, diag, _ = simulate_ensemble(params, n, n_steps * dt, dt, seed=14)
     assert diag.n_aborted == 0
 
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=14)
-    state = init_state(params)
-    for step in range(n_steps):
-        system = solve_mpr(build_mpr_system(state, params))
-        state = step_risk_neutral(state, params, system.lam, increments(cfg, dt, step), dt)
-    assert ens.pi[0] == pytest.approx(state.pi, rel=1e-9)
-    assert np.allclose(ens.log_q[:, 0], state.log_q, rtol=1e-9)
+    for i in range(n):
+        book = init_ensemble(params)
+        for step in range(n_steps):
+            system = solve_mpr(build_mpr_system(book, params))
+            step_risk_neutral(book, params, system.lam,
+                              increments_block(cfg, dt, step, n)[i:i + 1], dt)
+        assert book.alive[0]
+        assert book.pi[0] == pytest.approx(ens.pi[i], rel=1e-9)
+        np.testing.assert_allclose(book.log_q[:, 0], ens.log_q[:, i], rtol=1e-9)
 
 
 def _adverse_ensemble(params):
-    """Six paths: zero mid top bucket (relabels by +K), zero mid bottom bucket
+    """Six books: zero mid top bucket (relabels by +K), zero mid bottom bucket
     (by -(K-1)), a NaN log mass, a bucket below the top thinned to half the
-    singular guard, and two clean paths."""
+    singular guard, and two clean books."""
     K = params.K
-    ens = Ensemble.of(init_state(params), 6)
+    ens = init_ensemble(params, 6)
     others = np.exp(ens.log_q[1:, 3]) * params.sigma_q_rel[1:]
     ens.log_q[0, 3] = math.log(0.5 * others.max() / COND_LIMIT / params.sigma_q_rel[0])
     ens.log_q[K - 1, 2] = np.nan
@@ -275,12 +281,6 @@ def _adverse_ensemble(params):
     ens.log_edge[1] = math.log(0.5 * q[0, 1])
     ens.log_edge[3] = math.log(q[:K - 1, 3].sum() + 0.5 * q[K - 1, 3])
     return ens
-
-
-def _path_alone(ens, i):
-    """Path i of `ens` as an ensemble of one that shares no memory with it."""
-    return Ensemble(ens.delta_p, ens.log_edge[i:i + 1].copy(), ens.log_q[:, i:i + 1].copy(),
-                    ens.pi[i:i + 1].copy(), ens.alive[i:i + 1].copy())
 
 
 def _step_once(ens, params, inc, dt, risk_neutral):
@@ -299,11 +299,12 @@ def _step_once(ens, params, inc, dt, risk_neutral):
 @pytest.mark.parametrize("risk_neutral", [True, False])
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
 def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral):
-    """Each column of a stepped adverse ensemble equals that path stepped alone.
+    """Each column of a stepped adverse ensemble equals that book stepped alone.
 
     Masks agree exactly.  The kill and the loading projection hold BLAS
-    products whose summation order may depend on n, so values agree to
-    rel 1e-12; the test below pins clearing alone bit for bit."""
+    products whose summation order depends on the number of books (a gemv
+    on n rows is a dot on one), so values agree to rel 1e-12; the test
+    below pins clearing alone bit for bit."""
     K, dt = params.K, 1.0 / 60.0
     inc = increments_block(SheetConfig(params.factor_count, params.delta_p, seed=7), dt, 0, 6)
     ens = _adverse_ensemble(params)
@@ -318,7 +319,7 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
     assert ens.alive.tolist() == [True, True, False, not risk_neutral, True, True]
 
     for i in range(6):
-        one = _path_alone(_adverse_ensemble(params), i)
+        one = _adverse_ensemble(params).column(i)
         alone, alone_singular, alone_shifts = _step_once(one, params, inc[i:i + 1], dt,
                                                          risk_neutral)
         assert alone_singular[0] == singular[i]
@@ -335,8 +336,8 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
 
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
 def test_batch_clear_matches_single_paths_exactly(params):
-    """Clearing has no BLAS product: on the adverse states each path clears
-    to the same bits alone as in the batch, and each live path's π is the
+    """Clearing has no BLAS product: on the adverse states each book clears
+    to the same bits alone as in the batch, and each live book's π is the
     inverse at net demand 0 of its curve before clearing, bit for bit."""
     ens = _adverse_ensemble(params)
     before = _adverse_ensemble(params)
@@ -345,7 +346,7 @@ def test_batch_clear_matches_single_paths_exactly(params):
     assert cleared.broken.tolist() == [False, False, True, False, False, False]
     assert ens.alive.tolist() == [True, True, False, True, True, True]
     for i in range(6):
-        one = _path_alone(_adverse_ensemble(params), i)
+        one = _adverse_ensemble(params).column(i)
         alone = riskneutral._batch_clear(one, params)
         for batch, single in zip(cleared, alone):
             assert single[0] == batch[i]
@@ -354,19 +355,76 @@ def test_batch_clear_matches_single_paths_exactly(params):
         assert np.array_equal(one.pi, ens.pi[i:i + 1])
         assert one.alive[0] == ens.alive[i]
         if ens.alive[i]:
-            assert ens.pi[i] == inverse(before.path(i), 0.0)
+            assert ens.pi[i] == inverse(before.column(i), 0.0)[0]
 
 
-def test_physical_ensemble_matches_step_physical():
+def test_physical_columns_match_books_stepped_alone():
+    """Under P each column of a run equals its book stepped alone on its own
+    noise stream, to rel 1e-12 for the BLAS reason above."""
     params = demo_params()
-    dt, n_steps = 1.0 / 60.0, 30
-    ens, _, _ = simulate_ensemble(params, 2, n_steps * dt, dt, seed=3,
-                                  risk_neutral=False)
+    dt, n_steps, n = 1.0 / 60.0, 30, 3
+    ens, _, _ = simulate_ensemble(params, n, n_steps * dt, dt, seed=3, risk_neutral=False)
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=3)
-    state = init_state(params)
-    for step in range(n_steps):
-        state = step_physical(state, params, increments(cfg, dt, step), dt)
-    assert ens.pi[0] == pytest.approx(state.pi, rel=1e-12)
+    factors = ou_step_factors(params, dt)
+    for i in range(n):
+        book = init_ensemble(params)
+        for step in range(n_steps):
+            step_ensemble(book, params, increments_block(cfg, dt, step, n)[i:i + 1], dt,
+                          factors, translation=params.drift_c * dt)
+        assert book.pi[0] == pytest.approx(ens.pi[i], rel=1e-12)
+
+
+def _correlated_params():
+    """Demo parameters with factor correlation 0.4^|i-j| between buckets."""
+    params = demo_params()
+    n = 2 * params.K
+    corr = 0.4 ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    vals, vecs = np.linalg.eigh(corr)
+    return replace(params, loadings=(vecs * np.sqrt(vals)) @ vecs.T / math.sqrt(params.delta_p))
+
+
+@pytest.mark.parametrize("params", [demo_params(), _tiny_params(), _correlated_params()],
+                         ids=["K7", "K1", "K7-correlated"])
+def test_curve_functions_answer_each_column_as_its_book_alone(params):
+    """Each per-book function on 64 jittered books, one with a thin clearing
+    bucket, equals the same call on each book's column alone, bit for bit.
+    The exception is b of build_mpr_system: its right side holds a BLAS
+    product, which rounds differently on one book (rel 1e-12)."""
+    n, K, i0 = 64, params.K, params.idx(0)
+    rng = np.random.default_rng(8)
+    books = init_ensemble(params, n)
+    books.log_q += rng.normal(scale=0.3, size=books.log_q.shape)
+    books.log_edge += rng.normal(scale=0.05, size=n)
+    _batch_clear(books, params)
+    books.log_q[i0, 1] -= 8.0                   # book 1: a thin clearing bucket, its zero
+    q = np.exp(books.log_q[:, 1])               # re-anchored mid-bucket
+    books.log_edge[1] = math.log(q[:K - 1].sum() + 0.5 * q[K - 1])
+    after = copy.deepcopy(books)
+    after.log_q += rng.normal(scale=0.01, size=after.log_q.shape)
+    after.log_edge += rng.normal(scale=0.002, size=n)
+    _batch_clear(after, params)
+    assert books.alive.all() and after.alive.all()
+
+    vals = node_values(books)
+    u = rng.uniform(-1.0, 1.0, size=(3, n))
+    x, theta, theta_after = 0.8 * u * np.where(u > 0, vals[0], -vals[-1])
+    qv = rng.uniform(0.0, 2.0, size=n)
+
+    def per_book(ens, after, x, theta, theta_after, qv):
+        pv = price_vol(ens, params)
+        system = build_mpr_system(ens, params)
+        exact = [inverse(ens, x), liquidation_proceeds(ens, theta),
+                 wealth_increment(ens, after, theta, theta_after, theta_qv=qv),
+                 pv.sigma_pi, pv.b_pi.T, sigma_pi_direct(ens, params), system.Sigma]
+        return exact, system.b
+
+    batched, b = per_book(books, after, x, theta, theta_after, qv)
+    for i in range(n):
+        alone, b_alone = per_book(books.column(i), after.column(i), x[i], theta[i],
+                                  theta_after[i], qv[i])
+        for got, want in zip(alone, batched):
+            assert np.array_equal(got, want[i:i + 1])
+        np.testing.assert_allclose(b_alone, b[i:i + 1], rtol=1e-12)
 
 
 def test_martingale_within_monte_carlo_error():
@@ -407,7 +465,8 @@ def test_track_records_price_paths():
 def test_init_ensemble_replicates_initial_state():
     params = demo_params()
     ens = init_ensemble(params, 3)
-    state = init_state(params)
-    assert np.allclose(ens.log_q, state.log_q[:, None])
-    assert np.allclose(ens.pi, state.pi)
+    assert np.array_equal(ens.log_q, np.repeat(init_ensemble(params).log_q, 3, axis=1))
+    assert np.array_equal(ens.log_q[:, 0], np.log(params.q0))
+    assert np.array_equal(ens.log_edge, np.full(3, np.log(params.edge0)))
+    assert np.array_equal(ens.pi, np.full(3, params.pi0))
     assert ens.alive.all()

@@ -5,6 +5,9 @@ Cov(W(t,s1), W(t,s2)) = t * min(s1, s2) is acceptance criterion 10."""
 import numpy as np
 import pytest
 
+from bookvol.calibration import synthesize_log
+from bookvol.params import demo_params
+from bookvol.riskneutral import simulate_ensemble
 from bookvol.sheet import (
     SheetConfig,
     basis_integral,
@@ -94,3 +97,13 @@ def test_normalized_loading_gives_unit_rate_variance():
     vals = np.sqrt(CFG.delta_p) * inc @ row
     assert vals.var() == pytest.approx(dt, rel=0.05)
 
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_philox_key_range_is_rejected(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        SheetConfig(factor_count=6, delta_p=0.25, seed=seed)
+    with pytest.raises(ValueError, match="seed must be in"):
+        simulate_ensemble(demo_params(), 3, 0.1, 0.05, seed=seed)
+    with pytest.raises(ValueError, match="seed must be in"):
+        synthesize_log(demo_params(), 2, seed=seed)
+    SheetConfig(factor_count=6, delta_p=0.25, seed=2**64 - 1)     # the largest key is fine
