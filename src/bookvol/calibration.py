@@ -33,11 +33,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .demand import SimDiagnostics, init_ensemble
+from .demand import init_ensemble
 from .errors import ConfigError, FitError, ParseError
 from .lob import MessageEvent, OrderBook, Side, replay
 from .params import ModelParams, uniform_loadings
-from .riskneutral import run_steps
+from .riskneutral import SimDiagnostics, run_steps
 
 SESSION_START_NS = 34_200_000_000_000   # 09:30
 SESSION_END_NS = 57_600_000_000_000     # 16:00

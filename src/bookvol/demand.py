@@ -1,4 +1,4 @@
-"""Relative net-demand curve: book ensembles, dynamics, clearing, and the inverse process.
+"""Relative net-demand curve: book ensembles, clearing, and the inverse process.
 
 The resting book is summarized by bucket masses q̃(k,t) on a grid of relative
 price offsets around the clearing price π(t).  Bucket k covers offsets
@@ -17,20 +17,11 @@ node build (_nodes).  One segment search (_segment) serves the inverse,
 clearing (the inverse at level 0) and the quadratic-variation cost, which
 takes its slope from the segment the inverse finds; proceeds integrate the
 inverse segment by segment.
-
-Dynamics: each log mass follows an Ornstein-Uhlenbeck process driven by the
-factor noise of the sheet module.  After every step the curve is re-cleared:
-the zero crossing is interpolated, π moves there, labels rotate by the whole
-number of buckets the crossing moved, and the edge is re-anchored so the
-re-labelled curve is exactly consistent (its zero sits at the new π).  The
-masses themselves are never re-distributed; keeping the profile intact
-preserves the stationary book shape that the volatility of π is built from.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +31,10 @@ from .params import ModelParams
 
 
 # ----------------------------------------------------------------------
-# book ensembles and the one stepping core
+# book ensembles
 #
 # Per-book state is stored as flat arrays so that the OU update, clearing and
-# every curve function run batched over books.  step_ensemble is the only step
-# and riskneutral.run_steps the only loop over steps.
+# every curve function run batched over books; riskneutral steps them.
 
 @dataclass
 class Ensemble:
@@ -83,44 +73,6 @@ class Cleared(NamedTuple):
     bottom: np.ndarray      # net demand non-positive at the bottom of the grid
     broken: np.ndarray      # non-finite curve values
     relabeled: np.ndarray   # grid labels rotated
-
-
-class StepRow(NamedTuple):
-    """One simulation step: paths alive after it, relabels, aborts by cause."""
-
-    alive: int
-    relabels: int
-    top: int
-    bottom: int
-    broken: int             # non-finite curve
-    singular: int
-    residual: float         # path-0 drift-kill relative residual; nan when not solved
-
-
-@dataclass
-class SimDiagnostics:
-    """Per-step rows of a simulation; the run totals are sums over them."""
-
-    rows: list[StepRow] = field(default_factory=list)
-
-    n_steps = property(lambda self: len(self.rows))
-    n_relabel = property(lambda self: sum(r.relabels for r in self.rows))
-    n_aborted_top = property(lambda self: sum(r.top for r in self.rows))
-    n_aborted_bottom = property(lambda self: sum(r.bottom for r in self.rows))
-    n_aborted_broken = property(lambda self: sum(r.broken for r in self.rows))
-    n_aborted_singular = property(lambda self: sum(r.singular for r in self.rows))
-    n_aborted = property(lambda self: sum(r.top + r.bottom + r.broken + r.singular
-                                          for r in self.rows))
-
-    @property
-    def max_rel_residual(self) -> float:
-        return max((r.residual for r in self.rows if not math.isnan(r.residual)), default=0.0)
-
-    def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
-              residual: float) -> None:
-        """Append one step's row."""
-        masks = (alive, cleared.relabeled, cleared.top, cleared.bottom, cleared.broken, singular)
-        self.rows.append(StepRow(*(int(np.count_nonzero(m)) for m in masks), residual))
 
 
 # ----------------------------------------------------------------------
@@ -233,71 +185,13 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
         block = np.take_along_axis(ens.log_q[:, idx], np.clip(src, 0, twoK - 1), axis=0)
         ens.log_q[:, idx] = np.where(inside, block, params.mean_logq[:, None])
         q[:, idx] = np.exp(ens.log_q[:, idx])
-    # live edges re-anchor so the zero sits mid-bucket 0; dead paths stay frozen
-    edge = q[: K - 1].sum(axis=0) + 0.5 * q[K - 1]
+    # live edges re-anchor so the zero sits mid-bucket 0, summing the masses
+    # in row order (into the spent node buffer) as np.sum does on many
+    # columns but not on one; dead paths stay frozen
+    q[K - 1] *= 0.5
+    edge = _running_sum(q[:K], out=vals[:K])[-1]
     np.copyto(ens.log_edge, np.log(edge), where=live)
     return Cleared(top, bottom, broken, moved)
-
-
-def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-step decay e^{-a dt} and noise scale sqrt(var of the OU increment)."""
-    a = np.asarray(a, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    decay = np.exp(-a * dt)
-    var_scale = np.where(a > 0, -np.expm1(-2 * np.where(a > 0, a, 1.0) * dt) / (2 * a + (a <= 0)),
-                         dt)
-    return decay, sigma * np.sqrt(var_scale)
-
-
-def ou_step_factors(params: ModelParams, dt: float) -> tuple:
-    """(decay_q, vol_q, decay_e, vol_e) of the exact OU step over dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return (*_ou_factors(params.a_q, params.sigma_q_rel, dt),
-            *_ou_factors(params.a_edge, params.sigma_edge_rel, dt))
-
-
-def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float,
-                  factors: tuple, *, kill=None, translation: float = 0.0,
-                  clear_paths=_batch_clear) -> Cleared:
-    """Advance every live path one step and re-clear it (in place).
-
-    The (n, F) factor increments `inc`, projected on the loadings and scaled
-    to unit variance, drive the exact OU update of the log masses and edge;
-    the rotated drift-kill solutions `kill` = (y, e), of shapes (2K, n) and
-    (n,), shift those drivers by -y·Δp·√dt and -e·Δp·√dt.  Live prices then
-    move by `translation`.
-    `factors` is ou_step_factors(params, dt), computed once per run; a caller
-    passes `clear_paths` to resolve _batch_clear at call time, so that timing
-    hooks installed on its own module see each pass.
-    """
-    decay_q, vol_q, decay_e, vol_e = factors
-    root_dt = math.sqrt(dt)
-    z_q = params.loadings @ inc.T
-    z_q *= math.sqrt(params.delta_p) / root_dt
-    z_e = (inc @ params.edge_loadings) * (math.sqrt(params.delta_p) / root_dt)
-    if kill is not None:
-        y, e = kill
-        z_q -= y * (params.delta_p * root_dt)
-        z_e -= e * (params.delta_p * root_dt)
-    dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
-    if dead is not None:        # frozen paths keep their state through the update
-        frozen = ens.log_q[:, dead], ens.log_edge[dead]
-    mean = params.mean_logq[:, None]
-    log_q = ens.log_q           # updated in place
-    log_q -= mean
-    log_q *= decay_q[:, None]
-    log_q += mean
-    z_q *= vol_q[:, None]
-    log_q += z_q
-    np.add(params.mean_log_edge + (ens.log_edge - params.mean_log_edge) * decay_e,
-           vol_e * z_e, out=ens.log_edge)
-    if dead is not None:
-        ens.log_q[:, dead], ens.log_edge[dead] = frozen
-    cleared = clear_paths(ens, params)
-    if translation:
-        ens.pi[ens.alive] += translation
-    return cleared
 
 
 # ----------------------------------------------------------------------

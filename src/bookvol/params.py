@@ -22,7 +22,7 @@ the package (see :func:`demo_params`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 

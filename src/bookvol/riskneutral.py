@@ -1,4 +1,4 @@
-"""Clearing-price volatility, market price of risk, and risk-neutral stepping.
+"""Clearing-price volatility, market price of risk, and the stepping of books.
 
 The clearing price moves because the whole curve moves.  Writing the curve
 value at the node below bucket i as N(i-1) (noise loading vector V_i over the
@@ -10,9 +10,9 @@ in the per-factor market prices of risk λ_j:
 
     Σ(i,j) λ_j = b(i),   Σ(i,j) = [-V_i(j) + w_i·q̃(i)σ(i)B(i,j)]·Δp
 
-where w_i is the zero position each row assumes inside its bucket (see
-_row_anchors: mid-bucket for the live clearing row, bucket edge for the
-hypothetical ones).  The right side collects the physical drift of the
+where w_i is the zero position each row assumes inside its bucket
+(_CLEARING_ANCHOR, mid-bucket, for the live clearing row; the bucket edge for
+the hypothetical ones).  The right side collects the physical drift of the
 curve value, the w_i share of the clearing bucket's own drift, and the
 covariance between the clearing-bucket mass and the price: see
 _kill_matrix and _kill_rhs, the one assembly of Σ and b.  b is assembled in
@@ -25,6 +25,15 @@ step_risk_neutral applies the dense solution.
 Every function here answers per book, for the columns of a demand.Ensemble;
 a single book is an ensemble of one.
 
+Dynamics: each log mass follows an Ornstein-Uhlenbeck process driven by the
+factor noise of the sheet module.  After every step the curve is re-cleared:
+the zero crossing is interpolated, π moves there, labels rotate by the whole
+number of buckets the crossing moved, and the edge is re-anchored so the
+re-labelled curve is exactly consistent (its zero sits at the new π).  The
+masses themselves are never re-distributed; keeping the profile intact
+preserves the stationary book shape that the volatility of π is built from.
+step_ensemble is the only step and run_steps the only loop over steps.
+
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
 the curve-value loadings alone (price_vol); the live row of the linear
 system additionally carries the clearing bucket's own half-weighted noise,
@@ -35,18 +44,26 @@ sigma_pi exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import sheet
-from .demand import (Cleared, Ensemble, SimDiagnostics, _batch_clear, _running_sum,
-                     init_ensemble, ou_step_factors, step_ensemble)
+from .demand import Cleared, Ensemble, _batch_clear, _running_sum, init_ensemble
 from .errors import SimulationError, SingularSystemError
 from .params import ModelParams
 
 COND_LIMIT = 1e12
+
+# The fractional zero position w that the clearing bucket's drift-kill row
+# assumes: mid-bucket, where re-centering actually leaves the zero, so the
+# realized price drift is killed exactly.  Hypothetical rows for the other
+# buckets anchor at the bucket edge (w = 0); that choice decouples the row
+# differences — each λ_j is pinned by its own bucket's drift instead of an
+# alternating neighbour recursion that amplifies through thinly populated
+# buckets.
+_CLEARING_ANCHOR = 0.5
 
 
 def kill_vectors(ens: Ensemble, params: ModelParams) -> np.ndarray:
@@ -99,47 +116,18 @@ class MprSystem:
     cond: np.ndarray | None = None              # (n,)
 
 
-def _row_anchors(params: ModelParams) -> np.ndarray:
-    """Fractional zero position w_i assumed by each drift-kill row.
-
-    The clearing bucket's row sits mid-bucket (w = 1/2), where re-centering
-    actually leaves the zero, so the realized price drift is killed exactly.
-    Hypothetical rows for the other buckets anchor at the bucket edge
-    (w = 0); that choice decouples the row differences — each λ_j is pinned
-    by its own bucket's drift instead of an alternating neighbour recursion
-    that amplifies through thinly populated buckets.
-    """
-    w = np.zeros(2 * params.K)
-    w[params.idx(0)] = 0.5
-    return w
-
-
 def _kill_matrix(ens: Ensemble, params: ModelParams) -> np.ndarray:
     """Left sides Σ of the drift-kill systems, stacked (n, 2K, F): one row per
-    potential clearing bucket, one matrix per book."""
-    own = (_row_anchors(params)[:, None] * np.exp(ens.log_q) * params.sigma_q_rel[:, None]
-           )[:, None, :] * params.loadings[:, :, None]
-    return np.moveaxis((-kill_vectors(ens, params) + own) * ens.delta_p, -1, 0)
+    potential clearing bucket, one matrix per book.  Only the clearing row
+    carries its bucket's own anchored noise."""
+    i0 = params.idx(0)
+    rows = -kill_vectors(ens, params)
+    rows[i0] += _CLEARING_ANCHOR * np.exp(ens.log_q[i0]) * params.sigma_q_rel[i0] \
+        * params.loadings[i0][:, None]
+    return np.moveaxis(rows * ens.delta_p, -1, 0)
 
 
-class _RhsTerms(NamedTuple):
-    """Per-run constants of the drift-kill right sides."""
-
-    below_gram: np.ndarray  # (2K, 2K) tril(L·Lᵀ, -1): row i sums buckets l < i
-    edge_cross: np.ndarray  # (2K,) L·B_E
-    sigma_dp: np.ndarray    # (2K, 1) σ_q·Δp
-    w: np.ndarray           # (2K,) row anchors, non-zero only on the clearing row
-    i0: int                 # the clearing row
-
-
-def _rhs_terms(params: ModelParams) -> _RhsTerms:
-    return _RhsTerms(np.tril(params.loadings @ params.loadings.T, k=-1),
-                     params.loadings @ params.edge_loadings,
-                     params.sigma_q_rel[:, None] * params.delta_p,
-                     _row_anchors(params), params.idx(0))
-
-
-def _kill_rhs(ens: Ensemble, params: ModelParams, terms: _RhsTerms
+def _kill_rhs(ens: Ensemble, params: ModelParams
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Right sides of the drift-kill system in difference form, one column per
     path: the (2K-1, n) row differences db(i) = b(i+1) - b(i) and the (n,)
@@ -156,17 +144,17 @@ def _kill_rhs(ens: Ensemble, params: ModelParams, terms: _RhsTerms
     edge = np.exp(ens.log_edge)
     qs = q * sigma
     es = edge * params.sigma_edge_rel
-    cross = np.multiply.outer(terms.edge_cross, es)
-    cross -= terms.below_gram @ qs
-    cross *= terms.sigma_dp
+    cross = np.multiply.outer(params.loadings @ params.edge_loadings, es)    # L·B_E
+    cross -= np.tril(params.loadings @ params.loadings.T, k=-1) @ qs  # row i: buckets l < i
+    cross *= sigma * params.delta_p
     mu_q = ens.log_q - params.mean_logq[:, None]
     mu_q *= -params.a_q[:, None]
     mu_q += 0.5 * sigma**2
     mu_q *= q
     mu_e = edge * (-params.a_edge * (ens.log_edge - params.mean_log_edge)
                    + 0.5 * params.sigma_edge_rel**2)
-    i0 = terms.i0
-    own = (mu_q[i0] - q[i0] * sigma[i0]**2) * terms.w[i0]
+    i0 = params.idx(0)
+    own = (mu_q[i0] - q[i0] * sigma[i0]**2) * _CLEARING_ANCHOR
     db = mu_q[:-1]                                  # in place
     db += cross[1:]
     db -= cross[:-1]
@@ -187,7 +175,7 @@ def _full_rhs(db: np.ndarray, b0: np.ndarray) -> np.ndarray:
 def build_mpr_system(ens: Ensemble, params: ModelParams) -> MprSystem:
     """Assemble each book's drift-kill equations, one row per potential
     clearing bucket: Σ is (n, 2K, F) and b is (n, 2K)."""
-    db, b0, _, _ = _kill_rhs(ens, params, _rhs_terms(params))
+    db, b0, _, _ = _kill_rhs(ens, params)
     return MprSystem(Sigma=_kill_matrix(ens, params), b=_full_rhs(db, b0).T)
 
 
@@ -222,8 +210,8 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# the closed-form drift kill over a path ensemble (demand.step_ensemble
-# applies it; the dense solve_mpr above is its test oracle)
+# the closed-form drift kill over a path ensemble (step_ensemble applies
+# it; the dense solve_mpr above is its test oracle)
 
 class _KillTransform:
     """Per-run constants for the closed-form drift-kill solution.
@@ -246,7 +234,6 @@ class _KillTransform:
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"factor loadings do not identify the market prices of risk: {exc}") from exc
-        self.rhs = _rhs_terms(params)
 
 
 def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
@@ -258,15 +245,18 @@ def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
     shifts are zeroed.
     """
     dp = ens.delta_p
-    i0 = kt.rhs.i0
+    i0 = params.idx(0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        db, b0, qs, es = _kill_rhs(ens, params, kt.rhs)
+        db, b0, qs, es = _kill_rhs(ens, params)
         y = np.multiply(qs, dp)                     # the pivots, divided into db in place
         np.divide(db, y[:-1], out=y[:-1])
-        y[i0] *= 2.0                                # the clearing row's anchor w = 1/2
+        y[i0] /= _CLEARING_ANCHOR
+        e = -b0
         if i0 >= 1:
-            y[i0 - 1] = (db[i0 - 1] / dp - 0.5 * qs[i0] * y[i0]) / qs[i0 - 1]
-        e = (kt.rhs.w[0] * qs[0] * y[0] * dp - b0) / (es * dp)
+            y[i0 - 1] = (db[i0 - 1] / dp - _CLEARING_ANCHOR * qs[i0] * y[i0]) / qs[i0 - 1]
+        else:                                       # the anchored share sits in b(0)
+            e += _CLEARING_ANCHOR * qs[0] * y[0] * dp
+        e /= es * dp
         np.matmul(kt.g[1:], y[:-1], out=y[-1])      # y_last = g·(e, y_0..y_{2K-2})
         y[-1] += kt.g[0] * e
         pivot = np.minimum(qs[:-1].min(axis=0), es)
@@ -287,6 +277,105 @@ def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
     bnorm = float(np.linalg.norm(b))
     residual = _kill_matrix(ens.column(0), params)[0] @ lam0 - b
     return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
+
+
+# ----------------------------------------------------------------------
+# the one step, its records, and the one loop over steps
+
+class StepRow(NamedTuple):
+    """One simulation step: paths alive after it, relabels, aborts by cause."""
+
+    alive: int
+    relabels: int
+    top: int
+    bottom: int
+    broken: int             # non-finite curve
+    singular: int
+    residual: float         # path-0 drift-kill relative residual; nan when not solved
+
+
+@dataclass
+class SimDiagnostics:
+    """Per-step rows of a simulation; the run totals are sums over them."""
+
+    rows: list[StepRow] = field(default_factory=list)
+
+    n_steps = property(lambda self: len(self.rows))
+    n_relabel = property(lambda self: sum(r.relabels for r in self.rows))
+    n_aborted_top = property(lambda self: sum(r.top for r in self.rows))
+    n_aborted_bottom = property(lambda self: sum(r.bottom for r in self.rows))
+    n_aborted_broken = property(lambda self: sum(r.broken for r in self.rows))
+    n_aborted_singular = property(lambda self: sum(r.singular for r in self.rows))
+    n_aborted = property(lambda self: sum(r.top + r.bottom + r.broken + r.singular
+                                          for r in self.rows))
+
+    @property
+    def max_rel_residual(self) -> float:
+        return max((r.residual for r in self.rows if not math.isnan(r.residual)), default=0.0)
+
+    def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
+              residual: float) -> None:
+        """Append one step's row."""
+        masks = (alive, cleared.relabeled, cleared.top, cleared.bottom, cleared.broken, singular)
+        self.rows.append(StepRow(*(int(np.count_nonzero(m)) for m in masks), residual))
+
+
+def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-step decay e^{-a dt} and noise scale sqrt(var of the OU increment)."""
+    a = np.asarray(a, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    decay = np.exp(-a * dt)
+    var_scale = np.where(a > 0, -np.expm1(-2 * np.where(a > 0, a, 1.0) * dt) / (2 * a + (a <= 0)),
+                         dt)
+    return decay, sigma * np.sqrt(var_scale)
+
+
+def ou_step_factors(params: ModelParams, dt: float) -> tuple:
+    """(decay_q, vol_q, decay_e, vol_e) of the exact OU step over dt."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return (*_ou_factors(params.a_q, params.sigma_q_rel, dt),
+            *_ou_factors(params.a_edge, params.sigma_edge_rel, dt))
+
+
+def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float,
+                  factors: tuple, *, kill=None, translation: float = 0.0) -> Cleared:
+    """Advance every live path one step and re-clear it (in place).
+
+    The (n, F) factor increments `inc`, projected on the loadings and scaled
+    to unit variance, drive the exact OU update of the log masses and edge;
+    the rotated drift-kill solutions `kill` = (y, e), of shapes (2K, n) and
+    (n,), shift those drivers by -y·Δp·√dt and -e·Δp·√dt.  Live prices then
+    move by `translation`.
+    `factors` is ou_step_factors(params, dt), computed once per run.
+    """
+    decay_q, vol_q, decay_e, vol_e = factors
+    root_dt = math.sqrt(dt)
+    z_q = params.loadings @ inc.T
+    z_q *= math.sqrt(params.delta_p) / root_dt
+    z_e = (inc @ params.edge_loadings) * (math.sqrt(params.delta_p) / root_dt)
+    if kill is not None:
+        y, e = kill
+        z_q -= y * (params.delta_p * root_dt)
+        z_e -= e * (params.delta_p * root_dt)
+    dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
+    if dead is not None:        # frozen paths keep their state through the update
+        frozen = ens.log_q[:, dead], ens.log_edge[dead]
+    mean = params.mean_logq[:, None]
+    log_q = ens.log_q           # updated in place
+    log_q -= mean
+    log_q *= decay_q[:, None]
+    log_q += mean
+    z_q *= vol_q[:, None]
+    log_q += z_q
+    np.add(params.mean_log_edge + (ens.log_edge - params.mean_log_edge) * decay_e,
+           vol_e * z_e, out=ens.log_edge)
+    if dead is not None:
+        ens.log_q[:, dead], ens.log_edge[dead] = frozen
+    cleared = _batch_clear(ens, params)
+    if translation:
+        ens.pi[ens.alive] += translation
+    return cleared
 
 
 def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps: int,
@@ -317,7 +406,7 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
                 residual = _path0_rel_residual(ens, params, kt, y, e, rhs)
             shifts = (y, e)
         cleared = step_ensemble(ens, params, inc, dt, factors, kill=shifts,
-                                translation=translation, clear_paths=_batch_clear)
+                                translation=translation)
         diag.count(cleared, singular, ens.alive, residual)
         if not ens.alive.any():
             error = SingularSystemError if diag.n_aborted_singular == n_paths else SimulationError

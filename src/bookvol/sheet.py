@@ -8,10 +8,9 @@ sum_j b_j * sqrt(delta_p) * dW_j, and Cov(W(t,s1), W(t,s2)) = t * min(s1,s2).
 Draws come from a counter-based Philox generator keyed by (seed, stream
 chunk) with the step index in the counter, so any (stream, step) block can be
 regenerated independently and runs are bit-identical for a fixed seed and
-step schedule.  Streams are grouped in chunks of 256 per key; a single
-stream's draw is defined as its row within the chunk block; the normals come
-off the generator in row order, so drawing the block only up to that row
-reproduces it.
+step schedule.  Streams are grouped in chunks of 256 per key; the normals
+come off the generator in row order, so a draw of the first n streams is a
+prefix of the draw of more.
 """
 
 from __future__ import annotations
@@ -63,28 +62,16 @@ def _chunk_block(cfg: SheetConfig, step: int, chunk: int, out: np.ndarray,
     return gen
 
 
-def _check_dt(dt: float) -> None:
-    if not dt >= 0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
-
-
 def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> np.ndarray:
     """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step."""
-    _check_dt(dt)
+    if not dt >= 0:
+        raise ValueError(f"dt must be non-negative, got {dt}")
     out = np.empty((n_streams, cfg.factor_count))
     gen = None
     for c, start in enumerate(range(0, n_streams, _CHUNK)):
         gen = _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
     out *= np.sqrt(dt)
     return out
-
-
-def increments(cfg: SheetConfig, dt: float, step: int, stream: int = 0) -> np.ndarray:
-    """One stream's factor increments; row ``stream`` of the block draw."""
-    _check_dt(dt)
-    block = np.empty((stream % _CHUNK + 1, cfg.factor_count))
-    _chunk_block(cfg, step, stream // _CHUNK, block)
-    return block[-1] * np.sqrt(dt)
 
 
 def basis_integral(cfg: SheetConfig, s: float) -> np.ndarray:

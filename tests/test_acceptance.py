@@ -25,7 +25,6 @@ from bookvol.calibration import (
     synthesize_log,
 )
 from bookvol.demand import (
-    SimDiagnostics,
     _batch_clear,
     curve_value,
     init_ensemble,
@@ -44,6 +43,7 @@ from bookvol.params import (
 )
 from bookvol.pricing import PricingRequest, bs_call, implied_vol, smile
 from bookvol.riskneutral import (
+    SimDiagnostics,
     build_mpr_system,
     price_vol,
     run_steps,

@@ -30,11 +30,12 @@ from bookvol.calibration import (
     to_model_params,
     PanelData,
 )
-from bookvol.demand import init_ensemble, ou_step_factors, step_ensemble
+from bookvol.demand import init_ensemble
 from bookvol.errors import FitError, ParseError, SimulationError
 from bookvol.lob import MessageEvent, Side
 from bookvol.params import demo_params
-from bookvol.sheet import SheetConfig, increments
+from bookvol.riskneutral import ou_step_factors, step_ensemble
+from bookvol.sheet import SheetConfig, increments_block
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +212,7 @@ def test_synthetic_log_round_trip_is_exact():
     factors = ou_step_factors(params, dt)
     for bar in range(n_bars):
         if bar > 0:
-            step_ensemble(book, params, increments(cfg, dt, bar - 1)[None, :], dt, factors,
+            step_ensemble(book, params, increments_block(cfg, dt, bar - 1, 1), dt, factors,
                           translation=params.drift_c * dt)
         q = np.exp(book.log_q[:, 0])
         assert panel.pi[bar] == book.pi[0]

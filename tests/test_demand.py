@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from bookvol.demand import (
-    SimDiagnostics,
     _batch_clear,
-    _ou_factors,
     curve_value,
     init_ensemble,
     inverse,
@@ -19,13 +17,18 @@ from bookvol.demand import (
     liquidation_proceeds,
     node_offsets,
     node_values,
-    ou_step_factors,
-    step_ensemble,
     wealth_increment,
 )
 from bookvol.errors import SimulationError, UndefinedInverseError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
-from bookvol.riskneutral import run_steps, step_risk_neutral
+from bookvol.riskneutral import (
+    SimDiagnostics,
+    _ou_factors,
+    ou_step_factors,
+    run_steps,
+    step_ensemble,
+    step_risk_neutral,
+)
 
 
 def _flat_params(K=4, delta_p=0.1, qbar=50.0, drift_c=0.0, sigma=0.0):

@@ -1,15 +1,19 @@
-"""bookvol runs on numpy and the standard library alone.
+"""bookvol runs on numpy and the standard library alone, and each of its
+modules uses every name it imports.
 
 The import runs in a fresh interpreter and is compared with that
 interpreter's own start-up modules, so site hooks that load third-party
 modules before any user code do not count against the package.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +34,18 @@ def test_import_adds_only_numpy_and_bookvol():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == ["bookvol", "numpy"]
+
+
+@pytest.mark.parametrize("path", sorted(set((ROOT / "src" / "bookvol").glob("*.py"))
+                                        - {ROOT / "src" / "bookvol" / "__init__.py"}),
+                         ids=lambda path: path.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -15,22 +15,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bookvol import riskneutral
-from bookvol.demand import (SimDiagnostics, _batch_clear, init_ensemble, inverse,
-                            liquidation_proceeds, node_values, ou_step_factors, step_ensemble,
-                            wealth_increment)
+from bookvol.demand import (_batch_clear, init_ensemble, inverse, liquidation_proceeds,
+                            node_values, wealth_increment)
 from bookvol.errors import SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
     COND_LIMIT,
+    SimDiagnostics,
     _batch_kill_shifts,
     _KillTransform,
     build_mpr_system,
     kill_vectors,
+    ou_step_factors,
     price_vol,
     run_steps,
     sigma_pi_direct,
     simulate_ensemble,
     solve_mpr,
+    step_ensemble,
     step_risk_neutral,
 )
 from bookvol.sheet import SheetConfig, increments_block
@@ -358,6 +360,43 @@ def test_batch_clear_matches_single_paths_exactly(params):
             assert ens.pi[i] == inverse(before.column(i), 0.0)[0]
 
 
+def _wide_params(K):
+    """K buckets a side, the masses growing away from the clearing bucket."""
+    dp, n = 0.05, 2 * K
+    q = 1e3 * (1.0 + 0.1 * np.abs(np.arange(n) - (K - 1)))
+    edge0 = q[:K - 1].sum() + 0.5 * q[K - 1]
+    return ModelParams.create(
+        K=K, delta_p=dp, pi0=20.0, q0=q, a_q=np.full(n, 10.0), mean_logq=np.log(q),
+        sigma_q_rel=np.full(n, 0.1), loadings=identity_loadings(K, dp), edge0=edge0,
+        a_edge=10.0, mean_log_edge=math.log(edge0), sigma_edge_rel=0.05,
+        edge_loadings=uniform_loadings(K, dp))
+
+
+@pytest.mark.parametrize("K", [9, 10])
+def test_batch_clear_matches_single_paths_exactly_on_wide_grids(K):
+    """With K - 1 >= 8 masses below the clearing bucket, np.sum on a single
+    column adds them pairwise; the edge re-anchoring must add them in row
+    order, as on many columns, so 64 jittered books clear to the same bits
+    alone as in the batch."""
+    params, n = _wide_params(K), 64
+    rng = np.random.default_rng(10)
+    ens = init_ensemble(params, n)
+    ens.log_q += rng.normal(scale=1.0, size=ens.log_q.shape)
+    ens.log_edge += rng.normal(scale=0.05, size=n)
+    before = copy.deepcopy(ens)
+    cleared = riskneutral._batch_clear(ens, params)
+    assert ens.alive.all() and cleared.relabeled.any()
+    for i in range(n):
+        one = copy.deepcopy(before.column(i))
+        alone = riskneutral._batch_clear(one, params)
+        for batch, single in zip(cleared, alone):
+            assert single[0] == batch[i]
+        assert np.array_equal(one.log_edge, ens.log_edge[i:i + 1])
+        assert np.array_equal(one.log_q[:, 0], ens.log_q[:, i])
+        assert np.array_equal(one.pi, ens.pi[i:i + 1])
+        assert ens.pi[i] == inverse(before.column(i), 0.0)[0]
+
+
 def test_physical_columns_match_books_stepped_alone():
     """Under P each column of a run equals its book stepped alone on its own
     noise stream, to rel 1e-12 for the BLAS reason above."""
@@ -460,6 +499,25 @@ def test_track_records_price_paths():
     assert track.shape == (diag.n_steps + 1, 2)
     assert np.allclose(track[0], params.pi0)
     assert track[-1, 0] == ens.pi[0]
+
+
+@pytest.mark.parametrize("risk_neutral", [True, False])
+def test_step_stages_are_looked_up_per_call(monkeypatch, risk_neutral):
+    """Timing hooks wrap clearing, the kill and the path-0 residual as
+    riskneutral attributes; the loop must reach each through that name,
+    once per step (the kill and its residual under Q only)."""
+    stages = ("_batch_clear", "_batch_kill_shifts", "_path0_rel_residual")
+    calls = dict.fromkeys(stages, 0)
+    for name in stages:
+        def counted(*args, _name=name, _stage=getattr(riskneutral, name)):
+            calls[_name] += 1
+            return _stage(*args)
+        monkeypatch.setattr(riskneutral, name, counted)
+    simulate_ensemble(demo_params(), 4, 3.0 / 60.0, 1.0 / 60.0, seed=1,
+                      risk_neutral=risk_neutral)
+    per_step = 3 if risk_neutral else 0
+    assert calls == {"_batch_clear": 3, "_batch_kill_shifts": per_step,
+                     "_path0_rel_residual": per_step}
 
 
 def test_init_ensemble_replicates_initial_state():

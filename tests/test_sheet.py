@@ -8,12 +8,7 @@ import pytest
 from bookvol.calibration import synthesize_log
 from bookvol.params import demo_params
 from bookvol.riskneutral import simulate_ensemble
-from bookvol.sheet import (
-    SheetConfig,
-    basis_integral,
-    increments,
-    increments_block,
-)
+from bookvol.sheet import SheetConfig, basis_integral, increments_block
 
 CFG = SheetConfig(factor_count=6, delta_p=0.25, seed=11)
 
@@ -24,18 +19,11 @@ def test_same_seed_same_draws():
     assert np.array_equal(a, b)
 
 
-def test_single_stream_matches_block_row():
-    block = increments_block(CFG, 0.5, step=7, n_streams=300)
-    for stream in (0, 1, 255, 256, 299):   # spans a chunk boundary at 256
-        assert np.array_equal(increments(CFG, 0.5, 7, stream), block[stream])
-
-
 def test_short_last_chunk_is_a_prefix_of_the_whole_chunk():
     # n=300 draws only 44 rows of the second chunk; n=512 draws all 256
     short = increments_block(CFG, 0.5, step=7, n_streams=300)
     whole = increments_block(CFG, 0.5, step=7, n_streams=512)
     assert np.array_equal(short, whole[:300])
-    assert np.array_equal(increments(CFG, 0.5, 7, 299), short[299])
 
 
 def test_steps_and_seeds_decorrelate():
@@ -50,8 +38,6 @@ def test_negative_dt_rejected():
     for dt in (-1.0, np.nan):
         with pytest.raises(ValueError, match="dt must be non-negative"):
             increments_block(CFG, dt, 0, 1)
-        with pytest.raises(ValueError, match="dt must be non-negative"):
-            increments(CFG, dt, 0)
 
 
 def test_rekeyed_draws_match_a_fresh_generator():
@@ -66,7 +52,7 @@ def test_rekeyed_draws_match_a_fresh_generator():
         block = increments_block(CFG, 1.0, step, n_streams=300)
         assert np.array_equal(block[:256], fresh(step, 0, 256))
         assert np.array_equal(block[256:], fresh(step, 1, 44))
-        assert np.array_equal(increments(CFG, 1.0, step, 257), fresh(step, 1, 2)[-1])
+        assert np.array_equal(increments_block(CFG, 1.0, step, 258)[257], fresh(step, 1, 2)[-1])
 
 
 def test_increment_variance_is_dt():
