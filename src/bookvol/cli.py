@@ -251,11 +251,11 @@ def cmd_calibrate(args) -> int:
 
 
 def _steps_text(diag) -> str:
-    """The per-step table of a simulation: alive paths, relabels, aborts by cause."""
+    """The per-step table of a simulation: alive paths and aborts by cause."""
     lines = ["# per-step diagnostics",
-             "step,alive,relabels,aborted_top,aborted_bottom,aborted_broken,"
+             "step,alive,aborted_top,aborted_bottom,aborted_broken,"
              "aborted_singular,path0_rel_residual"]
-    lines += [f"{step},{r.alive},{r.relabels},{r.top},{r.bottom},{r.broken},{r.singular},"
+    lines += [f"{step},{r.alive},{r.top},{r.bottom},{r.broken},{r.singular},"
               f"{r.residual:.6e}" for step, r in enumerate(diag.rows)]
     return "\n".join(lines) + "\n"
 
@@ -284,7 +284,6 @@ def cmd_simulate(args) -> int:
         f"measure,{measure}",
         f"n_paths,{n_paths}",
         f"n_steps,{diag.n_steps}",
-        f"n_relabel,{diag.n_relabel}",
         f"n_aborted_top,{diag.n_aborted_top}",
         f"n_aborted_bottom,{diag.n_aborted_bottom}",
         f"n_aborted_broken,{diag.n_aborted_broken}",

@@ -72,7 +72,6 @@ class Cleared(NamedTuple):
     top: np.ndarray         # net demand non-negative at the top of the grid
     bottom: np.ndarray      # net demand non-positive at the bottom of the grid
     broken: np.ndarray      # non-finite curve values
-    relabeled: np.ndarray   # grid labels rotated
 
 
 # ----------------------------------------------------------------------
@@ -146,13 +145,15 @@ def _segment(vals: np.ndarray, curve: Ensemble, x, live=True):
 
 
 def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
-    """Vectorized zero-crossing, relabeling, and edge re-anchoring (in place).
+    """Vectorized zero-crossing and edge re-anchoring (in place).
 
-    Live books whose curve is non-finite or does not cross zero inside the
-    grid are marked dead and reported instead of cleared.
+    Each live book's π moves to its curve's zero crossing, and its edge is
+    re-anchored so the zero sits mid-bucket 0.  The masses keep their labels:
+    the relative curve moves with π, however far the crossing lies.  Live
+    books whose curve is non-finite or does not cross zero inside the grid
+    are marked dead and reported instead of cleared.
     """
-    twoK, n = ens.log_q.shape
-    K = twoK // 2
+    K = len(ens.log_q) // 2
     vals, q = _nodes(ens)
     # the nodes fall from the edge by non-negative masses, so an inf or a NaN
     # anywhere reaches the last node: test the edge and the last node only
@@ -167,31 +168,19 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
         vals[:, broken] = 1.0
     live = ens.alive
     if not live.any():
-        return Cleared(top, bottom, broken, np.zeros(n, dtype=bool))
+        return Cleared(top, bottom, broken)
 
     # a live curve falls from positive at the edge to negative at the top:
     # its zero crossing is the inverse at level 0
     _, z = _segment(vals, ens, 0.0, live)
     ens.pi += z
-
-    # labels rotate by the whole buckets the crossing moved; fresh far
-    # buckets start at their long-run mean mass
-    kstar = np.floor(z / ens.delta_p + 0.5).astype(int)
-    moved = live & (kstar != 0)
-    if moved.any():
-        idx = np.flatnonzero(moved)
-        src = np.arange(twoK)[:, None] + kstar[idx]
-        inside = (src >= 0) & (src < twoK)
-        block = np.take_along_axis(ens.log_q[:, idx], np.clip(src, 0, twoK - 1), axis=0)
-        ens.log_q[:, idx] = np.where(inside, block, params.mean_logq[:, None])
-        q[:, idx] = np.exp(ens.log_q[:, idx])
     # live edges re-anchor so the zero sits mid-bucket 0, summing the masses
     # in row order (into the spent node buffer) as np.sum does on many
     # columns but not on one; dead paths stay frozen
     q[K - 1] *= 0.5
     edge = _running_sum(q[:K], out=vals[:K])[-1]
     np.copyto(ens.log_edge, np.log(edge), where=live)
-    return Cleared(top, bottom, broken, moved)
+    return Cleared(top, bottom, broken)
 
 
 # ----------------------------------------------------------------------

@@ -26,12 +26,12 @@ Every function here answers per book, for the columns of a demand.Ensemble;
 a single book is an ensemble of one.
 
 Dynamics: each log mass follows an Ornstein-Uhlenbeck process driven by the
-factor noise of the sheet module.  After every step the curve is re-cleared:
-the zero crossing is interpolated, π moves there, labels rotate by the whole
-number of buckets the crossing moved, and the edge is re-anchored so the
-re-labelled curve is exactly consistent (its zero sits at the new π).  The
-masses themselves are never re-distributed; keeping the profile intact
-preserves the stationary book shape that the volatility of π is built from.
+factor noise of the sheet module.  After every step the curve is re-cleared
+by one rule: the zero crossing is interpolated, π moves there, and the edge
+is re-anchored so the zero sits mid-bucket 0 at the new π.  The masses keep
+their labels, so the curve relative to π moves with π, as Itô-Wentzell
+carries it; keeping the profile intact preserves the stationary book shape
+that the volatility of π is built from.
 step_ensemble is the only step and run_steps the only loop over steps.
 
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
@@ -283,10 +283,9 @@ def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
 # the one step, its records, and the one loop over steps
 
 class StepRow(NamedTuple):
-    """One simulation step: paths alive after it, relabels, aborts by cause."""
+    """One simulation step: paths alive after it and aborts by cause."""
 
     alive: int
-    relabels: int
     top: int
     bottom: int
     broken: int             # non-finite curve
@@ -300,8 +299,8 @@ class SimDiagnostics:
 
     rows: list[StepRow] = field(default_factory=list)
 
+    n_relabel = 0           # clearing never relabels; read by bench/workloads.py
     n_steps = property(lambda self: len(self.rows))
-    n_relabel = property(lambda self: sum(r.relabels for r in self.rows))
     n_aborted_top = property(lambda self: sum(r.top for r in self.rows))
     n_aborted_bottom = property(lambda self: sum(r.bottom for r in self.rows))
     n_aborted_broken = property(lambda self: sum(r.broken for r in self.rows))
@@ -316,7 +315,7 @@ class SimDiagnostics:
     def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
               residual: float) -> None:
         """Append one step's row."""
-        masks = (alive, cleared.relabeled, cleared.top, cleared.bottom, cleared.broken, singular)
+        masks = (alive, cleared.top, cleared.bottom, cleared.broken, singular)
         self.rows.append(StepRow(*(int(np.count_nonzero(m)) for m in masks), residual))
 
 
@@ -351,9 +350,10 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
     """
     decay_q, vol_q, decay_e, vol_e = factors
     root_dt = math.sqrt(dt)
-    z_q = params.loadings @ inc.T
-    z_q *= math.sqrt(params.delta_p) / root_dt
-    z_e = (inc @ params.edge_loadings) * (math.sqrt(params.delta_p) / root_dt)
+    # one gemm, edge row first: the same bits for any group of two or more paths
+    z = np.vstack([params.edge_loadings, params.loadings]) @ inc.T
+    z *= math.sqrt(params.delta_p) / root_dt
+    z_e, z_q = z[0], z[1:]
     if kill is not None:
         y, e = kill
         z_q -= y * (params.delta_p * root_dt)

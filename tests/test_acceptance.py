@@ -225,7 +225,7 @@ def _fast_reverting_params():
 
     Mean reversion must be fast enough (a*dt >~ 0.1 per bar) for the AR(1)
     slope to be distinguishable from a random walk at 10^4 bars; the buy
-    side is kept quiet so the clearing price never relabels the grid.
+    side is kept quiet so the clearing price stays close to its start.
     """
     K, dp = 7, 0.05
     n = 2 * K

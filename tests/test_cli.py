@@ -115,7 +115,7 @@ def test_simulate_prints_paths_and_diagnostics(capsys):
 def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measure):
     save_params(demo_params(), tmp_path / "p.json")
     d = json.loads((tmp_path / "p.json").read_text())
-    d["sigma_Q_rel(-K)"] *= 8              # a stressed book: relabels and aborts
+    d["sigma_Q_rel(-K)"] *= 8              # a stressed book: aborts
     for bucket in d["buckets"]:
         bucket["sigma_q_rel(k)"] *= 8
     (tmp_path / "config.json").write_text(json.dumps({"model": d,
@@ -127,12 +127,12 @@ def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measur
     artifact = dict(line.split(",", 1)
                     for line in captured.out.split("# diagnostics\n")[1].splitlines())
     table = captured.err.split("# per-step diagnostics\n")[1].splitlines()
-    assert table[0] == ("step,alive,relabels,aborted_top,aborted_bottom,aborted_broken,"
+    assert table[0] == ("step,alive,aborted_top,aborted_bottom,aborted_broken,"
                         "aborted_singular,path0_rel_residual")
     rows = [line.split(",") for line in table[1:] if line[:1].isdigit()]
     assert [int(r[0]) for r in rows] == list(range(int(artifact["n_steps"])))
     columns = {name: [r[i] for r in rows] for i, name in enumerate(table[0].split(","))}
-    for column, key in [("relabels", "n_relabel"), ("aborted_top", "n_aborted_top"),
+    for column, key in [("aborted_top", "n_aborted_top"),
                         ("aborted_bottom", "n_aborted_bottom"),
                         ("aborted_broken", "n_aborted_broken"),
                         ("aborted_singular", "n_aborted_singular")]:
@@ -144,7 +144,7 @@ def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measur
     solved = [v for v in residuals if not math.isnan(v)]
     assert f"{max(solved, default=0.0):.6e}" == artifact["max_rel_residual"]
     if measure == "risk_neutral":
-        assert int(artifact["n_relabel"]) > 0 and aborted > 0
+        assert aborted > 0
         assert int(artifact["n_aborted_singular"]) > 0
     else:
         assert np.isnan(residuals).all()

@@ -1,8 +1,8 @@
 """Smoke tests of the quick demo scripts: each runs to completion.
 
 volatility_and_depth.py is the one caller of the dense drift-kill solve
-outside the tests.  price_a_smile.py and calibrate_from_log.py take tens of
-seconds and are left out.
+outside the tests.  price_a_smile.py, step_convergence.py and
+calibrate_from_log.py take ten seconds or more each and are left out.
 """
 
 import os
