@@ -29,6 +29,7 @@ import statistics
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,6 +48,12 @@ BAR_NS = 60_000_000_000                 # one minute
 PRICE_WINDOW = (20.00, 20.62)
 
 _SIDES = {"B": Side.BUY, "S": Side.SELL}
+_CODES = {side: code for code, side in _SIDES.items()}
+_TYPES = frozenset("AMD")
+
+# A MessageEvent from a 6-tuple of its fields, skipping the Python-level
+# keyword handling of the named tuple's own constructor.
+_event = partial(tuple.__new__, MessageEvent)
 
 
 # ----------------------------------------------------------------------
@@ -73,9 +80,15 @@ def parse_messages(source, strict: bool = False) -> ParseResult:
     """Parse a message-log text stream.
 
     One event per line: ``msg_type,side,timestamp_ns,order_id,price,size``
-    (e.g. ``A,B,34200000000000,42,20.16,500``).  Blank lines and ``#``
-    comments are skipped.  Malformed lines are collected into the issue
-    list with their line numbers; ``strict=True`` aborts on the first one.
+    (e.g. ``A,B,34200000000000,42,20.16,500``).  Whitespace around a line
+    and around each field is stripped.  Blank lines and ``#`` comments are
+    skipped.  Malformed lines are collected into the issue list with their
+    line numbers; ``strict=True`` aborts on the first one.
+
+    A line in the canonical form ``format_log`` writes is read in the loop
+    itself; any other goes through ``_parse_line``, the one reader of
+    malformed and padded lines.  int and float ignore surrounding
+    whitespace, so both read a field to the same value.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -83,7 +96,23 @@ def parse_messages(source, strict: bool = False) -> ParseResult:
         lines = source
     events: list = []
     issues: list = []
+    inf = math.inf
     for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split(",")
+        if len(parts) == 6:
+            msg_type, side_code, ts_s, order_id, price_s, size_s = parts
+            side = _SIDES.get(side_code)
+            if (side is not None and msg_type in _TYPES and order_id
+                    and order_id.strip() == order_id):
+                try:
+                    fields = (msg_type, side, int(ts_s), order_id,
+                              float(price_s), float(size_s))
+                except ValueError:
+                    pass
+                else:
+                    if 0.0 < fields[4] < inf and 0.0 < fields[5] < inf:
+                        events.append(_event(fields))
+                        continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -583,43 +612,49 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
     steps = run_steps(params, ens, SimDiagnostics(), n_bars - 1,
                       BAR_NS / 3_600_000_000_000.0, seed, risk_neutral=False)
     K = params.K
+    # per bucket j, k = j - K + 1: buys below the clearing price, sells at
+    # and above it, at offset k·Δp
+    buckets = range(-K + 1, K + 1)
+    bucket_sides = [Side.BUY if k < 0 else Side.SELL for k in buckets]
+    bucket_offsets = [k * params.delta_p for k in buckets]
+    bucket_ids = [f"k{j}" for j in range(2 * K)]
+    deep_offset = K * params.delta_p
+    tick = 1_000_000
     events: list = []
-    live_ids: list = []
+    # the orders resting from the previous bar, as (sides, ids, prices, sizes)
+    resting: tuple = ([], [], [], [])
 
     for bar in range(n_bars):
-        t0 = SESSION_START_NS + bar * BAR_NS
-        ts = t0 + 1_000_000  # strictly inside the bar
         if bar > 0:
             next(steps)
-
-        def emit(msg_type, side, order_id, price, size):
-            nonlocal ts
-            events.append(MessageEvent(msg_type, side, ts, order_id, price, size))
-            ts += 1_000_000
-
-        for order_id, side, price, size in live_ids:
-            emit("D", side, order_id, price, size)
-        live_ids = []
-
         pi = float(ens.pi[0])
-        emit("A", Side.SELL, f"x{bar}s", pi, 1.0)
-        emit("A", Side.BUY, f"x{bar}b", pi, 1.0)  # prints the trade at pi
-
         q = np.exp(ens.log_q[:, 0])
-        for j in range(2 * K):
-            k = j - K + 1
-            side = Side.BUY if k < 0 else Side.SELL
-            oid = f"q{bar}k{j}"
-            price = pi + k * params.delta_p
-            emit("A", side, oid, price, float(q[j]))
-            live_ids.append((oid, side, price, float(q[j])))
+        sides = bucket_sides.copy()
+        prefix = f"q{bar}"
+        ids = [prefix + suffix for suffix in bucket_ids]
+        prices = [pi + offset for offset in bucket_offsets]
+        sizes = q.tolist()
         # Deep buy below the grid: brings total buys up to the edge value.
         deep = math.exp(ens.log_edge[0]) - float(q[: K - 1].sum())
         if deep > 0.0:
-            oid = f"e{bar}"
-            price = pi - K * params.delta_p
-            emit("A", Side.BUY, oid, price, deep)
-            live_ids.append((oid, Side.BUY, price, deep))
+            sides.append(Side.BUY)
+            ids.append(f"e{bar}")
+            prices.append(pi - deep_offset)
+            sizes.append(deep)
+
+        # the previous bar's orders go, a crossing pair prints the trade at
+        # pi, and this bar's orders rest; one message per tick inside the bar
+        old_sides, old_ids, old_prices, old_sizes = resting
+        n_del, n_add = len(old_ids), 2 + len(ids)
+        t0 = SESSION_START_NS + bar * BAR_NS + tick
+        events += map(_event, zip(
+            ["D"] * n_del + ["A"] * n_add,
+            old_sides + [Side.SELL, Side.BUY] + sides,
+            range(t0, t0 + (n_del + n_add) * tick, tick),
+            old_ids + [f"x{bar}s", f"x{bar}b"] + ids,
+            old_prices + [pi, pi] + prices,
+            old_sizes + [1.0, 1.0] + sizes))
+        resting = sides, ids, prices, sizes
 
     return events
 
@@ -630,9 +665,6 @@ def format_log(events: Sequence) -> str:
     Floats use their shortest round-tripping representation, so a
     parse(format(x)) cycle reproduces prices and sizes bit-for-bit.
     """
-    lines = [
-        f"{ev.msg_type},{ev.side.value},{ev.timestamp},{ev.order_id},"
-        f"{ev.price!r},{ev.size!r}"
-        for ev in events
-    ]
+    lines = [f"{msg_type},{_CODES[side]},{timestamp},{order_id},{price!r},{size!r}"
+             for msg_type, side, timestamp, order_id, price, size in events]
     return "\n".join(lines) + "\n"

@@ -40,6 +40,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -394,10 +395,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a warning prints as one "warning: <message>" line, like the CLI's
+        # own; the library's RuntimeWarnings (malformed log lines skipped,
+        # aborted paths) are shown rather than raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

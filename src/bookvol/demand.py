@@ -115,17 +115,21 @@ def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _nodes(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """(2K+1, n) node values, the edge first, and the (2K, n) bucket masses.
+def _nodes(ens: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(2K+1, n) node values, the edge first, the (2K, n) bucket masses, and
+    the (n,) masses below bucket 0 summed in row order (None when K = 1).
 
     Overflow to inf is left in place: _batch_clear reports such paths as broken.
     """
-    vals = np.empty((len(ens.log_q) + 1, ens.pi.size))
+    K = len(ens.log_q) // 2
+    vals = np.empty((2 * K + 1, ens.pi.size))
     with np.errstate(over="ignore"):
         q = np.exp(ens.log_q)
         vals[0] = np.exp(ens.log_edge)
-        np.subtract(vals[0], _running_sum(q, out=vals[1:]), out=vals[1:])
-    return vals, q
+        sums = _running_sum(q, out=vals[1:])
+        below = sums[K - 2].copy() if K > 1 else None
+        np.subtract(vals[0], sums, out=sums)
+    return vals, q, below
 
 
 def _segment(vals: np.ndarray, curve: Ensemble, x, live=True):
@@ -154,7 +158,7 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     are marked dead and reported instead of cleared.
     """
     K = len(ens.log_q) // 2
-    vals, q = _nodes(ens)
+    vals, q, below = _nodes(ens)
     # the nodes fall from the edge by non-negative masses, so an inf or a NaN
     # anywhere reaches the last node: test the edge and the last node only
     finite = np.isfinite(vals[0]) & np.isfinite(vals[-1])
@@ -174,12 +178,13 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     # its zero crossing is the inverse at level 0
     _, z = _segment(vals, ens, 0.0, live)
     ens.pi += z
-    # live edges re-anchor so the zero sits mid-bucket 0, summing the masses
-    # in row order (into the spent node buffer) as np.sum does on many
-    # columns but not on one; dead paths stay frozen
-    q[K - 1] *= 0.5
-    edge = _running_sum(q[:K], out=vals[:K])[-1]
-    np.copyto(ens.log_edge, np.log(edge), where=live)
+    # live edges re-anchor so the zero sits mid-bucket 0: the masses below it,
+    # summed in row order as np.sum does on many columns but not on one, plus
+    # half of bucket 0; dead paths stay frozen
+    edge = 0.5 * q[K - 1]
+    if below is not None:
+        edge += below
+    np.log(edge, out=ens.log_edge, where=live)
     return Cleared(top, bottom, broken)
 
 

@@ -374,7 +374,7 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
         ens.log_q[:, dead], ens.log_edge[dead] = frozen
     cleared = _batch_clear(ens, params)
     if translation:
-        ens.pi[ens.alive] += translation
+        np.add(ens.pi, translation, out=ens.pi, where=ens.alive)
     return cleared
 
 
@@ -395,9 +395,10 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
     translation = 0.0 if risk_neutral else params.drift_c * dt
     factors = ou_step_factors(params, dt)
     singular = np.zeros(n_paths, dtype=bool)
+    gen = sheet.generator()         # re-keyed for every draw
 
     for step in range(n_steps):
-        inc = sheet.increments_block(cfg, dt, step, n_paths)
+        inc = sheet.increments_block(cfg, dt, step, n_paths, gen)
         shifts, residual = None, math.nan
         if kill:
             y, e, rhs, singular = _batch_kill_shifts(ens, params, kt)

@@ -38,38 +38,47 @@ class SheetConfig:
         return self.factor_count * self.delta_p
 
 
-def _chunk_block(cfg: SheetConfig, step: int, chunk: int, out: np.ndarray,
-                 gen: np.random.Generator | None = None) -> np.random.Generator:
-    """Draw the leading len(out) rows of one chunk's standard-normal
-    (_CHUNK, factor_count) block into `out`, and return the generator.
+def generator() -> np.random.Generator:
+    """A Philox generator for increments_block to re-key at every chunk.
 
-    The generator is a Philox keyed (seed, chunk) with counter (0, 0, 0, step).
-    A `gen` from an earlier call is re-keyed to that state, with an empty
-    buffer, instead of building a new one: building a Philox seeds a
-    SeedSequence from OS entropy that the key then overrides, about four
-    times the cost of setting the state.
+    One per run is enough: building a Philox seeds a SeedSequence from OS
+    entropy, about four times the cost of setting its state, and the key and
+    counter of each chunk's draw override that seed.
     """
-    key = np.array([cfg.seed, chunk], dtype=np.uint64)
-    counter = np.array([0, 0, 0, step], dtype=np.uint64)
-    if gen is None:
-        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-    else:
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": counter, "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(np.random.Philox())
+
+
+def _chunk_block(cfg: SheetConfig, step: int, chunk: int, out: np.ndarray,
+                 gen: np.random.Generator) -> None:
+    """Draw the leading len(out) rows of one chunk's standard-normal
+    (_CHUNK, factor_count) block into `out`.
+
+    `gen` is re-keyed to the Philox keyed (seed, chunk) with counter
+    (0, 0, 0, step) and an empty buffer, so the draw does not depend on what
+    the generator drew before.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, 0, step], dtype=np.uint64),
+                  "key": np.array([cfg.seed, chunk], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
     gen.standard_normal(out.shape, out=out)
-    return gen
 
 
-def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int) -> np.ndarray:
-    """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step."""
+def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int,
+                     gen: np.random.Generator | None = None) -> np.ndarray:
+    """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step.
+
+    A loop over steps passes its one `generator()` as `gen`; the draws do not
+    depend on it.
+    """
     if not dt >= 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
+    gen = generator() if gen is None else gen
     out = np.empty((n_streams, cfg.factor_count))
-    gen = None
     for c, start in enumerate(range(0, n_streams, _CHUNK)):
-        gen = _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
+        _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
     out *= np.sqrt(dt)
     return out
 

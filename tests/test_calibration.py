@@ -14,6 +14,8 @@ from bookvol.calibration import (
     BAR_NS,
     SESSION_END_NS,
     SESSION_START_NS,
+    ParseIssue,
+    _parse_line,
     build_panel,
     calibrate,
     clean,
@@ -33,8 +35,8 @@ from bookvol.calibration import (
 from bookvol.demand import init_ensemble
 from bookvol.errors import FitError, ParseError, SimulationError
 from bookvol.lob import MessageEvent, Side
-from bookvol.params import demo_params
-from bookvol.riskneutral import ou_step_factors, step_ensemble
+from bookvol.params import ModelParams, demo_params
+from bookvol.riskneutral import SimDiagnostics, ou_step_factors, run_steps, step_ensemble
 from bookvol.sheet import SheetConfig, increments_block
 
 
@@ -95,6 +97,90 @@ def test_format_parse_round_trip_is_bit_exact(price, size):
     back = parse_messages(format_log([ev])).events[0]
     assert back.price == price and back.size == size
     assert back == ev
+
+
+def _parse_oracle(lines, strict=False):
+    """parse_messages as one loop over _parse_line: the slow oracle of the
+    canonical-line fast path."""
+    events, issues = [], []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            events.append(_parse_line(line))
+        except ValueError as exc:
+            if strict:
+                raise ParseError(f"line {line_no}: {exc}") from None
+            issues.append(ParseIssue(line_no, str(exc), line))
+    return events, issues
+
+
+# padding: "\x1c" and "\xa0" are stripped by str.strip but "\x1c" is not
+# ignored by int and float, so such a field takes the slow path
+_PAD = st.sampled_from(["", "", " ", "\t", "\x0b", "  ", "\x1c", "\xa0"])
+# each field is valid about four times in five
+_NUMBER = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6).map(repr),
+    st.floats(min_value=1e-3, max_value=1e6).map(repr),
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0.0", "1e400", "1_0", "+3",
+                     "abc", "", "1 0", "0x10"]))
+_FIELDS = (
+    st.sampled_from(["A", "M", "D"] * 4 + ["X", "a", "", "AD", "#A"]),
+    st.sampled_from(["B", "S"] * 6 + ["Q", "b", "", "BS"]),
+    st.one_of(st.integers(-10, 10**14).map(str), st.integers(0, 10**14).map(str),
+              st.sampled_from(["", "1_0", "x", "1.5", "+7"])),
+    st.one_of(st.text(alphabet="ab0_ .", min_size=1, max_size=4),
+              st.sampled_from(["", "id", "7"])),
+    _NUMBER,
+    _NUMBER,
+)
+
+
+def _padded(field):
+    return st.tuples(_PAD, field, _PAD).map("".join)
+
+
+_LINE = st.one_of(
+    st.tuples(*_FIELDS).map(",".join),                              # unpadded
+    st.tuples(*map(_padded, _FIELDS)).map(",".join),                # padded fields
+    st.tuples(_PAD, st.tuples(*_FIELDS).map(",".join), _PAD).map("".join),   # padded line
+    st.lists(st.sampled_from(["A", "B", "1", "x", "2.5", " ", ""]),
+             max_size=9).map(",".join),                             # any field count
+    st.text(max_size=8).map(lambda t: "#" + t),                     # comment
+    _PAD,                                                           # blank
+)
+
+
+@given(st.lists(_LINE, max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_line_by_line_oracle(lines):
+    """Events (values and Python types), issues and the first strict-mode
+    error all equal a loop over _parse_line, for a list of lines and for the
+    same lines as one text."""
+    for source in (lines, "\n".join(lines)):
+        oracle_lines = source.splitlines() if isinstance(source, str) else source
+        events, issues = _parse_oracle(oracle_lines)
+        parsed = parse_messages(source)
+        assert parsed.events == events
+        assert [[type(v) for v in ev] for ev in parsed.events] == \
+            [[type(v) for v in ev] for ev in events]
+        assert all(type(ev) is MessageEvent and type(ev.side) is Side for ev in parsed.events)
+        assert parsed.issues == issues
+        if issues:
+            with pytest.raises(ParseError) as expected:
+                _parse_oracle(oracle_lines, strict=True)
+            with pytest.raises(ParseError) as got:
+                parse_messages(source, strict=True)
+            assert str(got.value) == str(expected.value)
+        else:
+            assert parse_messages(source, strict=True).events == events
+
+
+def test_format_of_no_events_is_one_newline():
+    assert format_log([]) == "\n"
+    assert parse_messages(format_log([])).events == []
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +331,82 @@ def test_synthetic_log_of_zero_and_one_bars(monkeypatch):
     assert (deep.msg_type, deep.side, deep.price) == ("A", Side.BUY, pi0 - K * dp)
     assert deep.size == math.exp(book.log_edge[0]) - q[:K - 1].sum()
     assert {ev.timestamp // BAR_NS for ev in events} == {SESSION_START_NS // BAR_NS}
+
+
+def _synthesis_oracle(params, n_bars, seed):
+    """synthesize_log rebuilt from run_steps states one message at a time."""
+    ens = init_ensemble(params, 1)
+    steps = run_steps(params, ens, SimDiagnostics(), n_bars - 1, 1 / 60, seed,
+                      risk_neutral=False)
+    K = params.K
+    events, live = [], []
+    for bar in range(n_bars):
+        ts = SESSION_START_NS + bar * BAR_NS + 1_000_000
+        if bar > 0:
+            next(steps)
+
+        def emit(msg_type, side, order_id, price, size):
+            nonlocal ts
+            events.append(MessageEvent(msg_type, side, ts, order_id, price, size))
+            ts += 1_000_000
+
+        for order_id, side, price, size in live:
+            emit("D", side, order_id, price, size)
+        live = []
+        pi = float(ens.pi[0])
+        emit("A", Side.SELL, f"x{bar}s", pi, 1.0)
+        emit("A", Side.BUY, f"x{bar}b", pi, 1.0)
+        q = np.exp(ens.log_q[:, 0])
+        for j in range(2 * K):
+            k = j - K + 1
+            side = Side.BUY if k < 0 else Side.SELL
+            price = pi + k * params.delta_p
+            emit("A", side, f"q{bar}k{j}", price, float(q[j]))
+            live.append((f"q{bar}k{j}", side, price, float(q[j])))
+        deep = math.exp(ens.log_edge[0]) - float(q[: K - 1].sum())
+        if deep > 0.0:
+            price = pi - K * params.delta_p
+            emit("A", Side.BUY, f"e{bar}", price, deep)
+            live.append((f"e{bar}", Side.BUY, price, deep))
+    return events
+
+
+def _ground_truth_like():
+    """K = 7, fast-reverting, quiet buy side, 0.4^|i-j| factor correlation."""
+    K, dp = 7, 0.05
+    n = 2 * K
+    m = np.full(n, math.log(2e9))
+    corr = 0.4 ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    vals, vecs = np.linalg.eigh(corr)
+    q0 = np.exp(m)
+    edge0 = q0[:K - 1].sum() + 0.5 * q0[K - 1]
+    return ModelParams.create(
+        K=K, delta_p=dp, pi0=20.16, q0=q0, a_q=np.linspace(30.0, 60.0, n), mean_logq=m,
+        sigma_q_rel=np.where(np.arange(n) < K - 1, 0.005, np.linspace(0.10, 0.30, n)),
+        loadings=(vecs * np.sqrt(vals)) @ vecs.T / math.sqrt(dp), edge0=edge0, a_edge=5.0,
+        mean_log_edge=math.log(edge0), sigma_edge_rel=0.002,
+        edge_loadings=np.full(n, 1.0 / math.sqrt(n * dp)))
+
+
+def _thin_start_edge():
+    """Demo parameters whose first bar has no deep buy: the edge starts below
+    the buy masses, and the first step clears it back."""
+    params = demo_params()
+    return replace(params, edge0=0.9 * float(params.q0[:params.K - 1].sum()))
+
+
+@pytest.mark.parametrize("params", [demo_params(), _ground_truth_like(), _thin_start_edge()],
+                         ids=["demo", "ground-truth-like", "no-deep-buy"])
+def test_synthesis_and_format_match_the_message_by_message_oracle(params):
+    events = synthesize_log(params, 40, seed=4)
+    expected = _synthesis_oracle(params, 40, seed=4)
+    assert events == expected
+    assert [[type(v) for v in ev] for ev in events] == \
+        [[type(v) for v in ev] for ev in expected]
+    assert all(type(ev) is MessageEvent for ev in events)
+    assert format_log(events) == "\n".join(
+        f"{ev.msg_type},{ev.side.value},{ev.timestamp},{ev.order_id},{ev.price!r},{ev.size!r}"
+        for ev in expected) + "\n"
 
 
 def test_synthetic_log_raises_when_its_path_aborts():

@@ -10,6 +10,7 @@ import pytest
 
 from bookvol.demand import (
     _batch_clear,
+    _running_sum,
     curve_value,
     init_ensemble,
     inverse,
@@ -135,8 +136,46 @@ def test_clear_resets_edge_to_consistency_value():
     _batch_clear(book, params)
     q = np.exp(book.log_q[:, 0])
     K = params.K
-    assert math.exp(book.log_edge[0]) == pytest.approx(q[: K - 1].sum() + 0.5 * q[K - 1],
-                                                       rel=1e-12)
+    edge = 0.0
+    for mass in q[: K - 1]:                   # the masses below bucket 0, in row order
+        edge += mass
+    assert book.log_edge[0] == np.log(edge + 0.5 * q[K - 1])
+
+
+@pytest.mark.parametrize("K", [1, 7])
+def test_clear_edge_equals_the_halved_running_sum_oracle(K):
+    """The re-anchored log-edge is, bit for bit, the log of the running sum
+    of q̃(-K+1..0) with q̃(0) halved, on jittered, thin-bucket, far-crossing,
+    dead and broken columns; dead columns keep their edge and broken ones
+    take the placeholder."""
+    params = _flat_params(K=K)
+    n = 12
+    books = init_ensemble(params, n)
+    rng = np.random.default_rng(K)
+    books.log_q += rng.normal(scale=1.0, size=books.log_q.shape)
+    books.log_q[K - 1, 4] -= 20.0               # thin clearing bucket
+    books.log_q[0, 5] -= 20.0                   # thin bottom bucket
+    q = np.exp(books.log_q)
+    # the zero near mid-bucket 0, or (column 6) near the top of the grid
+    books.log_edge = np.log(q[:K].sum(axis=0) - 0.5 * q[K - 1]) \
+        + rng.normal(scale=0.02, size=n)
+    books.log_edge[6] = np.log(q[:, 6].sum() - 0.1 * q[-1, 6])
+    books.alive[7] = False                      # dead before the pass
+    books.log_q[-1, 8] = np.nan                 # broken
+    books.log_edge[9] = np.inf                  # broken
+    q = np.exp(books.log_q)
+    halved = q[:K].copy()
+    halved[K - 1] *= 0.5
+    expected = np.log(_running_sum(halved)[-1])
+    before = books.log_edge.copy()
+
+    cleared = _batch_clear(books, params)
+    assert cleared.broken.tolist() == [j in (8, 9) for j in range(n)]
+    live = books.alive
+    assert live.tolist() == [j not in (7, 8, 9) for j in range(n)]
+    assert np.array_equal(books.log_edge[live], expected[live])
+    assert books.log_edge[7] == before[7]
+    assert np.all(books.log_edge[[8, 9]] == params.mean_log_edge)
 
 
 @pytest.mark.parametrize("side", ["top", "bottom"])

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bookvol import riskneutral
+from bookvol.calibration import synthesize_log
 from bookvol.demand import (_batch_clear, init_ensemble, inverse, liquidation_proceeds,
                             node_values, wealth_increment)
 from bookvol.errors import SingularSystemError
@@ -551,6 +552,38 @@ def test_step_stages_are_looked_up_per_call(monkeypatch, risk_neutral):
     per_step = 3 if risk_neutral else 0
     assert calls == {"_batch_clear": 3, "_batch_kill_shifts": per_step,
                      "_path0_rel_residual": per_step}
+
+
+@pytest.mark.parametrize("risk_neutral", [True, False])
+def test_a_run_builds_one_generator_and_draws_fresh_increments(monkeypatch, risk_neutral):
+    """A run keeps one Philox and re-keys it for every draw: a 50-bar log and
+    a 3-step, 300-path run each build one, and each step's increments equal a
+    fresh increments_block call."""
+    built, incs = [], []
+    philox, step = np.random.Philox, riskneutral.step_ensemble
+
+    def counted_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    def recorded_step(ens, params, inc, *args, **kwargs):
+        incs.append(inc.copy())
+        return step(ens, params, inc, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    synthesize_log(demo_params(), 50, seed=3)
+    assert len(built) == 1
+
+    built.clear()
+    monkeypatch.setattr(riskneutral, "step_ensemble", recorded_step)
+    params, n, dt = demo_params(), 300, 1.0 / 60.0
+    simulate_ensemble(params, n, 3 * dt, dt, seed=2, risk_neutral=risk_neutral)
+    assert len(built) == 1
+    monkeypatch.undo()
+    cfg = SheetConfig(params.factor_count, params.delta_p, seed=2)
+    assert len(incs) == 3
+    for k, inc in enumerate(incs):
+        assert np.array_equal(inc, increments_block(cfg, dt, k, n))
 
 
 def test_init_ensemble_replicates_initial_state():
