@@ -102,7 +102,9 @@ def parse_messages(source, strict: bool = False) -> ParseResult:
         if len(parts) == 6:
             msg_type, side_code, ts_s, order_id, price_s, size_s = parts
             side = _SIDES.get(side_code)
-            if (side is not None and msg_type in _TYPES and order_id
+            # _parse_line's checks, in its order, on an unpadded line; a
+            # line failing any of them goes to _parse_line for its reason
+            if (msg_type in _TYPES and side is not None and order_id
                     and order_id.strip() == order_id):
                 try:
                     fields = (msg_type, side, int(ts_s), order_id,
@@ -130,7 +132,7 @@ def _parse_line(line: str) -> MessageEvent:
     if len(parts) != 6:
         raise ValueError(f"expected 6 fields, got {len(parts)}")
     msg_type, side_code, ts_s, order_id, price_s, size_s = parts
-    if msg_type not in ("A", "M", "D"):
+    if msg_type not in _TYPES:
         raise ValueError(f"unknown message type {msg_type!r}")
     side = _SIDES.get(side_code)
     if side is None:
@@ -138,9 +140,9 @@ def _parse_line(line: str) -> MessageEvent:
     timestamp = int(ts_s)
     price = float(price_s)
     size = float(size_s)
-    if not math.isfinite(price) or price <= 0:
+    if not 0.0 < price < math.inf:
         raise ValueError(f"price must be positive, got {price_s!r}")
-    if not math.isfinite(size) or size <= 0:
+    if not 0.0 < size < math.inf:
         raise ValueError(f"size must be positive, got {size_s!r}")
     if not order_id:
         raise ValueError("empty order id")

@@ -402,11 +402,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # a warning prints as one "warning: <message>" line, like the CLI's
-        # own; the library's RuntimeWarnings (malformed log lines skipped,
-        # aborted paths) are shown rather than raised
+        # a shown warning (malformed log lines skipped, aborted paths)
+        # prints as one "warning: <message>" line, like the CLI's own; the
+        # warning filters, -W error included, are left as they are
         with warnings.catch_warnings():
-            warnings.simplefilter("default", RuntimeWarning)
             warnings.showwarning = _show_warning
             return args.func(args)
     except (OSError, ValueError) as exc:

@@ -82,6 +82,7 @@ def test_calibrate_feeds_simulate(tmp_path, capsys):
     assert "max_rel_residual" in out
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_replay_and_calibrate_report_malformed_lines(tmp_path, capsys):
     params = demo_params()
     lines = format_log(synthesize_log(params, 120, seed=5)).splitlines(keepends=True)
