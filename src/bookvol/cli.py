@@ -107,11 +107,30 @@ def _pick(flag, section: dict, key: str, default):
     return section.get(key, default)
 
 
+def _integer(value, name: str) -> int:
+    """A config integer: a JSON integer, or a number with no fractional part.
+    A boolean, a fraction or any other value is a ConfigError naming `name`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _boolean(value, name: str) -> bool:
+    """A config switch: JSON true or false only, so the string "false" is a
+    ConfigError naming `name` rather than a true value."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _run_settings(args, cfg: dict, section: str, default_paths: int) -> tuple:
     """Checked (seed, paths, expiry, dt) of a simulation: flag, then config, then default."""
-    sec = _section(cfg, section)
-    seed = int(_pick(args.seed, sec, "seed", _section(cfg, "sheet").get("seed", 0)))
-    n_paths = int(_pick(args.paths, sec, "paths", default_paths))
+    sec, sheet = _section(cfg, section), _section(cfg, "sheet")
+    seed = _integer(_pick(args.seed, sec, "seed", sheet.get("seed", 0)),
+                    f"{section if 'seed' in sec else 'sheet'}.seed")
+    n_paths = _integer(_pick(args.paths, sec, "paths", default_paths), f"{section}.paths")
     expiry = float(_pick(args.expiry, sec, "expiry", 0.02))
     dt = float(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS))
     pricing.check_run(expiry, n_paths, dt, seed)
@@ -169,8 +188,8 @@ def _read_log(path: str) -> str:
 def cmd_replay(args) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "replay")
-    parsed = calibration.parse_messages(_read_log(args.log),
-                                        strict=bool(sec.get("strict", False)))
+    strict = _boolean(sec.get("strict", False), "replay.strict")
+    parsed = calibration.parse_messages(_read_log(args.log), strict=strict)
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed lines skipped", file=sys.stderr)
         if args.verbose:
@@ -227,7 +246,7 @@ def cmd_calibrate(args) -> int:
     sec = _section(cfg, "calibrate")
     try:
         pi0 = float(sec["pi0"])
-        K = int(sec["K"])
+        K = _integer(sec["K"], "calibrate.K")
         delta_p = float(sec["delta_p"])
     except KeyError as exc:
         raise ConfigError(
@@ -235,7 +254,7 @@ def cmd_calibrate(args) -> int:
         ) from exc
     p_min = float(sec.get("p_min", calibration.PRICE_WINDOW[0]))
     p_max = float(sec.get("p_max", calibration.PRICE_WINDOW[1]))
-    strict = bool(sec.get("strict", False))
+    strict = _boolean(sec.get("strict", False), "calibrate.strict")
 
     report = calibration.calibrate(_read_log(args.log), pi0=pi0, K=K, delta_p=delta_p,
                                    strict=strict, p_min=p_min, p_max=p_max)

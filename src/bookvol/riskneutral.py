@@ -315,8 +315,10 @@ class SimDiagnostics:
     def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
               residual: float) -> None:
         """Append one step's row."""
-        masks = (alive, cleared.top, cleared.bottom, cleared.broken, singular)
-        self.rows.append(StepRow(*(int(np.count_nonzero(m)) for m in masks), residual))
+        top, bottom, broken = cleared
+        self.rows.append(StepRow(int(np.count_nonzero(alive)), int(np.count_nonzero(top)),
+                                 int(np.count_nonzero(bottom)), int(np.count_nonzero(broken)),
+                                 int(np.count_nonzero(singular)), residual))
 
 
 def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +332,14 @@ def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ou_step_factors(params: ModelParams, dt: float) -> tuple:
-    """(decay_q, vol_q, decay_e, vol_e) of the exact OU step over dt."""
+    """The per-run constants of step_ensemble over dt: the (2K+1, F) stacked
+    projection, edge row first, then the decay and noise scale of the exact
+    OU step of the masses, as (2K, 1) columns, and of the edge."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return (*_ou_factors(params.a_q, params.sigma_q_rel, dt),
-            *_ou_factors(params.a_edge, params.sigma_edge_rel, dt))
+    decay_q, vol_q = _ou_factors(params.a_q, params.sigma_q_rel, dt)
+    return (np.vstack([params.edge_loadings, params.loadings]), decay_q[:, None],
+            vol_q[:, None], *_ou_factors(params.a_edge, params.sigma_edge_rel, dt))
 
 
 def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float,
@@ -348,10 +353,10 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
     move by `translation`.
     `factors` is ou_step_factors(params, dt), computed once per run.
     """
-    decay_q, vol_q, decay_e, vol_e = factors
+    projection, decay_q, vol_q, decay_e, vol_e = factors
     root_dt = math.sqrt(dt)
     # one gemm, edge row first: the same bits for any group of two or more paths
-    z = np.vstack([params.edge_loadings, params.loadings]) @ inc.T
+    z = projection @ inc.T
     z *= math.sqrt(params.delta_p) / root_dt
     z_e, z_q = z[0], z[1:]
     if kill is not None:
@@ -362,14 +367,18 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
     if dead is not None:        # frozen paths keep their state through the update
         frozen = ens.log_q[:, dead], ens.log_edge[dead]
     mean = params.mean_logq[:, None]
-    log_q = ens.log_q           # updated in place
+    log_q = ens.log_q           # updated in place, as is the edge
     log_q -= mean
-    log_q *= decay_q[:, None]
+    log_q *= decay_q
     log_q += mean
-    z_q *= vol_q[:, None]
+    z_q *= vol_q
     log_q += z_q
-    np.add(params.mean_log_edge + (ens.log_edge - params.mean_log_edge) * decay_e,
-           vol_e * z_e, out=ens.log_edge)
+    log_edge = ens.log_edge
+    log_edge -= params.mean_log_edge
+    log_edge *= decay_e
+    log_edge += params.mean_log_edge
+    z_e *= vol_e
+    log_edge += z_e
     if dead is not None:
         ens.log_q[:, dead], ens.log_edge[dead] = frozen
     cleared = _batch_clear(ens, params)
@@ -409,7 +418,7 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
         cleared = step_ensemble(ens, params, inc, dt, factors, kill=shifts,
                                 translation=translation)
         diag.count(cleared, singular, ens.alive, residual)
-        if not ens.alive.any():
+        if not diag.rows[-1].alive:
             error = SingularSystemError if diag.n_aborted_singular == n_paths else SimulationError
             raise error(f"all {n_paths} simulated paths aborted (top {diag.n_aborted_top}, "
                         f"bottom {diag.n_aborted_bottom}, broken {diag.n_aborted_broken}, "

@@ -15,6 +15,7 @@ prefix of the draw of more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,8 @@ def _chunk_block(cfg: SheetConfig, step: int, chunk: int, out: np.ndarray,
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, 0, step], dtype=np.uint64),
-                  "key": np.array([cfg.seed, chunk], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+        "state": {"counter": [0, 0, 0, step], "key": [cfg.seed, chunk]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     gen.standard_normal(out.shape, out=out)
 
 
@@ -79,7 +78,7 @@ def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int,
     out = np.empty((n_streams, cfg.factor_count))
     for c, start in enumerate(range(0, n_streams, _CHUNK)):
         _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
-    out *= np.sqrt(dt)
+    out *= math.sqrt(dt)
     return out
 
 

@@ -103,6 +103,56 @@ def test_replay_and_calibrate_report_malformed_lines(tmp_path, capsys):
         f"wrote {fit} and {fit}.manifest.json"]
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("command", ["replay", "calibrate"])
+def test_strict_takes_a_json_boolean_only(command, tmp_path, capsys):
+    """false skips a malformed line with a warning, true stops at it, and the
+    string "false" is bad input rather than a true value."""
+    params = demo_params()
+    lines = format_log(synthesize_log(params, 120, seed=5)).splitlines(keepends=True)
+    log = tmp_path / "session.log"
+    log.write_text("".join(lines[:1] + ["garbage\n"] + lines[1:]))
+    grid = {"pi0": params.pi0, "K": params.K, "delta_p": params.delta_p,
+            "p_min": 19.0, "p_max": 21.5} if command == "calibrate" else {}
+    config = tmp_path / "config.json"
+
+    def run(strict):
+        config.write_text(json.dumps({command: {**grid, "strict": strict}}))
+        code = main([command, str(log), "--config", str(config), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    code, err = run(False)
+    assert code == 0 and "warning: 1 malformed lines skipped" in err
+    code, err = run(True)
+    assert code == 2 and err.startswith("error: line 2: ")
+    assert run("false") == (2, f"error: {command}.strict must be true or false, got 'false'\n")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate"], {"simulate": {"paths": 2.7}}, "simulate.paths must be an integer, got 2.7"),
+    (["simulate"], {"simulate": {"paths": True}}, "simulate.paths must be an integer, got True"),
+    (["simulate"], {"simulate": {"seed": 1.5}}, "simulate.seed must be an integer, got 1.5"),
+    (["price"], {"sheet": {"seed": 0.5}}, "sheet.seed must be an integer, got 0.5"),
+    (["smile"], {"pricing": {"paths": "40"}}, "pricing.paths must be an integer, got '40'"),
+    (["calibrate", "session.log"], {"calibrate": {"pi0": 20.16, "K": 7.5, "delta_p": 0.05}},
+     "calibrate.K must be an integer, got 7.5"),
+], ids=["paths-fraction", "paths-bool", "seed-fraction", "sheet-seed", "paths-string", "K"])
+def test_config_integer_that_is_not_one_exits_2(argv, config, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    (tmp_path / "session.log").write_text("A,B,%d,x,20.3,5\n" % SESSION_START_NS)
+    argv = [str(tmp_path / a) if a.endswith(".log") else a for a in argv]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_integer_may_be_written_as_a_whole_float(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"simulate": {"paths": 2.0, "seed": 3.0, "expiry": 0.0002}}))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert "n_paths,2\n" in capsys.readouterr().out
+
+
 def test_simulate_prints_paths_and_diagnostics(capsys):
     rc = main(["simulate", "--paths", "3", "--expiry", "0.0002", "--seed", "1"])
     assert rc == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bookvol.demand import (
+    _ACCUMULATE_MAX_COLUMNS,
     _batch_clear,
     _running_sum,
     curve_value,
@@ -176,6 +177,19 @@ def test_clear_edge_equals_the_halved_running_sum_oracle(K):
     assert np.array_equal(books.log_edge[live], expected[live])
     assert books.log_edge[7] == before[7]
     assert np.all(books.log_edge[[8, 9]] == params.mean_log_edge)
+
+
+@pytest.mark.parametrize("width", [1, _ACCUMULATE_MAX_COLUMNS, _ACCUMULATE_MAX_COLUMNS + 1, 300])
+def test_running_sum_adds_in_row_order_at_any_width(width):
+    """One np.add.accumulate call (narrow arrays) and the loop over rows
+    (wide ones) both give np.cumsum's bits, and a column summed alone
+    equals the same column summed in the array."""
+    x = np.random.default_rng(width).lognormal(size=(20, width))
+    out = np.empty_like(x)
+    assert _running_sum(x, out=out) is out
+    assert np.array_equal(out, np.cumsum(x, axis=0))
+    for i in (0, width - 1):
+        assert np.array_equal(_running_sum(x[:, i:i + 1]), out[:, i:i + 1])
 
 
 @pytest.mark.parametrize("side", ["top", "bottom"])

@@ -371,13 +371,18 @@ def _wide_params(K):
         edge_loadings=uniform_loadings(K, dp))
 
 
-@pytest.mark.parametrize("K", [9, 10])
-def test_batch_clear_matches_single_paths_exactly_on_wide_grids(K):
+@pytest.mark.parametrize("K, n", [
+    pytest.param(9, 64, id="9"), pytest.param(10, 64, id="10"),
+    pytest.param(9, 300, id="9-300"), pytest.param(10, 300, id="10-300"),
+])
+def test_batch_clear_matches_single_paths_exactly_on_wide_grids(K, n):
     """With K - 1 >= 8 masses below the clearing bucket, np.sum on a single
     column adds them pairwise; the edge re-anchoring must add them in row
-    order, as on many columns, so 64 jittered books clear to the same bits
-    alone as in the batch."""
-    params, n = _wide_params(K), 64
+    order, as on many columns, so n jittered books clear to the same bits
+    alone as in the batch.  300 books are wider than
+    _ACCUMULATE_MAX_COLUMNS, so the batch's running sums come from the loop
+    over rows and each book's alone from np.add.accumulate."""
+    params = _wide_params(K)
     rng = np.random.default_rng(10)
     ens = init_ensemble(params, n)
     ens.log_q += rng.normal(scale=1.0, size=ens.log_q.shape)
