@@ -40,28 +40,47 @@ from .params import ModelParams
 class Ensemble:
     """n books, stored bucket-major; a single book is an ensemble of one.
 
-    Row k of the (2K, n) log masses holds bucket k of every book, so each
-    per-step numpy loop runs along the long book axis, and per-bucket
-    parameters broadcast as (2K, 1) columns.  Book i is column i.
+    Row 0 of the (2K+1, n) log state holds the edge of every book and row
+    k+1 bucket k, in the row order of the node values, so each per-step
+    numpy loop runs along the long book axis, per-row parameters broadcast
+    as (2K+1, 1) columns, and the edge steps with the masses in one update.
+    Book i is column i; log_edge and log_q are views of the state's rows.
     """
 
     delta_p: float
-    log_edge: np.ndarray    # (n,)
-    log_q: np.ndarray       # (2K, n)
+    log_state: np.ndarray   # (2K+1, n): log edge, then log bucket masses
     pi: np.ndarray          # (n,)
     alive: np.ndarray       # (n,) bool
+
+    @property
+    def log_edge(self) -> np.ndarray:
+        """(n,) log edge values: row 0 of the state."""
+        return self.log_state[0]
+
+    @log_edge.setter
+    def log_edge(self, value) -> None:     # `ens.log_edge += x` writes the state
+        self.log_state[0] = value
+
+    @property
+    def log_q(self) -> np.ndarray:
+        """(2K, n) log bucket masses: rows 1..2K of the state."""
+        return self.log_state[1:]
+
+    @log_q.setter
+    def log_q(self, value) -> None:
+        self.log_state[1:] = value
 
     def column(self, i: int) -> Ensemble:
         """Book i as an ensemble of one whose arrays are views into this one."""
         s = slice(i, i + 1)
-        return Ensemble(self.delta_p, self.log_edge[s], self.log_q[:, s], self.pi[s], self.alive[s])
+        return Ensemble(self.delta_p, self.log_state[:, s], self.pi[s], self.alive[s])
 
 
 def init_ensemble(params: ModelParams, n_paths: int = 1) -> Ensemble:
     """n_paths copies of the initial book of `params`."""
     params.validate()
-    return Ensemble(delta_p=params.delta_p, log_edge=np.full(n_paths, np.log(params.edge0)),
-                    log_q=np.tile(np.log(params.q0)[:, None], (1, n_paths)),
+    log_state = np.concatenate(([np.log(params.edge0)], np.log(params.q0)))
+    return Ensemble(delta_p=params.delta_p, log_state=np.tile(log_state[:, None], (1, n_paths)),
                     pi=np.full(n_paths, params.pi0, dtype=float),
                     alive=np.ones(n_paths, dtype=bool))
 
@@ -104,7 +123,8 @@ _ACCUMULATE_MAX_COLUMNS = 192      # widest array _running_sum accumulates in on
 
 
 def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative sums down the rows of x, into `out` when given.
+    """Cumulative sums down the rows of x, into `out` when given (x itself
+    may be `out`).
 
     The additions and their order are those of np.cumsum(x, axis=0): row i
     is row i-1 plus x[i], so the last row is the column sums added in row
@@ -136,16 +156,13 @@ def _nodes(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 
     Overflow to inf is left in place: _batch_clear reports such paths as broken.
     """
-    K = len(ens.log_q) // 2
-    vals = np.empty((2 * K + 1, ens.pi.size))
+    K = len(ens.log_state) // 2
     with np.errstate(over="ignore"):
-        q = np.exp(ens.log_q)
-        edge = np.exp(ens.log_edge, out=vals[0])
-        sums = _running_sum(q, out=vals[1:])
-        anchor = 0.5 * q[K - 1]
-        if K > 1:
-            anchor += sums[K - 2]
-        np.subtract(edge, sums, out=sums)
+        vals = np.exp(ens.log_state)                # the edge, then the masses
+        half = 0.5 * vals[K]                        # before the running sum replaces q(0)
+        sums = _running_sum(vals[1:], out=vals[1:])
+        anchor = half + sums[K - 2] if K > 1 else half
+        np.subtract(vals[0], sums, out=sums)
     return vals, anchor
 
 
@@ -181,8 +198,7 @@ def _batch_clear(ens: Ensemble, params: ModelParams) -> Cleared:
     vals, anchor = _nodes(ens)
     # the nodes fall from the edge by non-negative masses, so an inf or a NaN
     # anywhere, the edge included, reaches the last node: test it alone
-    sound = np.isfinite(vals[-1])
-    sound &= ens.alive
+    sound = np.isfinite(vals[-1]) & ens.alive
     broken = ens.alive ^ sound
     top = sound & (vals[-1] >= 0.0)
     bottom = sound & (vals[0] <= 0.0)

@@ -332,14 +332,17 @@ def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ou_step_factors(params: ModelParams, dt: float) -> tuple:
-    """The per-run constants of step_ensemble over dt: the (2K+1, F) stacked
-    projection, edge row first, then the decay and noise scale of the exact
-    OU step of the masses, as (2K, 1) columns, and of the edge."""
+    """The per-run constants of step_ensemble over dt, edge row first as in
+    Ensemble.log_state: the (2K+1, F) stacked projection, then the long-run
+    means, the decays e^{-a dt} and the noise scales of the exact OU step as
+    (2K+1, 1) columns."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    decay_q, vol_q = _ou_factors(params.a_q, params.sigma_q_rel, dt)
-    return (np.vstack([params.edge_loadings, params.loadings]), decay_q[:, None],
-            vol_q[:, None], *_ou_factors(params.a_edge, params.sigma_edge_rel, dt))
+    decay, vol = _ou_factors(np.concatenate(([params.a_edge], params.a_q)),
+                             np.concatenate(([params.sigma_edge_rel], params.sigma_q_rel)), dt)
+    mean = np.concatenate(([params.mean_log_edge], params.mean_logq))
+    return (np.vstack([params.edge_loadings, params.loadings]), mean[:, None],
+            decay[:, None], vol[:, None])
 
 
 def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float,
@@ -347,40 +350,33 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
     """Advance every live path one step and re-clear it (in place).
 
     The (n, F) factor increments `inc`, projected on the loadings and scaled
-    to unit variance, drive the exact OU update of the log masses and edge;
+    to unit variance, drive the exact OU update of the log edge and masses;
     the rotated drift-kill solutions `kill` = (y, e), of shapes (2K, n) and
     (n,), shift those drivers by -y·Δp·√dt and -e·Δp·√dt.  Live prices then
     move by `translation`.
     `factors` is ou_step_factors(params, dt), computed once per run.
     """
-    projection, decay_q, vol_q, decay_e, vol_e = factors
+    projection, mean, decay, vol = factors
     root_dt = math.sqrt(dt)
-    # one gemm, edge row first: the same bits for any group of two or more paths
+    # one gemm, edge row first as in the log state: the same bits for any
+    # group of two or more paths
     z = projection @ inc.T
     z *= math.sqrt(params.delta_p) / root_dt
-    z_e, z_q = z[0], z[1:]
     if kill is not None:
         y, e = kill
-        z_q -= y * (params.delta_p * root_dt)
-        z_e -= e * (params.delta_p * root_dt)
+        z[1:] -= y * (params.delta_p * root_dt)
+        z[0] -= e * (params.delta_p * root_dt)
     dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
     if dead is not None:        # frozen paths keep their state through the update
-        frozen = ens.log_q[:, dead], ens.log_edge[dead]
-    mean = params.mean_logq[:, None]
-    log_q = ens.log_q           # updated in place, as is the edge
-    log_q -= mean
-    log_q *= decay_q
-    log_q += mean
-    z_q *= vol_q
-    log_q += z_q
-    log_edge = ens.log_edge
-    log_edge -= params.mean_log_edge
-    log_edge *= decay_e
-    log_edge += params.mean_log_edge
-    z_e *= vol_e
-    log_edge += z_e
+        frozen = ens.log_state[:, dead]
+    state = ens.log_state       # updated in place
+    state -= mean
+    state *= decay
+    state += mean
+    z *= vol
+    state += z
     if dead is not None:
-        ens.log_q[:, dead], ens.log_edge[dead] = frozen
+        state[:, dead] = frozen
     cleared = _batch_clear(ens, params)
     if translation:
         np.add(ens.pi, translation, out=ens.pi, where=ens.alive)
