@@ -30,7 +30,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -286,8 +286,7 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
 # ----------------------------------------------------------------------
 # fits
 
-@dataclass(frozen=True)
-class Ar1Fit:
+class Ar1Fit(NamedTuple):
     a: float          # mean-reversion rate per hour (>= 0 after truncation)
     mean: float       # long-run level of the series
     sigma_rel: float  # driving volatility per sqrt(hour)
@@ -505,20 +504,13 @@ def fit_report(panel: PanelData) -> FitReport:
     """Run every estimator over a panel and bundle the results."""
     delta_t = panel.times[1] - panel.times[0] if panel.n_bars > 1 else BAR_NS
     dt_hours = float(delta_t) / 3_600_000_000_000.0
-    n = 2 * panel.K
-    a = np.empty(n)
-    mean_logq = np.empty(n)
-    sigma_rel = np.empty(n)
-    for j in range(n):
-        series = panel.q[:, j]
-        if np.any(series <= 0.0):
-            k = j - panel.K + 1
-            raise FitError(f"bucket k={k} has non-positive mass; cannot take logs")
-        fit = fit_ar1(np.log(series), dt_hours)
-        a[j], mean_logq[j], sigma_rel[j] = fit.a, fit.mean, fit.sigma_rel
-    if np.any(panel.edge <= 0.0):
-        raise FitError("edge series has non-positive values; cannot take logs")
-    edge_fit = fit_ar1(np.log(panel.edge), dt_hours)
+    rows = np.vstack([panel.edge, panel.q.T])      # the edge, then buckets -K+1..K
+    bad = np.flatnonzero((rows <= 0.0).any(axis=1))
+    if bad.size:
+        name = "edge series" if bad[0] == 0 else f"bucket k={bad[0] - panel.K}"
+        raise FitError(f"{name} has non-positive values; cannot take logs")
+    edge, *buckets = [fit_ar1(x, dt_hours) for x in np.log(rows)]
+    a, mean_logq, sigma_rel = np.array(buckets).T.copy()
     loadings = fit_loadings(panel)
     jb, p = jarque_bera(panel.pi)
     return FitReport(
@@ -528,9 +520,9 @@ def fit_report(panel: PanelData) -> FitReport:
         a=a,
         mean_logq=mean_logq,
         sigma_rel=sigma_rel,
-        a_edge=edge_fit.a,
-        mean_log_edge=edge_fit.mean,
-        sigma_edge_rel=edge_fit.sigma_rel,
+        a_edge=edge.a,
+        mean_log_edge=edge.mean,
+        sigma_edge_rel=edge.sigma_rel,
         loadings=loadings,
         drift_c=fit_drift(panel.pi),
         jb_stat=jb,

@@ -54,7 +54,7 @@ from .errors import (
     SingularSystemError,
 )
 from .lob import Side, replay
-from .params import ModelParams, demo_params, params_from_dict, params_to_dict
+from .params import ModelParams, _integer, demo_params, params_from_dict, params_to_dict
 from .riskneutral import simulate_ensemble
 
 _SECTIONS = ("model", "sheet", "pricing", "simulate", "calibrate", "replay")
@@ -107,14 +107,15 @@ def _pick(flag, section: dict, key: str, default):
     return section.get(key, default)
 
 
-def _integer(value, name: str) -> int:
-    """A config integer: a JSON integer, or a number with no fractional part.
-    A boolean, a fraction or any other value is a ConfigError naming `name`."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _number(value, name: str) -> float:
+    """A config number: a JSON integer or float.  A boolean, a string or any
+    other value is a ConfigError naming `name`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:           # an integer beyond the float range
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _boolean(value, name: str) -> bool:
@@ -131,8 +132,8 @@ def _run_settings(args, cfg: dict, section: str, default_paths: int) -> tuple:
     seed = _integer(_pick(args.seed, sec, "seed", sheet.get("seed", 0)),
                     f"{section if 'seed' in sec else 'sheet'}.seed")
     n_paths = _integer(_pick(args.paths, sec, "paths", default_paths), f"{section}.paths")
-    expiry = float(_pick(args.expiry, sec, "expiry", 0.02))
-    dt = float(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS))
+    expiry = _number(_pick(args.expiry, sec, "expiry", 0.02), f"{section}.expiry")
+    dt = _number(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS), f"{section}.dt")
     pricing.check_run(expiry, n_paths, dt, seed)
     return seed, n_paths, expiry, dt
 
@@ -198,7 +199,7 @@ def cmd_replay(args) -> int:
     events = parsed.events
     if not events:
         raise OrderError(f"message log {args.log} holds no events")
-    opening = float(sec.get("opening_price", events[0].price))
+    opening = _number(sec.get("opening_price", events[0].price), "replay.opening_price")
     result = replay(events, opening)
     if result.orphan_deletes or result.orphan_modifies:
         print(f"warning: {result.orphan_deletes} orphan deletes, "
@@ -245,15 +246,15 @@ def cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "calibrate")
     try:
-        pi0 = float(sec["pi0"])
+        pi0 = _number(sec["pi0"], "calibrate.pi0")
         K = _integer(sec["K"], "calibrate.K")
-        delta_p = float(sec["delta_p"])
+        delta_p = _number(sec["delta_p"], "calibrate.delta_p")
     except KeyError as exc:
         raise ConfigError(
             f"calibrate needs a config with a 'calibrate' section holding {exc}"
         ) from exc
-    p_min = float(sec.get("p_min", calibration.PRICE_WINDOW[0]))
-    p_max = float(sec.get("p_max", calibration.PRICE_WINDOW[1]))
+    p_min = _number(sec.get("p_min", calibration.PRICE_WINDOW[0]), "calibrate.p_min")
+    p_max = _number(sec.get("p_max", calibration.PRICE_WINDOW[1]), "calibrate.p_max")
     strict = _boolean(sec.get("strict", False), "calibrate.strict")
 
     report = calibration.calibrate(_read_log(args.log), pi0=pi0, K=K, delta_p=delta_p,
@@ -322,11 +323,14 @@ def cmd_simulate(args) -> int:
 def _build_request(args, cfg: dict, params: ModelParams) -> pricing.PricingRequest:
     seed, n_paths, expiry, dt = _run_settings(args, cfg, "pricing", 10_000)
     sec = _section(cfg, "pricing")
-    rate = float(sec.get("rate", 0.0))
+    rate = _number(sec.get("rate", 0.0), "pricing.rate")
     if args.strikes is not None:
         strikes = _parse_strikes(args.strikes)
     else:
-        strikes = [float(s) for s in sec.get("strikes", [params.pi0])]
+        strikes = sec.get("strikes", [params.pi0])
+        if not isinstance(strikes, list):
+            raise ConfigError(f"pricing.strikes must be a list of numbers, got {strikes!r}")
+        strikes = [_number(s, f"pricing.strikes[{i}]") for i, s in enumerate(strikes)]
     return pricing.PricingRequest(strikes=tuple(strikes), expiry=expiry,
                                   n_paths=n_paths, dt=dt, seed=seed, rate=rate)
 

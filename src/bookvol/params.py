@@ -145,10 +145,28 @@ def params_to_dict(p: ModelParams) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """A config integer: a JSON integer, or a number with no fractional part.
+    A boolean, a fraction or any other value is a ConfigError naming `name`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def params_from_dict(d: dict) -> ModelParams:
+    """The parameter set of a JSON object in the params_to_dict layout.  A
+    missing key, a K that is not an integer or buckets that are not a list
+    of objects is a ConfigError naming the key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"model must be a JSON object, got {type(d).__name__}")
     try:
-        buckets = sorted(d["buckets"], key=lambda r: r["k"])
-        K = int(d["K"])
+        K = _integer(d["K"], "K")
+        buckets = d["buckets"]
+        if not isinstance(buckets, list) or not all(isinstance(r, dict) for r in buckets):
+            raise ConfigError("buckets must be a list of objects, one per bucket")
+        buckets = sorted(buckets, key=lambda r: r["k"])
         expect = list(range(-K + 1, K + 1))
         if [r["k"] for r in buckets] != expect:
             raise ConfigError(f"bucket labels must be exactly {expect[0]}..{expect[-1]}")

@@ -16,11 +16,11 @@ the hypothetical ones).  The right side collects the physical drift of the
 curve value, the w_i share of the clearing bucket's own drift, and the
 covariance between the clearing-bucket mass and the price: see
 _kill_matrix and _kill_rhs, the one assembly of Σ and b.  b is assembled in
-difference form, as its first row b(0) and the row differences
-db(i) = b(i+1) - b(i): the closed-form kill reads only these, and the full
-b (the dense systems, the path-0 residual) is their cumulative sum.  Under
-the changed measure each factor increment picks up -λ_j√Δp·dt, which is how
-step_risk_neutral applies the dense solution.
+difference form, b(0) over the row differences db(i) = b(i+1) - b(i); the
+closed-form kill solves that into one shift per row of the log state, edge
+first, and the full b (dense systems, path-0 residual) is its cumulative
+sum.  Under the changed measure each factor increment picks up -λ_j√Δp·dt,
+which is how step_risk_neutral applies the dense solution.
 
 Every function here answers per book, for the columns of a demand.Ensemble;
 a single book is an ensemble of one.
@@ -127,56 +127,47 @@ def _kill_matrix(ens: Ensemble, params: ModelParams) -> np.ndarray:
     return np.moveaxis(rows * ens.delta_p, -1, 0)
 
 
-def _kill_rhs(ens: Ensemble, params: ModelParams
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Right sides of the drift-kill system in difference form, one column per
-    path: the (2K-1, n) row differences db(i) = b(i+1) - b(i) and the (n,)
-    first row b(0), with the q̃σ (2K, n) and edge σ (n,) products they were
-    built from.
+def _state_rows(edge, buckets) -> np.ndarray:
+    """An edge value and the (2K,) bucket values as one (2K+1, 1) column, in
+    the row order of Ensemble.log_state."""
+    return np.concatenate(([edge], buckets))[:, None]
+
+
+def _kill_rhs(ens: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Right sides of the drift-kill systems, (2K, n), and the noise scales
+    s = xσ, (2K+1, n) in the state's row order, that they were built from.
 
     With μ the physical drifts of the masses and the edge, the right side is
-    b(i) = Σ_{l<i} μ_q(l) - μ_e + w_i·(μ_q(i) - q̃σ²(i)) + cross(i), so
-    db(i) = μ_q(i) + cross(i+1) - cross(i) away from the clearing row i0,
-    whose anchored share enters db(i0-1) and db(i0) (b(0) when i0 = 0).
+    b(i) = Σ_{l<i} μ_q(l) - μ_e + w_i·(μ_q(i) - q̃σ²(i)) + cross(i).  Row 0
+    holds b(0), row i+1 db(i) = b(i+1) - b(i) = μ_q(i) + cross(i+1) -
+    cross(i), and the clearing row i0's anchored share enters rows i0, i0+1.
     """
-    sigma = params.sigma_q_rel[:, None]
-    q = np.exp(ens.log_q)
-    edge = np.exp(ens.log_edge)
-    qs = q * sigma
-    es = edge * params.sigma_edge_rel
-    cross = np.multiply.outer(params.loadings @ params.edge_loadings, es)    # L·B_E
-    cross -= np.tril(params.loadings @ params.loadings.T, k=-1) @ qs  # row i: buckets l < i
-    cross *= sigma * params.delta_p
-    mu_q = ens.log_q - params.mean_logq[:, None]
-    mu_q *= -params.a_q[:, None]
-    mu_q += 0.5 * sigma**2
-    mu_q *= q
-    mu_e = edge * (-params.a_edge * (ens.log_edge - params.mean_log_edge)
-                   + 0.5 * params.sigma_edge_rel**2)
+    x = np.exp(ens.log_state)
+    sigma = _state_rows(params.sigma_edge_rel, params.sigma_q_rel)
+    s = x * sigma
+    cross = np.multiply.outer(params.loadings @ params.edge_loadings, s[0])  # L·B_E
+    cross -= np.tril(params.loadings @ params.loadings.T, k=-1) @ s[1:]  # row i: buckets l < i
+    cross *= sigma[1:] * params.delta_p
+    mu = ens.log_state - _state_rows(params.mean_log_edge, params.mean_logq)
+    mu *= -_state_rows(params.a_edge, params.a_q)
+    mu += 0.5 * _state_rows(params.sigma_edge_rel**2, params.sigma_q_rel**2)
+    mu *= x
     i0 = params.idx(0)
-    own = (mu_q[i0] - q[i0] * sigma[i0]**2) * _CLEARING_ANCHOR
-    db = mu_q[:-1]                                  # in place
-    db += cross[1:]
-    db -= cross[:-1]
-    b0 = cross[0] - mu_e
-    if i0 >= 1:
-        db[i0 - 1] += own
-    else:
-        b0 += own
-    db[i0] -= own                                   # i0 = K-1 < 2K-1 rows of db
-    return db, b0, qs, es
-
-
-def _full_rhs(db: np.ndarray, b0: np.ndarray) -> np.ndarray:
-    """Full right sides b, (2K, n): b(0), then b(i+1) = b(i) + db(i)."""
-    return np.cumsum(np.vstack([b0, db]), axis=0)
+    own = (mu[i0 + 1] - x[i0 + 1] * sigma[i0 + 1]**2) * _CLEARING_ANCHOR
+    rhs = mu[:-1]                                   # in place
+    np.negative(rhs[0], out=rhs[0])                 # the edge enters with a minus sign
+    rhs += cross
+    rhs[1:] -= cross[:-1]
+    rhs[i0] += own
+    rhs[i0 + 1] -= own
+    return rhs, s
 
 
 def build_mpr_system(ens: Ensemble, params: ModelParams) -> MprSystem:
     """Assemble each book's drift-kill equations, one row per potential
     clearing bucket: Σ is (n, 2K, F) and b is (n, 2K)."""
-    db, b0, _, _ = _kill_rhs(ens, params)
-    return MprSystem(Sigma=_kill_matrix(ens, params), b=_full_rhs(db, b0).T)
+    rhs, _ = _kill_rhs(ens, params)
+    return MprSystem(Sigma=_kill_matrix(ens, params), b=np.cumsum(rhs, axis=0).T)
 
 
 def solve_mpr(system: MprSystem) -> MprSystem:
@@ -217,10 +208,10 @@ class _KillTransform:
     """Per-run constants for the closed-form drift-kill solution.
 
     Row-differencing the square system leaves a bidiagonal relation in the
-    rotated unknowns y_i = B(i,:)·λ and e = B_E·λ, so each path's Girsanov
-    shifts (which only involve y and e, never λ itself) come out in O(K)
+    rotated unknowns e = B_E·λ and y_i = B(i,:)·λ, so each path's Girsanov
+    shifts (which only involve e and y, never λ itself) come out in O(K)
     arithmetic per bucket instead of a dense solve.  λ is recovered on
-    demand as A⁻¹·(e, y_0..y_{2K-2}) with A = [B_E; B rows 0..2K-2].
+    demand as A⁻¹·shift[:-1] with A = [B_E; B rows 0..2K-2].
     """
 
     def __init__(self, params: ModelParams):
@@ -237,43 +228,35 @@ class _KillTransform:
 
 
 def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
-                       ) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
-    """Rotated drift-kill solution y (2K, n) and e (n,) for every path, the
-    right sides (db, b0) of _kill_rhs, and the live paths whose kill is
-    singular: a pivot q̃σ (buckets below the top, and the edge) under
-    1/COND_LIMIT of the path's largest q̃σ, or a non-finite y or e.  Singular
-    shifts are zeroed.
-    """
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drift-kill shifts of every path, (2K+1, n) in the state's row order
+    (e = B_E·λ, then y = B·λ), the right sides of _kill_rhs, and the live
+    paths whose kill is singular: a pivot q̃σ (the edge, the buckets below
+    the top) under 1/COND_LIMIT of the path's largest bucket q̃σ, or a
+    non-finite shift.  Singular shifts are zeroed."""
     dp = ens.delta_p
     i0 = params.idx(0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        db, b0, qs, es = _kill_rhs(ens, params)
-        y = np.multiply(qs, dp)                     # the pivots, divided into db in place
-        np.divide(db, y[:-1], out=y[:-1])
-        y[i0] /= _CLEARING_ANCHOR
-        e = -b0
-        if i0 >= 1:
-            y[i0 - 1] = (db[i0 - 1] / dp - _CLEARING_ANCHOR * qs[i0] * y[i0]) / qs[i0 - 1]
-        else:                                       # the anchored share sits in b(0)
-            e += _CLEARING_ANCHOR * qs[0] * y[0] * dp
-        e /= es * dp
-        np.matmul(kt.g[1:], y[:-1], out=y[-1])      # y_last = g·(e, y_0..y_{2K-2})
-        y[-1] += kt.g[0] * e
-        pivot = np.minimum(qs[:-1].min(axis=0), es)
-        sound = (pivot >= qs.max(axis=0) / COND_LIMIT) \
-            & np.isfinite(y).all(axis=0) & np.isfinite(e)
-    np.copyto(y, 0.0, where=~sound)
-    e[~sound] = 0.0
-    return y, e, (db, b0), ens.alive & ~sound
+        rhs, s = _kill_rhs(ens, params)
+        shift = np.multiply(s, dp)                  # the pivots, divided into rhs in place
+        np.divide(rhs, shift[:-1], out=shift[:-1])
+        shift[i0 + 1] /= _CLEARING_ANCHOR
+        shift[i0] = (rhs[i0] / dp - _CLEARING_ANCHOR * s[i0 + 1] * shift[i0 + 1]) / s[i0]
+        shift[0] *= -1.0                            # the edge enters with a minus sign
+        np.matmul(kt.g[1:], shift[1:-1], out=shift[-1])     # y_last = g·shift[:-1]
+        shift[-1] += kt.g[0] * shift[0]
+        sound = (s[:-1].min(axis=0) >= s[1:].max(axis=0) / COND_LIMIT) \
+            & np.isfinite(shift).all(axis=0)
+    np.copyto(shift, 0.0, where=~sound)
+    return shift, rhs, ens.alive & ~sound
 
 
 def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
-                        y, e, rhs) -> float:
+                        shift: np.ndarray, rhs: np.ndarray) -> float:
     """Residual of the full system on path 0, as a solve-quality telltale;
     Σ is built for path 0 alone."""
-    lam0 = np.linalg.solve(kt.A, np.concatenate(([e[0]], y[:-1, 0])))
-    db, b0 = rhs
-    b = _full_rhs(db[:, :1], b0[:1])[:, 0]
+    lam0 = np.linalg.solve(kt.A, shift[:-1, 0])
+    b = np.cumsum(rhs[:, 0])
     bnorm = float(np.linalg.norm(b))
     residual = _kill_matrix(ens.column(0), params)[0] @ lam0 - b
     return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
@@ -338,11 +321,10 @@ def ou_step_factors(params: ModelParams, dt: float) -> tuple:
     (2K+1, 1) columns."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    decay, vol = _ou_factors(np.concatenate(([params.a_edge], params.a_q)),
-                             np.concatenate(([params.sigma_edge_rel], params.sigma_q_rel)), dt)
-    mean = np.concatenate(([params.mean_log_edge], params.mean_logq))
-    return (np.vstack([params.edge_loadings, params.loadings]), mean[:, None],
-            decay[:, None], vol[:, None])
+    decay, vol = _ou_factors(_state_rows(params.a_edge, params.a_q),
+                             _state_rows(params.sigma_edge_rel, params.sigma_q_rel), dt)
+    return (np.vstack([params.edge_loadings, params.loadings]),
+            _state_rows(params.mean_log_edge, params.mean_logq), decay, vol)
 
 
 def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float,
@@ -351,9 +333,9 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
 
     The (n, F) factor increments `inc`, projected on the loadings and scaled
     to unit variance, drive the exact OU update of the log edge and masses;
-    the rotated drift-kill solutions `kill` = (y, e), of shapes (2K, n) and
-    (n,), shift those drivers by -y·Δp·√dt and -e·Δp·√dt.  Live prices then
-    move by `translation`.
+    the rotated drift-kill solutions `kill`, one (2K+1, n) array in the
+    state's row order, shift those drivers by -kill·Δp·√dt.  Live prices
+    then move by `translation`.
     `factors` is ou_step_factors(params, dt), computed once per run.
     """
     projection, mean, decay, vol = factors
@@ -363,9 +345,7 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
     z = projection @ inc.T
     z *= math.sqrt(params.delta_p) / root_dt
     if kill is not None:
-        y, e = kill
-        z[1:] -= y * (params.delta_p * root_dt)
-        z[0] -= e * (params.delta_p * root_dt)
+        z -= kill * (params.delta_p * root_dt)
     dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
     if dead is not None:        # frozen paths keep their state through the update
         frozen = ens.log_state[:, dead]
@@ -404,14 +384,13 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
 
     for step in range(n_steps):
         inc = sheet.increments_block(cfg, dt, step, n_paths, gen)
-        shifts, residual = None, math.nan
+        shift, residual = None, math.nan
         if kill:
-            y, e, rhs, singular = _batch_kill_shifts(ens, params, kt)
+            shift, rhs, singular = _batch_kill_shifts(ens, params, kt)
             ens.alive &= ~singular
             if ens.alive[0]:
-                residual = _path0_rel_residual(ens, params, kt, y, e, rhs)
-            shifts = (y, e)
-        cleared = step_ensemble(ens, params, inc, dt, factors, kill=shifts,
+                residual = _path0_rel_residual(ens, params, kt, shift, rhs)
+        cleared = step_ensemble(ens, params, inc, dt, factors, kill=shift,
                                 translation=translation)
         diag.count(cleared, singular, ens.alive, residual)
         if not diag.rows[-1].alive:

@@ -522,6 +522,36 @@ def _loadings_panel(n_bars=4000, K=3, delta_p=0.1, seed=9):
     ), corr
 
 
+@pytest.mark.parametrize("zero, message", [
+    ("bucket", "bucket k=-1 has non-positive values; cannot take logs"),
+    ("edge", "edge series has non-positive values; cannot take logs"),
+], ids=["bucket", "edge"])
+def test_fit_report_names_the_first_row_it_cannot_log(zero, message):
+    """The fits run over the rows edge, then buckets -K+1..K; the first row
+    holding a non-positive value is named, so a zero edge is named before a
+    zero bucket."""
+    panel, _ = _loadings_panel(n_bars=200)
+    panel.q[50, 1] = 0.0                    # bucket k = -1 of K = 3
+    if zero == "edge":
+        panel.edge[120] = 0.0
+    with pytest.raises(FitError) as exc:
+        fit_report(panel)
+    assert str(exc.value) == message
+
+
+def test_fit_report_fits_each_row_alone():
+    """The edge and every bucket get the fit_ar1 of their own log series."""
+    panel, _ = _loadings_panel(n_bars=200)
+    panel.edge[:] = np.exp(np.linspace(0.0, 1.0, 200) ** 2)
+    report = fit_report(panel)
+    dt = 1.0 / 60.0
+    assert (report.a_edge, report.mean_log_edge, report.sigma_edge_rel) == \
+        fit_ar1(np.log(panel.edge), dt)
+    for j in range(2 * panel.K):
+        assert (report.a[j], report.mean_logq[j], report.sigma_rel[j]) == \
+            fit_ar1(np.log(panel.q[:, j]), dt)
+
+
 def test_fit_loadings_recovers_correlation():
     panel, corr = _loadings_panel()
     b = fit_loadings(panel)

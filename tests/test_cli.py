@@ -12,7 +12,7 @@ import pytest
 from bookvol import __version__, cli, errors
 from bookvol.calibration import SESSION_START_NS, format_log, synthesize_log
 from bookvol.cli import main
-from bookvol.params import demo_params, save_params
+from bookvol.params import demo_params, params_to_dict, save_params
 
 
 EXAMPLE_LOG = str(importlib.resources.files("bookvol") / "data" / "example1.log")
@@ -146,6 +146,63 @@ def test_config_integer_that_is_not_one_exits_2(argv, config, message, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_CALIBRATE_GRID = {"pi0": 20.16, "K": 7, "delta_p": 0.05}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["price"], {"pricing": {"expiry": True}}, "pricing.expiry must be a number, got True"),
+    (["smile"], {"pricing": {"dt": "0.0001"}}, "pricing.dt must be a number, got '0.0001'"),
+    (["simulate"], {"simulate": {"expiry": "0.02"}},
+     "simulate.expiry must be a number, got '0.02'"),
+    (["simulate"], {"simulate": {"dt": False}}, "simulate.dt must be a number, got False"),
+    (["simulate"], {"simulate": {"expiry": 10**400}},
+     f"simulate.expiry must be a number, got {10**400}"),
+    (["price"], {"pricing": {"rate": "0.01"}}, "pricing.rate must be a number, got '0.01'"),
+    (["price"], {"pricing": {"strikes": 20.0}},
+     "pricing.strikes must be a list of numbers, got 20.0"),
+    (["smile"], {"pricing": {"strikes": "20"}},
+     "pricing.strikes must be a list of numbers, got '20'"),
+    (["price"], {"pricing": {"strikes": [20.0, True]}},
+     "pricing.strikes[1] must be a number, got True"),
+    (["calibrate", "session.log"], {"calibrate": {**_CALIBRATE_GRID, "pi0": "20.16"}},
+     "calibrate.pi0 must be a number, got '20.16'"),
+    (["calibrate", "session.log"], {"calibrate": {**_CALIBRATE_GRID, "delta_p": True}},
+     "calibrate.delta_p must be a number, got True"),
+    (["calibrate", "session.log"], {"calibrate": {**_CALIBRATE_GRID, "p_min": "19"}},
+     "calibrate.p_min must be a number, got '19'"),
+    (["calibrate", "session.log"], {"calibrate": {**_CALIBRATE_GRID, "p_max": [21.5]}},
+     "calibrate.p_max must be a number, got [21.5]"),
+    (["replay", "session.log"], {"replay": {"opening_price": "20.3"}},
+     "replay.opening_price must be a number, got '20.3'"),
+], ids=["pricing-expiry", "pricing-dt", "simulate-expiry", "simulate-dt", "expiry-overflow",
+        "rate", "strikes-number", "strikes-string", "strike-bool", "pi0", "delta_p", "p_min",
+        "p_max", "opening_price"])
+def test_config_number_that_is_not_one_exits_2(argv, config, message, tmp_path, capsys):
+    """A boolean or a string is not read as a number: `"expiry": true` is not
+    one year, and `"strikes": "20"` is not the strikes (2, 0)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    (tmp_path / "session.log").write_text("A,B,%d,x,20.3,5\n" % SESSION_START_NS)
+    argv = [str(tmp_path / a) if a.endswith(".log") else a for a in argv]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: {**d, "K": 7.5}, "K must be an integer, got 7.5"),
+    (lambda d: {**d, "buckets": 3}, "buckets must be a list of objects, one per bucket"),
+    (lambda d: [d], "model must be a JSON object, got list"),
+], ids=["K-fraction", "buckets-number", "model-list"])
+def test_malformed_model_exits_2(edit, message, tmp_path, capsys):
+    """A `"K": 7.5` model no longer runs as K = 7, and a model of the wrong
+    shape is a named error rather than a traceback."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": edit(params_to_dict(demo_params()))}))
+    assert main(["simulate", "--config", str(path), "--paths", "2",
+                 "--expiry", "0.0002"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_integer_may_be_written_as_a_whole_float(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"simulate": {"paths": 2.0, "seed": 3.0, "expiry": 0.0002}}))
@@ -276,7 +333,7 @@ def test_non_finite_opening_price_exits_2(tmp_path, capsys):
     log = tmp_path / "one.log"
     log.write_text("A,B,%d,x,20.3,5\n" % SESSION_START_NS)
     cfg = tmp_path / "nan.json"
-    cfg.write_text(json.dumps({"replay": {"opening_price": "nan"}}))
+    cfg.write_text(json.dumps({"replay": {"opening_price": math.nan}}))      # JSON NaN
     assert main(["replay", str(log), "--config", str(cfg)]) == 2
     assert "positive and finite" in capsys.readouterr().err
 
@@ -328,7 +385,7 @@ def test_singular_kill_on_every_path_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("grid, message", [
     ({"delta_p": 0}, "delta_p must be positive and finite, got 0.0"),
     ({"delta_p": -0.05}, "delta_p must be positive and finite, got -0.05"),
-    ({"delta_p": "nan"}, "delta_p must be positive and finite, got nan"),
+    ({"delta_p": math.nan}, "delta_p must be positive and finite, got nan"),
     ({"K": 0}, "K must be at least 1, got 0"),
 ], ids=["delta_p=0", "delta_p<0", "delta_p=nan", "K=0"])
 def test_calibrate_rejects_a_bad_grid_with_exit_2(grid, message, tmp_path, capsys):

@@ -69,6 +69,21 @@ def test_missing_key_raises_config_error():
         params_from_dict(d)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: {**d, "K": 7.5}, "K must be an integer, got 7.5"),
+    (lambda d: {**d, "K": True}, "K must be an integer, got True"),
+    (lambda d: {**d, "buckets": 3}, "buckets must be a list of objects, one per bucket"),
+    (lambda d: {**d, "buckets": [1.0] + d["buckets"][1:]},
+     "buckets must be a list of objects, one per bucket"),
+    (lambda d: [d], "model must be a JSON object, got list"),
+], ids=["K-fraction", "K-bool", "buckets-number", "bucket-number", "model-list"])
+def test_malformed_model_names_its_key(edit, message):
+    """A fractional K is not truncated to the K its labels happen to match."""
+    with pytest.raises(ConfigError) as exc:
+        params_from_dict(edit(params_to_dict(demo_params())))
+    assert str(exc.value) == message
+
+
 def test_validate_rejects_bad_shapes_and_signs():
     p = demo_params()
     with pytest.raises(ConfigError):

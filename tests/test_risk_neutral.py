@@ -180,8 +180,9 @@ def test_solver_diagnostics_over_a_path():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_closed_form_kill_matches_dense_solve(data):
-    """(y, e) = (B·λ, B_E·λ) with λ from the dense solve, on jittered, thin
-    and freshly cleared books, at demo size and at K = 1."""
+    """The shift column (e, y) = (B_E·λ, B·λ), in the state's row order, with
+    λ from the dense solve, on jittered, thin and freshly cleared books, at
+    demo size and at K = 1."""
     params = data.draw(st.sampled_from([demo_params(), _tiny_params()]))
     n = 2 * params.K
     book = init_ensemble(params)
@@ -196,11 +197,11 @@ def test_closed_form_kill_matches_dense_solve(data):
         system = solve_mpr(build_mpr_system(book, params))
     except SingularSystemError:
         assume(False)
-    y, e, _, singular = _batch_kill_shifts(book, params, _KillTransform(params))
+    shift, _, singular = _batch_kill_shifts(book, params, _KillTransform(params))
     assert not singular[0]
     lam = system.lam[0]
-    got = np.concatenate([y[:, 0], e])
-    want = np.concatenate([params.loadings @ lam, [params.edge_loadings @ lam]])
+    got = shift[:, 0]
+    want = np.concatenate([[params.edge_loadings @ lam], params.loadings @ lam])
     tol = 100 * system.cond[0] * np.finfo(float).eps
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
@@ -289,14 +290,13 @@ def _adverse_ensemble(params):
 def _step_once(ens, params, inc, dt, risk_neutral):
     """One step of run_steps' loop: kill, drop singular paths, step."""
     singular = np.zeros(ens.pi.size, dtype=bool)
-    shifts = None
+    shift = None
     if risk_neutral:
-        y, e, _, singular = _batch_kill_shifts(ens, params, _KillTransform(params))
+        shift, _, singular = _batch_kill_shifts(ens, params, _KillTransform(params))
         ens.alive &= ~singular
-        shifts = (y, e)
-    cleared = step_ensemble(ens, params, inc, dt, ou_step_factors(params, dt), kill=shifts,
+    cleared = step_ensemble(ens, params, inc, dt, ou_step_factors(params, dt), kill=shift,
                             translation=0.0 if risk_neutral else params.drift_c * dt)
-    return cleared, singular, shifts
+    return cleared, singular, shift
 
 
 @pytest.mark.parametrize("risk_neutral", [True, False])
@@ -312,7 +312,7 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
     inc = increments_block(SheetConfig(params.factor_count, params.delta_p, seed=7), dt, 0, 6)
     ens = _adverse_ensemble(params)
     pi_before = ens.pi.copy()
-    cleared, singular, shifts = _step_once(ens, params, inc, dt, risk_neutral)
+    cleared, singular, shift = _step_once(ens, params, inc, dt, risk_neutral)
 
     moved = np.floor((ens.pi - pi_before) / params.delta_p + 0.5)
     assert moved[:2].tolist() == [K, -(K - 1)]
@@ -322,15 +322,14 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
 
     for i in range(6):
         one = _adverse_ensemble(params).column(i)
-        alone, alone_singular, alone_shifts = _step_once(one, params, inc[i:i + 1], dt,
-                                                         risk_neutral)
+        alone, alone_singular, alone_shift = _step_once(one, params, inc[i:i + 1], dt,
+                                                        risk_neutral)
         assert alone_singular[0] == singular[i]
         for batch, single in zip(cleared, alone):
             assert single[0] == batch[i]
         assert one.alive[0] == ens.alive[i]
-        if shifts is not None:
-            np.testing.assert_allclose(alone_shifts[0][:, 0], shifts[0][:, i], rtol=1e-12)
-            np.testing.assert_allclose(alone_shifts[1], shifts[1][i:i + 1], rtol=1e-12)
+        if shift is not None:
+            np.testing.assert_allclose(alone_shift[:, 0], shift[:, i], rtol=1e-12)
         np.testing.assert_allclose(one.log_q[:, 0], ens.log_q[:, i], rtol=1e-12)
         np.testing.assert_allclose(one.log_edge, ens.log_edge[i:i + 1], rtol=1e-12)
         np.testing.assert_allclose(one.pi, ens.pi[i:i + 1], rtol=1e-12)
