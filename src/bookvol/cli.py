@@ -54,7 +54,8 @@ from .errors import (
     SingularSystemError,
 )
 from .lob import Side, replay
-from .params import ModelParams, _integer, demo_params, params_from_dict, params_to_dict
+from .params import (ModelParams, _integer, _number, _numbers, demo_params, params_from_dict,
+                     params_to_dict)
 from .riskneutral import simulate_ensemble
 
 _SECTIONS = ("model", "sheet", "pricing", "simulate", "calibrate", "replay")
@@ -93,29 +94,18 @@ def _resolve_params(cfg: dict) -> ModelParams:
     return demo_params()
 
 
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name, {})
+def _setting(cfg: dict, section: str, key: str, read, default=None, flag=None):
+    """The setting `section.key`, read by `read` (such as `_integer`) and named
+    `section.key` in its errors.  Precedence: the command-line `flag` unless
+    it is None, then the config entry, then `default`.  With no default the
+    setting is required.  A missing required setting is a ConfigError, and so
+    is a config section that is not a JSON object, whichever value wins."""
+    sec = cfg.get(section, {})
     if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
-    return sec
-
-
-def _pick(flag, section: dict, key: str, default):
-    """Precedence: command-line flag, then config entry, then default."""
-    if flag is not None:
-        return flag
-    return section.get(key, default)
-
-
-def _number(value, name: str) -> float:
-    """A config number: a JSON integer or float.  A boolean, a string or any
-    other value is a ConfigError naming `name`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:           # an integer beyond the float range
-            pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    if flag is None and key not in sec and default is None:
+        raise ConfigError(f"{section} needs a config with a {section!r} section holding {key!r}")
+    return read(flag if flag is not None else sec.get(key, default), f"{section}.{key}")
 
 
 def _boolean(value, name: str) -> bool:
@@ -126,26 +116,29 @@ def _boolean(value, name: str) -> bool:
     return value
 
 
+def _measure(value, name: str) -> str:
+    """The simulation measure: "risk_neutral" (Q) or "physical" (P)."""
+    if value not in ("risk_neutral", "physical"):
+        raise ConfigError(f"{name} must be 'risk_neutral' or 'physical', got {value!r}")
+    return value
+
+
 def _run_settings(args, cfg: dict, section: str, default_paths: int) -> tuple:
-    """Checked (seed, paths, expiry, dt) of a simulation: flag, then config, then default."""
-    sec, sheet = _section(cfg, section), _section(cfg, "sheet")
-    seed = _integer(_pick(args.seed, sec, "seed", sheet.get("seed", 0)),
-                    f"{section if 'seed' in sec else 'sheet'}.seed")
-    n_paths = _integer(_pick(args.paths, sec, "paths", default_paths), f"{section}.paths")
-    expiry = _number(_pick(args.expiry, sec, "expiry", 0.02), f"{section}.expiry")
-    dt = _number(_pick(args.dt, sec, "dt", pricing.ONE_MINUTE_YEARS), f"{section}.dt")
+    """Checked (seed, paths, expiry, dt) of a simulation; the seed falls back to sheet.seed."""
+    seed = _setting(cfg, section, "seed", _integer,
+                    _setting(cfg, "sheet", "seed", _integer, 0), args.seed)
+    n_paths = _setting(cfg, section, "paths", _integer, default_paths, args.paths)
+    expiry = _setting(cfg, section, "expiry", _number, 0.02, args.expiry)
+    dt = _setting(cfg, section, "dt", _number, pricing.ONE_MINUTE_YEARS, args.dt)
     pricing.check_run(expiry, n_paths, dt, seed)
     return seed, n_paths, expiry, dt
 
 
 def _parse_strikes(text: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--strikes must be comma-separated numbers: {exc}") from exc
-    if not vals:
-        raise ConfigError("--strikes is empty")
-    return vals
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +181,7 @@ def _read_log(path: str) -> str:
 
 def cmd_replay(args) -> int:
     cfg = _load_config(args.config)
-    sec = _section(cfg, "replay")
-    strict = _boolean(sec.get("strict", False), "replay.strict")
+    strict = _setting(cfg, "replay", "strict", _boolean, False)
     parsed = calibration.parse_messages(_read_log(args.log), strict=strict)
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed lines skipped", file=sys.stderr)
@@ -199,7 +191,7 @@ def cmd_replay(args) -> int:
     events = parsed.events
     if not events:
         raise OrderError(f"message log {args.log} holds no events")
-    opening = _number(sec.get("opening_price", events[0].price), "replay.opening_price")
+    opening = _setting(cfg, "replay", "opening_price", _number, events[0].price)
     result = replay(events, opening)
     if result.orphan_deletes or result.orphan_modifies:
         print(f"warning: {result.orphan_deletes} orphan deletes, "
@@ -244,18 +236,12 @@ def _report_text(report) -> str:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
-    sec = _section(cfg, "calibrate")
-    try:
-        pi0 = _number(sec["pi0"], "calibrate.pi0")
-        K = _integer(sec["K"], "calibrate.K")
-        delta_p = _number(sec["delta_p"], "calibrate.delta_p")
-    except KeyError as exc:
-        raise ConfigError(
-            f"calibrate needs a config with a 'calibrate' section holding {exc}"
-        ) from exc
-    p_min = _number(sec.get("p_min", calibration.PRICE_WINDOW[0]), "calibrate.p_min")
-    p_max = _number(sec.get("p_max", calibration.PRICE_WINDOW[1]), "calibrate.p_max")
-    strict = _boolean(sec.get("strict", False), "calibrate.strict")
+    pi0 = _setting(cfg, "calibrate", "pi0", _number)
+    K = _setting(cfg, "calibrate", "K", _integer)
+    delta_p = _setting(cfg, "calibrate", "delta_p", _number)
+    p_min = _setting(cfg, "calibrate", "p_min", _number, calibration.PRICE_WINDOW[0])
+    p_max = _setting(cfg, "calibrate", "p_max", _number, calibration.PRICE_WINDOW[1])
+    strict = _setting(cfg, "calibrate", "strict", _boolean, False)
 
     report = calibration.calibrate(_read_log(args.log), pi0=pi0, K=K, delta_p=delta_p,
                                    strict=strict, p_min=p_min, p_max=p_max)
@@ -285,10 +271,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     params = _resolve_params(cfg)
     seed, n_paths, expiry, dt = _run_settings(args, cfg, "simulate", 100)
-    measure = str(_section(cfg, "simulate").get("measure", "risk_neutral"))
-    if measure not in ("risk_neutral", "physical"):
-        raise ConfigError(f"simulate.measure must be 'risk_neutral' or 'physical', "
-                          f"got {measure!r}")
+    measure = _setting(cfg, "simulate", "measure", _measure, "risk_neutral")
 
     hours = pricing.TRADING_HOURS_PER_YEAR
     ens, diag, _ = simulate_ensemble(params, n_paths, expiry * hours, dt * hours,
@@ -322,15 +305,9 @@ def cmd_simulate(args) -> int:
 
 def _build_request(args, cfg: dict, params: ModelParams) -> pricing.PricingRequest:
     seed, n_paths, expiry, dt = _run_settings(args, cfg, "pricing", 10_000)
-    sec = _section(cfg, "pricing")
-    rate = _number(sec.get("rate", 0.0), "pricing.rate")
-    if args.strikes is not None:
-        strikes = _parse_strikes(args.strikes)
-    else:
-        strikes = sec.get("strikes", [params.pi0])
-        if not isinstance(strikes, list):
-            raise ConfigError(f"pricing.strikes must be a list of numbers, got {strikes!r}")
-        strikes = [_number(s, f"pricing.strikes[{i}]") for i, s in enumerate(strikes)]
+    rate = _setting(cfg, "pricing", "rate", _number, 0.0)
+    flag = None if args.strikes is None else _parse_strikes(args.strikes)
+    strikes = _setting(cfg, "pricing", "strikes", _numbers, [params.pi0], flag)
     return pricing.PricingRequest(strikes=tuple(strikes), expiry=expiry,
                                   n_paths=n_paths, dt=dt, seed=seed, rate=rate)
 

@@ -22,7 +22,7 @@ the package (see :func:`demo_params`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -70,14 +70,23 @@ class ModelParams:
     @classmethod
     def create(cls, **kw) -> "ModelParams":
         """Build a validated parameter set from plain sequences/scalars."""
-        for name in ("q0", "a_q", "mean_logq", "sigma_q_rel", "edge_loadings"):
+        for name in ("q0", "a_q", "mean_logq", "sigma_q_rel", "loadings", "edge_loadings"):
             kw[name] = np.asarray(kw[name], dtype=float)
-        kw["loadings"] = np.asarray(kw["loadings"], dtype=float)
         p = cls(**kw)
         p.validate()
         return p
 
     def validate(self) -> None:
+        """Reject a non-finite value, naming its field and entry (`pi0`,
+        `q0[3]`, `loadings[2][5]`), then a K below 1, arrays of the wrong
+        shape, non-positive sizes or prices, negative speeds or vols, and
+        loading rows that are not normalized: each a ConfigError."""
+        for f in fields(self):
+            value = np.asarray(getattr(self, f.name), dtype=float)
+            if not np.isfinite(value).all():
+                first = np.argwhere(~np.isfinite(value))[0]
+                at = "".join(f"[{i}]" for i in first)
+                raise ConfigError(f"{f.name}{at} must be finite, got {value[tuple(first)]}")
         n = self.factor_count
         if self.K < 1:
             raise ConfigError("K must be at least 1")
@@ -119,30 +128,20 @@ def uniform_loadings(K: int, delta_p: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # serialization
 
+# (field, JSON key) of the scalars and of the per-bucket entries, in file order
+_SCALAR_KEYS = (("delta_p", "delta_p"), ("pi0", "pi(0)"), ("edge0", "Q(-K,0)"),
+                ("a_edge", "a_Q(-K)"), ("mean_log_edge", "mean_logQ(-K)"),
+                ("sigma_edge_rel", "sigma_Q_rel(-K)"), ("drift_c", "c"))
+_BUCKET_KEYS = (("q0", "q(k,0)"), ("sigma_q_rel", "sigma_q_rel(k)"), ("a_q", "a(k)"),
+                ("mean_logq", "mean_logq(k)"))
+
+
 def params_to_dict(p: ModelParams) -> dict:
-    buckets = [
-        {
-            "k": int(k),
-            "q(k,0)": float(p.q0[i]),
-            "sigma_q_rel(k)": float(p.sigma_q_rel[i]),
-            "a(k)": float(p.a_q[i]),
-            "mean_logq(k)": float(p.mean_logq[i]),
-        }
-        for i, k in enumerate(p.k_values)
-    ]
-    return {
-        "K": p.K,
-        "delta_p": p.delta_p,
-        "pi(0)": p.pi0,
-        "Q(-K,0)": p.edge0,
-        "a_Q(-K)": p.a_edge,
-        "mean_logQ(-K)": p.mean_log_edge,
-        "sigma_Q_rel(-K)": p.sigma_edge_rel,
-        "c": p.drift_c,
-        "buckets": buckets,
-        "loadings": p.loadings.tolist(),
-        "edge_loadings": p.edge_loadings.tolist(),
-    }
+    buckets = [{"k": int(k), **{key: float(getattr(p, f)[i]) for f, key in _BUCKET_KEYS}}
+               for i, k in enumerate(p.k_values)]
+    return {"K": p.K, **{key: getattr(p, f) for f, key in _SCALAR_KEYS},
+            "buckets": buckets, "loadings": p.loadings.tolist(),
+            "edge_loadings": p.edge_loadings.tolist()}
 
 
 def _integer(value, name: str) -> int:
@@ -155,36 +154,53 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _number(value, name: str) -> float:
+    """A config number: a JSON integer or float.  A boolean, a string or any
+    other value is a ConfigError naming `name`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:           # an integer beyond the float range
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _numbers(value, name: str) -> list[float]:
+    """A config list of numbers, entry i read by `_number` and named `name[i]`.
+    Any value that is not a list is a ConfigError naming `name`."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_number(x, f"{name}[{i}]") for i, x in enumerate(value)]
+
+
 def params_from_dict(d: dict) -> ModelParams:
-    """The parameter set of a JSON object in the params_to_dict layout.  A
-    missing key, a K that is not an integer or buckets that are not a list
-    of objects is a ConfigError naming the key."""
+    """The parameter set of a JSON object in the params_to_dict layout; `c`
+    defaults to 0.  A missing key, labels other than -K+1..K, or a K, label
+    (`buckets[0].k`), scalar, bucket entry (`buckets[k=-3].q(k,0)`) or loading
+    (`loadings[2][5]`, `edge_loadings[4]`) of the wrong JSON type is a
+    ConfigError naming the key; then validate names a non-finite field."""
     if not isinstance(d, dict):
         raise ConfigError(f"model must be a JSON object, got {type(d).__name__}")
+    d = {"c": 0.0, **d}
     try:
         K = _integer(d["K"], "K")
         buckets = d["buckets"]
         if not isinstance(buckets, list) or not all(isinstance(r, dict) for r in buckets):
             raise ConfigError("buckets must be a list of objects, one per bucket")
-        buckets = sorted(buckets, key=lambda r: r["k"])
-        expect = list(range(-K + 1, K + 1))
-        if [r["k"] for r in buckets] != expect:
-            raise ConfigError(f"bucket labels must be exactly {expect[0]}..{expect[-1]}")
+        labels = [_integer(r["k"], f"buckets[{i}].k") for i, r in enumerate(buckets)]
+        if len(labels) != 2 * max(K, 0) or sorted(labels) != list(range(-K + 1, K + 1)):
+            raise ConfigError(f"bucket labels must be exactly {-K + 1}..{K}")
+        rows = sorted(zip(labels, buckets), key=lambda row: row[0])
+        loadings = d["loadings"]
+        if not isinstance(loadings, list):
+            raise ConfigError(f"loadings must be a list of rows, got {loadings!r}")
         return ModelParams.create(
             K=K,
-            delta_p=float(d["delta_p"]),
-            pi0=float(d["pi(0)"]),
-            q0=[r["q(k,0)"] for r in buckets],
-            sigma_q_rel=[r["sigma_q_rel(k)"] for r in buckets],
-            a_q=[r["a(k)"] for r in buckets],
-            mean_logq=[r["mean_logq(k)"] for r in buckets],
-            loadings=d["loadings"],
-            edge0=float(d["Q(-K,0)"]),
-            a_edge=float(d["a_Q(-K)"]),
-            mean_log_edge=float(d["mean_logQ(-K)"]),
-            sigma_edge_rel=float(d["sigma_Q_rel(-K)"]),
-            edge_loadings=d["edge_loadings"],
-            drift_c=float(d.get("c", 0.0)),
+            **{f: _number(d[key], key) for f, key in _SCALAR_KEYS},
+            **{f: [_number(r[key], f"buckets[k={k}].{key}") for k, r in rows]
+               for f, key in _BUCKET_KEYS},
+            loadings=[_numbers(row, f"loadings[{i}]") for i, row in enumerate(loadings)],
+            edge_loadings=_numbers(d["edge_loadings"], "edge_loadings"),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc

@@ -43,10 +43,10 @@ VOL_BRACKET = (1e-6, 5.0)
 
 
 def check_run(expiry: float, n_paths: int, dt: float, seed: int) -> None:
-    """Reject a simulation with no horizon, no path, a step outside (0, expiry],
+    """Reject a simulation with no finite horizon, no path, a step outside (0, expiry],
     or a seed that is not a 64-bit unsigned key."""
-    if not expiry > 0.0:
-        raise ConfigError(f"expiry must be positive, got {expiry}")
+    if not 0.0 < expiry < math.inf:
+        raise ConfigError(f"expiry must be positive and finite, got {expiry}")
     if n_paths < 1:
         raise ConfigError(f"need at least one path, got {n_paths}")
     if not 0.0 < dt <= expiry:
@@ -75,6 +75,8 @@ class PricingRequest:
         check_run(self.expiry, self.n_paths, self.dt, self.seed)
         if not all(0.0 < k < math.inf for k in self.strikes):
             raise ConfigError(f"strikes must be positive and finite, got {self.strikes}")
+        if not math.isfinite(self.rate):
+            raise ConfigError(f"rate must be finite, got {self.rate}")
 
 
 @dataclass(frozen=True)

@@ -174,9 +174,12 @@ _CALIBRATE_GRID = {"pi0": 20.16, "K": 7, "delta_p": 0.05}
      "calibrate.p_max must be a number, got [21.5]"),
     (["replay", "session.log"], {"replay": {"opening_price": "20.3"}},
      "replay.opening_price must be a number, got '20.3'"),
+    (["smile"], {"pricing": {"rate": math.nan}}, "rate must be finite, got nan"),
+    (["simulate"], {"simulate": {"expiry": math.inf}},
+     "expiry must be positive and finite, got inf"),
 ], ids=["pricing-expiry", "pricing-dt", "simulate-expiry", "simulate-dt", "expiry-overflow",
         "rate", "strikes-number", "strikes-string", "strike-bool", "pi0", "delta_p", "p_min",
-        "p_max", "opening_price"])
+        "p_max", "opening_price", "rate-nan", "expiry-inf"])
 def test_config_number_that_is_not_one_exits_2(argv, config, message, tmp_path, capsys):
     """A boolean or a string is not read as a number: `"expiry": true` is not
     one year, and `"strikes": "20"` is not the strikes (2, 0)."""
@@ -192,10 +195,15 @@ def test_config_number_that_is_not_one_exits_2(argv, config, message, tmp_path, 
     (lambda d: {**d, "K": 7.5}, "K must be an integer, got 7.5"),
     (lambda d: {**d, "buckets": 3}, "buckets must be a list of objects, one per bucket"),
     (lambda d: [d], "model must be a JSON object, got list"),
-], ids=["K-fraction", "buckets-number", "model-list"])
+    (lambda d: {**d, "pi(0)": math.nan}, "pi0 must be finite, got nan"),
+    (lambda d: {**d, "buckets": d["buckets"][:7] + [{**d["buckets"][7], "k": True}]
+                + d["buckets"][8:]}, "buckets[7].k must be an integer, got True"),
+    (lambda d: {**d, "c": None}, "c must be a number, got None"),
+], ids=["K-fraction", "buckets-number", "model-list", "pi0-nan", "k-true", "c-null"])
 def test_malformed_model_exits_2(edit, message, tmp_path, capsys):
-    """A `"K": 7.5` model no longer runs as K = 7, and a model of the wrong
-    shape is a named error rather than a traceback."""
+    """A `"K": 7.5` model no longer runs as K = 7, `"k": true` is not bucket
+    1, a NaN is not a price, and a model of the wrong shape or type is a
+    named error rather than a traceback."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": edit(params_to_dict(demo_params()))}))
     assert main(["simulate", "--config", str(path), "--paths", "2",
