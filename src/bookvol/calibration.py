@@ -43,6 +43,7 @@ from .riskneutral import SimDiagnostics, run_steps
 SESSION_START_NS = 34_200_000_000_000   # 09:30
 SESSION_END_NS = 57_600_000_000_000     # 16:00
 BAR_NS = 60_000_000_000                 # one minute
+BAR_HOURS = BAR_NS / 3_600_000_000_000.0
 
 # Default price sanity window for the cleaning stage.
 PRICE_WINDOW = (20.00, 20.62)
@@ -179,31 +180,27 @@ def clean(events: Sequence, p_min: float = PRICE_WINDOW[0],
 
 @dataclass
 class PanelData:
-    """Bar-sampled book state in relative coordinates.
+    """Bar-sampled book state, BAR_NS apart, in the row order of ``Ensemble.log_state``.
 
-    ``q`` has one column per bucket k = -K+1 .. K; ``edge`` is the net
-    demand below the lowest bucket (all resting buys minus the sells in
-    bucket -K); ``below_grid`` holds quantity clipped into bucket -K,
-    kept out of ``q`` as a diagnostic.  ``gap`` flags bars that received no
-    message and so carry an adjacent bar's snapshot.
+    ``masses`` holds one column per bar: the edge (all resting buys minus
+    the sells in bucket -K), then buckets -K+1..K, so K = len(masses) // 2.
+    It stays linear, for a panel can hold what a model state cannot: an
+    empty bucket, or a negative edge.  ``Ensemble(delta_p, np.log(masses),
+    pi, alive)`` views the bars as books.  ``below_grid`` is the quantity
+    clipped into bucket -K; ``gap`` flags bars that received no message and
+    so carry an adjacent bar's snapshot.
     """
 
-    times: np.ndarray          # bar-end timestamps, ns
-    pi: np.ndarray
-    q: np.ndarray              # (n_bars, 2K)
-    edge: np.ndarray
-    below_grid: np.ndarray
-    gap: np.ndarray
-    K: int
+    pi: np.ndarray             # (n_bars,)
+    masses: np.ndarray         # (2K+1, n_bars)
+    below_grid: np.ndarray     # (n_bars,)
+    gap: np.ndarray            # (n_bars,) bool
     delta_p: float
-
-    @property
-    def n_bars(self) -> int:
-        return len(self.times)
 
 
 def _snapshot(book: OrderBook, K: int, delta_p: float):
-    """Book state as (pi, bucket masses -K..K, edge net demand).
+    """Book state as (pi, masses, below_grid): the (2K+1,) masses hold the
+    edge net demand, then buckets -K+1..K, as a column of PanelData.masses.
 
     An order at offset p - pi sits in bucket k = ceil(offset/delta_p - 1/2),
     the one whose range ((k - 1/2) delta_p, (k + 1/2) delta_p] holds it,
@@ -212,7 +209,7 @@ def _snapshot(book: OrderBook, K: int, delta_p: float):
     sell nets out of the edge exactly when it lands in bucket -K.
     """
     pi = book.clearing_price
-    masses = np.zeros(2 * K + 1)
+    masses = np.zeros(2 * K + 1)       # bucket -K in row 0 until the edge takes it
     edge = 0.0
     for order, remaining in book.resting_orders():
         k = max(-K, min(K, math.ceil(round((order.price - pi) / delta_p, 9) - 0.5)))
@@ -221,7 +218,8 @@ def _snapshot(book: OrderBook, K: int, delta_p: float):
             edge += remaining
         elif k == -K:
             edge -= remaining
-    return pi, masses, edge
+    below_grid, masses[0] = masses[0], edge
+    return pi, masses, below_grid
 
 
 def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
@@ -232,7 +230,8 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
     the first bar also takes messages at or before the session start, and
     the last one any after its end.  The book is snapshotted at the last
     message of every bar (390 bars for a 6.5-hour session), and resting
-    quantity is assigned to the half-open relative buckets of ``_snapshot``.
+    quantity is assigned to the half-open relative buckets of ``_snapshot``,
+    whose columns are stacked once into the (2K+1, n_bars) masses.
     Bars that receive no message carry the snapshot of the last bar that
     did (of the first one, before any message) and are flagged as gaps.  A
     book that is empty at a bar end is snapshotted as it is, with zero
@@ -270,17 +269,8 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
     # Each bar takes the snapshot of the last bar that closed by its end;
     # a leading gap takes the first one.
     take = np.maximum(np.searchsorted(closes, ends, side="right") - 1, 0)
-    pi, q_all, edge = (np.array(column)[take] for column in zip(*snaps))
-    return PanelData(
-        times=start + BAR_NS * np.arange(1, n_bars + 1),
-        pi=pi,
-        q=q_all[:, 1:],          # k = -K+1 .. K
-        edge=edge,
-        below_grid=q_all[:, 0],  # clipped into k = -K
-        gap=np.diff(ends, prepend=0) == 0,
-        K=K,
-        delta_p=delta_p,
-    )
+    pi, masses, below_grid = (np.array(column)[take] for column in zip(*snaps))
+    return PanelData(pi, masses.T.copy(), below_grid, np.diff(ends, prepend=0) == 0, delta_p)
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +323,10 @@ def fit_ar1(x: Sequence, delta_t: float) -> Ar1Fit:
     return Ar1Fit(a=a, mean=mean, sigma_rel=sigma)
 
 
-def fit_loadings(panel: PanelData) -> np.ndarray:
+def fit_loadings(log_q: np.ndarray, delta_p: float) -> np.ndarray:
     """Factor loadings from the correlation of per-bar log-mass changes.
+
+    ``log_q`` is (2K, n_bars): rows 1..2K of ``np.log(PanelData.masses)``.
 
     Only the product b bᵀ delta_p (= the correlation matrix) is
     identifiable from the panel, so the symmetric square root is taken and
@@ -343,15 +335,15 @@ def fit_loadings(panel: PanelData) -> np.ndarray:
     its eigenvalues at zero.  A rank-deficient panel (constant or
     non-finite columns) falls back to identity loadings with a warning.
     """
-    if panel.n_bars < 100:
-        raise FitError(f"need at least 100 bars to fit loadings, got {panel.n_bars}")
-    n = 2 * panel.K
-    scale = 1.0 / math.sqrt(panel.delta_p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.diff(np.log(panel.q), axis=0)
+    n, n_bars = log_q.shape
+    if n_bars < 100:
+        raise FitError(f"need at least 100 bars to fit loadings, got {n_bars}")
+    scale = 1.0 / math.sqrt(delta_p)
+    with np.errstate(invalid="ignore"):
+        d = np.diff(log_q, axis=1)
     norms = np.zeros(n)
-    if np.all(np.isfinite(d)) and np.all(d.std(axis=0) > 0):
-        vals, vecs = np.linalg.eigh(np.corrcoef(d, rowvar=False))
+    if np.all(np.isfinite(d)) and np.all(d.std(axis=1) > 0):
+        vals, vecs = np.linalg.eigh(np.corrcoef(d))
         root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         norms = np.linalg.norm(root, axis=1)
     if np.any(norms == 0.0):
@@ -497,24 +489,24 @@ class FitReport:
     jb_stat: float
     jb_pvalue: float
     summary: SummaryStats
-    bars_per_hour: float = 60.0
 
 
 def fit_report(panel: PanelData) -> FitReport:
-    """Run every estimator over a panel and bundle the results."""
-    delta_t = panel.times[1] - panel.times[0] if panel.n_bars > 1 else BAR_NS
-    dt_hours = float(delta_t) / 3_600_000_000_000.0
-    rows = np.vstack([panel.edge, panel.q.T])      # the edge, then buckets -K+1..K
-    bad = np.flatnonzero((rows <= 0.0).any(axis=1))
+    """Run every estimator over a panel and bundle the results: one log of
+    the masses, an AR(1) fit per row at BAR_HOURS spacing, and the loadings
+    of the bucket rows.  The first row that is not positive is a FitError."""
+    K = len(panel.masses) // 2
+    bad = np.flatnonzero((panel.masses <= 0.0).any(axis=1))
     if bad.size:
-        name = "edge series" if bad[0] == 0 else f"bucket k={bad[0] - panel.K}"
+        name = "edge series" if bad[0] == 0 else f"bucket k={bad[0] - K}"
         raise FitError(f"{name} has non-positive values; cannot take logs")
-    edge, *buckets = [fit_ar1(x, dt_hours) for x in np.log(rows)]
+    log_masses = np.log(panel.masses)
+    edge, *buckets = [fit_ar1(x, BAR_HOURS) for x in log_masses]
     a, mean_logq, sigma_rel = np.array(buckets).T.copy()
-    loadings = fit_loadings(panel)
+    loadings = fit_loadings(log_masses[1:], panel.delta_p)
     jb, p = jarque_bera(panel.pi)
     return FitReport(
-        K=panel.K,
+        K=K,
         delta_p=panel.delta_p,
         pi_last=float(panel.pi[-1]),
         a=a,
@@ -528,7 +520,6 @@ def fit_report(panel: PanelData) -> FitReport:
         jb_stat=jb,
         jb_pvalue=p,
         summary=summarize(panel.pi),
-        bars_per_hour=1.0 / dt_hours,
     )
 
 
@@ -554,7 +545,7 @@ def to_model_params(report: FitReport) -> ModelParams:
         mean_log_edge=report.mean_log_edge,
         sigma_edge_rel=report.sigma_edge_rel,
         edge_loadings=uniform_loadings(report.K, report.delta_p),
-        drift_c=report.drift_c * report.bars_per_hour,
+        drift_c=report.drift_c * (1.0 / BAR_HOURS),
     )
 
 
@@ -604,7 +595,7 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
     """
     ens = init_ensemble(params, 1)
     steps = run_steps(params, ens, SimDiagnostics(), n_bars - 1,
-                      BAR_NS / 3_600_000_000_000.0, seed, risk_neutral=False)
+                      BAR_HOURS, seed, risk_neutral=False)
     K = params.K
     # per bucket j, k = j - K + 1: buys below the clearing price, sells at
     # and above it, at offset k·Δp

@@ -58,7 +58,11 @@ from .params import (ModelParams, _integer, _number, _numbers, demo_params, para
                      params_to_dict)
 from .riskneutral import simulate_ensemble
 
-_SECTIONS = ("model", "sheet", "pricing", "simulate", "calibrate", "replay")
+# the keys of each section; the "model" section is a parameter file, for params_from_dict
+_SECTIONS = {"sheet": {"seed"}, "replay": {"opening_price", "strict"},
+             "pricing": {"strikes", "expiry", "dt", "paths", "seed", "rate"},
+             "simulate": {"measure", "expiry", "dt", "paths", "seed"},
+             "calibrate": {"pi0", "K", "delta_p", "p_min", "p_max", "strict"}}
 
 
 def _num(x) -> str:
@@ -82,9 +86,12 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} must hold a JSON object")
     if "buckets" in raw:            # a parameter file used directly as config
         return {"model": raw}
-    unknown = sorted(set(raw) - set(_SECTIONS))
-    if unknown:
-        print(f"warning: ignoring unknown config sections {unknown}", file=sys.stderr)
+    sections = sorted(set(raw) - {"model", *_SECTIONS})
+    keys = sorted(f"{name}.{key}" for name, known in _SECTIONS.items()
+                  if isinstance(raw.get(name), dict) for key in raw[name].keys() - known)
+    for what, unknown in (("sections", sections), ("keys", keys)):
+        if unknown:
+            print(f"warning: ignoring unknown config {what} {unknown}", file=sys.stderr)
     return raw
 
 

@@ -407,8 +407,9 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     """Run n_paths through run_steps in ceil(horizon/dt) equal steps; an aborted
     path keeps its π from before the abort.  The None in the returned
     (ens, diag, None) is kept for callers that unpack three values."""
-    if horizon_hours <= 0 or dt_hours <= 0:
-        raise ValueError("horizon and dt must be positive")
+    if not (0 < horizon_hours < math.inf and 0 < dt_hours < math.inf):
+        raise ValueError(f"horizon and dt must be positive and finite, got "
+                         f"horizon_hours={horizon_hours}, dt_hours={dt_hours}")
     n_steps = max(1, int(math.ceil(horizon_hours / dt_hours - 1e-12)))
     ens, diag = init_ensemble(params, n_paths), SimDiagnostics()
     for _ in run_steps(params, ens, diag, n_steps, horizon_hours / n_steps, seed,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookvol.calibration import (
+    BAR_HOURS,
     BAR_NS,
     SESSION_END_NS,
     SESSION_START_NS,
@@ -32,11 +33,12 @@ from bookvol.calibration import (
     to_model_params,
     PanelData,
 )
-from bookvol.demand import init_ensemble
+from bookvol.demand import Ensemble, init_ensemble
 from bookvol.errors import FitError, ParseError, SimulationError
 from bookvol.lob import MessageEvent, Side
 from bookvol.params import ModelParams, demo_params
-from bookvol.riskneutral import SimDiagnostics, ou_step_factors, run_steps, step_ensemble
+from bookvol.riskneutral import (SimDiagnostics, ou_step_factors, price_vol, run_steps,
+                                 step_ensemble)
 from bookvol.sheet import SheetConfig, increments_block
 
 
@@ -227,28 +229,28 @@ def test_panel_counts_a_hand_book():
         MessageEvent("A", Side.SELL, 1004, "s3", 20.3, 2.0),   # clips into +2
     ]
     panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1, session=(start, BAR_NS))
-    assert panel.n_bars == 1
+    assert panel.masses.shape == (5, 1)
     assert panel.pi[0] == 20.0                      # no trade: opening price holds
-    assert panel.q[0].tolist() == [5.0, 0.0, 7.0, 5.0]
+    # the edge (all buys; no sells in bucket -K), then buckets -1..2
+    assert panel.masses[:, 0].tolist() == [9.0, 5.0, 0.0, 7.0, 5.0]
     assert panel.below_grid[0] == 4.0
-    assert panel.edge[0] == 9.0                     # all buys; no sells in bucket -K
     # conservation: buckets + clipped tails account for all resting quantity
-    assert panel.q[0].sum() + panel.below_grid[0] == 21.0
+    assert panel.masses[1:, 0].sum() + panel.below_grid[0] == 21.0
 
 
 def test_panel_carries_book_across_empty_bars():
     events = [MessageEvent("A", Side.BUY, BAR_NS // 2, "b", 19.9, 5.0)]
     panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1, session=(0, 4 * BAR_NS))
-    assert panel.n_bars == 4
+    assert panel.masses.shape == (5, 4)
     assert not panel.gap[0] and panel.gap[1:].all()
-    assert np.all(panel.q[:, 0] == 5.0)
+    assert np.all(panel.masses[1] == 5.0)
 
     # a leading gap takes the first snapshot; a bar closes at its end time
     events = [MessageEvent("A", Side.BUY, 2 * BAR_NS, "b", 19.9, 5.0),
               MessageEvent("A", Side.BUY, 3 * BAR_NS + 1, "c", 19.9, 2.0)]
     panel = build_panel(events, pi0=20.0, K=2, delta_p=0.1, session=(0, 5 * BAR_NS))
     assert panel.gap.tolist() == [True, False, True, False, True]
-    assert panel.q[:, 0].tolist() == [5.0, 5.0, 5.0, 7.0, 7.0]
+    assert panel.masses[1].tolist() == [5.0, 5.0, 5.0, 7.0, 7.0]
 
 
 def test_panel_requires_some_events():
@@ -270,9 +272,9 @@ def test_panel_puts_boundary_prices_in_the_bucket_below(side, ticks, k):
         pi = round(20.00 + 0.01 * i, 2)
         order = MessageEvent("A", side, 1, "o", round(pi + 0.01 * ticks, 2), size)
         panel = build_panel([order], pi0=pi, K=K, delta_p=dp, session=(0, BAR_NS))
-        masses = np.concatenate([panel.below_grid, panel.q[0]])
+        masses = np.concatenate([panel.below_grid, panel.masses[1:, 0]])
         landed.append(int(np.flatnonzero(masses)[0]) - K)
-        edges.append(panel.edge[0])
+        edges.append(panel.masses[0, 0])
     edge = size if side is Side.BUY else -size if k == -K else 0.0
     assert landed == [k] * 62
     assert edges == [edge] * 62
@@ -302,10 +304,30 @@ def test_synthetic_log_round_trip_is_exact():
                           translation=params.drift_c * dt)
         q = np.exp(book.log_q[:, 0])
         assert panel.pi[bar] == book.pi[0]
-        assert np.array_equal(panel.q[bar], q)
-        assert panel.edge[bar] == pytest.approx(math.exp(book.log_edge[0]), rel=1e-12)
+        assert np.array_equal(panel.masses[1:, bar], q)
+        assert panel.masses[0, bar] == pytest.approx(math.exp(book.log_edge[0]), rel=1e-12)
         assert panel.below_grid[bar] == pytest.approx(0.5 * q[params.K - 1], rel=1e-12)
     assert not panel.gap.any()
+
+
+def test_volatility_law_holds_on_the_replayed_panel():
+    """The paper's law through the matching engine: each bar's squared
+    de-trended price move, regressed through the origin on the σ_π² Δt that
+    price_vol reads off the bar's starting book, has slope 1 within 3 SE.
+    On the demo book σ_π spans only 0.040 to 0.047, so this pins the law's
+    level, not its dependence on depth."""
+    params = demo_params()
+    n_bars = 2000
+    text = format_log(synthesize_log(params, n_bars, seed=1))
+    panel = build_panel(parse_messages(text, strict=True).events, pi0=params.pi0,
+                        K=params.K, delta_p=params.delta_p,
+                        session=(SESSION_START_NS, SESSION_START_NS + n_bars * BAR_NS))
+    books = Ensemble(panel.delta_p, np.log(panel.masses), panel.pi, np.ones(n_bars, bool))
+    x = price_vol(books, params).sigma_pi[:-1] ** 2 * BAR_HOURS
+    y = (np.diff(panel.pi) - params.drift_c * BAR_HOURS) ** 2
+    slope = x @ y / (x @ x)
+    se = math.sqrt(np.sum((y - slope * x) ** 2) / (x.size - 1) / (x @ x))
+    assert abs(slope - 1.0) <= 3.0 * se
 
 
 def test_synthetic_log_of_zero_and_one_bars(monkeypatch):
@@ -515,10 +537,8 @@ def _loadings_panel(n_bars=4000, K=3, delta_p=0.1, seed=9):
     d = rng.standard_normal((n_bars, n)) @ chol.T * 0.01
     logq = 10.0 + np.cumsum(d, axis=0)
     return PanelData(
-        times=np.arange(n_bars) * BAR_NS + SESSION_START_NS,
-        pi=np.full(n_bars, 20.0), q=np.exp(logq),
-        edge=np.ones(n_bars), below_grid=np.zeros(n_bars),
-        gap=np.zeros(n_bars, dtype=bool), K=K, delta_p=delta_p,
+        pi=np.full(n_bars, 20.0), masses=np.vstack([np.ones(n_bars), np.exp(logq.T)]),
+        below_grid=np.zeros(n_bars), gap=np.zeros(n_bars, dtype=bool), delta_p=delta_p,
     ), corr
 
 
@@ -531,9 +551,9 @@ def test_fit_report_names_the_first_row_it_cannot_log(zero, message):
     holding a non-positive value is named, so a zero edge is named before a
     zero bucket."""
     panel, _ = _loadings_panel(n_bars=200)
-    panel.q[50, 1] = 0.0                    # bucket k = -1 of K = 3
+    panel.masses[2, 50] = 0.0               # bucket k = -1 of K = 3
     if zero == "edge":
-        panel.edge[120] = 0.0
+        panel.masses[0, 120] = 0.0
     with pytest.raises(FitError) as exc:
         fit_report(panel)
     assert str(exc.value) == message
@@ -542,35 +562,35 @@ def test_fit_report_names_the_first_row_it_cannot_log(zero, message):
 def test_fit_report_fits_each_row_alone():
     """The edge and every bucket get the fit_ar1 of their own log series."""
     panel, _ = _loadings_panel(n_bars=200)
-    panel.edge[:] = np.exp(np.linspace(0.0, 1.0, 200) ** 2)
+    panel.masses[0] = np.exp(np.linspace(0.0, 1.0, 200) ** 2)
     report = fit_report(panel)
     dt = 1.0 / 60.0
     assert (report.a_edge, report.mean_log_edge, report.sigma_edge_rel) == \
-        fit_ar1(np.log(panel.edge), dt)
-    for j in range(2 * panel.K):
+        fit_ar1(np.log(panel.masses[0]), dt)
+    for j in range(len(panel.masses) - 1):
         assert (report.a[j], report.mean_logq[j], report.sigma_rel[j]) == \
-            fit_ar1(np.log(panel.q[:, j]), dt)
+            fit_ar1(np.log(panel.masses[j + 1]), dt)
 
 
 def test_fit_loadings_recovers_correlation():
     panel, corr = _loadings_panel()
-    b = fit_loadings(panel)
+    b = fit_loadings(np.log(panel.masses[1:]), panel.delta_p)
     assert np.allclose((b**2).sum(axis=1) * panel.delta_p, 1.0, rtol=1e-12)
     assert np.max(np.abs(b @ b.T * panel.delta_p - corr)) < 0.05
 
 
 def test_fit_loadings_degenerate_panel_warns():
     panel, _ = _loadings_panel(n_bars=200)
-    panel.q[:, 2] = 5.0                              # a constant column
+    panel.masses[3] = 5.0                            # a constant bucket
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        b = fit_loadings(panel)
+        b = fit_loadings(np.log(panel.masses[1:]), panel.delta_p)
     assert np.allclose(b, np.eye(6) / math.sqrt(panel.delta_p))
 
 
 def test_fit_loadings_needs_enough_bars():
     panel, _ = _loadings_panel(n_bars=99)
     with pytest.raises(FitError):
-        fit_loadings(panel)
+        fit_loadings(np.log(panel.masses[1:]), panel.delta_p)
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +604,6 @@ def test_fit_report_and_model_params_hand_off():
                        p_min=19.0, p_max=21.5,
                        session=(SESSION_START_NS, SESSION_START_NS + n_bars * BAR_NS))
     assert report.K == params.K
-    assert report.bars_per_hour == pytest.approx(60.0)
 
     fitted = to_model_params(report)
     fitted.validate()

@@ -16,6 +16,7 @@ from bookvol.params import demo_params, params_to_dict, save_params
 
 
 EXAMPLE_LOG = str(importlib.resources.files("bookvol") / "data" / "example1.log")
+DEMO_CONFIG = str(importlib.resources.files("bookvol") / "data" / "demo_config.json")
 
 
 def test_version_flag(capsys):
@@ -209,6 +210,20 @@ def test_malformed_model_exits_2(edit, message, tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--paths", "2",
                  "--expiry", "0.0002"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unknown_config_sections_and_keys_warn(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {"pathz": 3}, "simulation": {}}))
+    rc = main(["simulate", "--config", str(config), "--paths", "5", "--expiry", "0.0003"])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "warning: ignoring unknown config sections ['simulation']" in err
+    assert "warning: ignoring unknown config keys ['simulate.pathz']" in err
+
+    # the bundled config holds only keys the commands read
+    assert main(["replay", EXAMPLE_LOG, "--config", DEMO_CONFIG]) == 0
+    assert "unknown config" not in capsys.readouterr().err
 
 
 def test_config_integer_may_be_written_as_a_whole_float(tmp_path, capsys):

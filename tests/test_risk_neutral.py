@@ -598,3 +598,13 @@ def test_init_ensemble_replicates_initial_state():
     assert np.array_equal(ens.log_edge, np.full(3, np.log(params.edge0)))
     assert np.array_equal(ens.pi, np.full(3, params.pi0))
     assert ens.alive.all()
+
+
+@pytest.mark.parametrize("horizon, dt", [
+    (math.inf, 0.05), (math.nan, 0.05), (0.1, math.inf), (0.1, math.nan), (0.0, 0.05),
+], ids=["inf-horizon", "nan-horizon", "inf-dt", "nan-dt", "zero-horizon"])
+def test_simulate_ensemble_rejects_a_non_finite_horizon_or_step(horizon, dt):
+    with pytest.raises(ValueError) as exc:
+        simulate_ensemble(demo_params(), 3, horizon, dt)
+    assert str(exc.value) == ("horizon and dt must be positive and finite, got "
+                              f"horizon_hours={horizon}, dt_hours={dt}")
