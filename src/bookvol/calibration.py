@@ -356,14 +356,17 @@ def fit_loadings(log_q: np.ndarray, delta_p: float) -> np.ndarray:
     return root / norms[:, None] * scale
 
 
-def jarque_bera_from_moments(n: int, skewness: float,
-                             excess_kurtosis: float) -> tuple:
+def jarque_bera_from_moments(n: int, skewness: Optional[float],
+                             excess_kurtosis: Optional[float]) -> tuple:
     """JB statistic and p-value from sample size and standardized moments.
 
     JB = (sqrt(n/6) S)^2 + (sqrt(n/24) K_excess)^2, compared against a
     chi-square(2) law whose survival function is exp(-JB/2) exactly.  The
-    kurtosis argument is the excess (normal = 0) convention.
+    kurtosis argument is the excess (normal = 0) convention.  A constant
+    sample (moments None, as summarize reports them) gives (0.0, 1.0).
     """
+    if skewness is None:
+        return 0.0, 1.0
     jb = n / 6.0 * skewness ** 2 + n / 24.0 * excess_kurtosis ** 2
     return jb, math.exp(-jb / 2.0)
 
@@ -374,8 +377,6 @@ def jarque_bera(series: Sequence) -> tuple:
     if x.size < 8:
         raise FitError(f"need at least 8 observations, got {x.size}")
     stats = summarize(x)
-    if stats.skewness is None:
-        return 0.0, 1.0
     return jarque_bera_from_moments(x.size, stats.skewness, stats.kurtosis)
 
 
@@ -504,7 +505,8 @@ def fit_report(panel: PanelData) -> FitReport:
     edge, *buckets = [fit_ar1(x, BAR_HOURS) for x in log_masses]
     a, mean_logq, sigma_rel = np.array(buckets).T.copy()
     loadings = fit_loadings(log_masses[1:], panel.delta_p)
-    jb, p = jarque_bera(panel.pi)
+    summary = summarize(panel.pi)       # one pass for the summary and the JB moments
+    jb, p = jarque_bera_from_moments(summary.nobs, summary.skewness, summary.kurtosis)
     return FitReport(
         K=K,
         delta_p=panel.delta_p,
@@ -519,7 +521,7 @@ def fit_report(panel: PanelData) -> FitReport:
         drift_c=fit_drift(panel.pi),
         jb_stat=jb,
         jb_pvalue=p,
-        summary=summarize(panel.pi),
+        summary=summary,
     )
 
 

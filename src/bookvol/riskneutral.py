@@ -15,12 +15,15 @@ where w_i is the zero position each row assumes inside its bucket
 the hypothetical ones).  The right side collects the physical drift of the
 curve value, the w_i share of the clearing bucket's own drift, and the
 covariance between the clearing-bucket mass and the price: see
-_kill_matrix and _kill_rhs, the one assembly of Σ and b.  b is assembled in
-difference form, b(0) over the row differences db(i) = b(i+1) - b(i); the
-closed-form kill solves that into one shift per row of the log state, edge
-first, and the full b (dense systems, path-0 residual) is its cumulative
-sum.  Under the changed measure each factor increment picks up -λ_j√Δp·dt,
-which is how step_risk_neutral applies the dense solution.
+_kill_matrix and _kill_rhs, the one assembly of Σ and b.  The right side is
+kept as b(0) over the row differences db(i) = b(i+1) - b(i), and that whole
+column is one product and one sum, G·p + N∘μ, in the pivots p = xσΔp and
+the drifts μ of the log state's rows: G holds the covariance terms,
+differenced, once per run in StepPlan.  The closed-form kill solves it into
+one shift per row of the log state, edge first, and the full b (dense
+systems, path-0 residual) is its cumulative sum.  Under the changed measure
+each factor increment picks up -λ_j√Δp·dt, which is how step_risk_neutral
+applies the dense solution.
 
 Every function here answers per book, for the columns of a demand.Ensemble;
 a single book is an ensemble of one.
@@ -32,7 +35,8 @@ is re-anchored so the zero sits mid-bucket 0 at the new π.  The masses keep
 their labels, so the curve relative to π moves with π, as Itô-Wentzell
 carries it; keeping the profile intact preserves the stationary book shape
 that the volatility of π is built from.
-step_ensemble is the only step and run_steps the only loop over steps.
+step_ensemble is the only step and run_steps the only loop over steps; a
+run's StepPlan holds its constants and the work arrays every step reuses.
 
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
 the curve-value loadings alone (price_vol); the live row of the linear
@@ -133,40 +137,40 @@ def _state_rows(edge, buckets) -> np.ndarray:
     return np.concatenate(([edge], buckets))[:, None]
 
 
-def _kill_rhs(ens: Ensemble, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Right sides of the drift-kill systems, (2K, n), and the noise scales
-    s = xσ, (2K+1, n) in the state's row order, that they were built from.
+def _kill_rhs(ens: Ensemble, params: ModelParams, plan: StepPlan
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Right sides of the drift-kill systems, (2K, n), and the pivots p =
+    xσΔp, (2K+1, n) in the state's row order, that they were built from,
+    with x = plan.E; views of plan.X and plan.S.
 
     With μ the physical drifts of the masses and the edge, the right side is
-    b(i) = Σ_{l<i} μ_q(l) - μ_e + w_i·(μ_q(i) - q̃σ²(i)) + cross(i).  Row 0
-    holds b(0), row i+1 db(i) = b(i+1) - b(i) = μ_q(i) + cross(i+1) -
-    cross(i), and the clearing row i0's anchored share enters rows i0, i0+1.
+    b(i) = Σ_{l<i} μ_q(l) - μ_e + w_i·(μ_q(i) - q̃σ²(i)) + cross(i), where
+    cross(i) = σ_i·B_i·(p_e B_E - Σ_{l<i} p_l B_l) is linear in p.  Row 0
+    holds b(0) and row i+1 db(i) = b(i+1) - b(i) = μ_q(i) + cross(i+1) -
+    cross(i), so the whole column is G·p + N∘μ: G (plan.G) holds the
+    differenced cross terms and the clearing row i0's anchored -w·q̃σ², N
+    the drifts' signs (-1 for the edge, 1 - w for the clearing bucket,
+    folded into plan.mu_slope and plan.mu_level), and the clearing bucket's
+    w·μ_q(i0) is added to row i0.
     """
-    x = np.exp(ens.log_state)
-    sigma = _state_rows(params.sigma_edge_rel, params.sigma_q_rel)
-    s = x * sigma
-    cross = np.multiply.outer(params.loadings @ params.edge_loadings, s[0])  # L·B_E
-    cross -= np.tril(params.loadings @ params.loadings.T, k=-1) @ s[1:]  # row i: buckets l < i
-    cross *= sigma[1:] * params.delta_p
-    mu = ens.log_state - _state_rows(params.mean_log_edge, params.mean_logq)
-    mu *= -_state_rows(params.a_edge, params.a_q)
-    mu += 0.5 * _state_rows(params.sigma_edge_rel**2, params.sigma_q_rel**2)
-    mu *= x
     i0 = params.idx(0)
-    own = (mu[i0 + 1] - x[i0 + 1] * sigma[i0 + 1]**2) * _CLEARING_ANCHOR
-    rhs = mu[:-1]                                   # in place
-    np.negative(rhs[0], out=rhs[0])                 # the edge enters with a minus sign
-    rhs += cross
-    rhs[1:] -= cross[:-1]
-    rhs[i0] += own
-    rhs[i0 + 1] -= own
-    return rhs, s
+    x, p, mu, rhs = plan.E, plan.S, plan.M[:-1], plan.X[:-1]
+    np.multiply(x, plan.pivot_scale, out=p)
+    # N∘μ = x·(-N·a·(log x - m) + N·σ²/2); the last bucket's drift enters no row
+    np.subtract(ens.log_state[:-1], plan.mean, out=mu)
+    mu *= plan.mu_slope
+    mu += plan.mu_level
+    mu *= x[:-1]
+    np.matmul(plan.G, p, out=rhs)
+    rhs += mu
+    rhs[i0] += plan.own_share * mu[i0 + 1]
+    return rhs, p
 
 
 def build_mpr_system(ens: Ensemble, params: ModelParams) -> MprSystem:
     """Assemble each book's drift-kill equations, one row per potential
     clearing bucket: Σ is (n, 2K, F) and b is (n, 2K)."""
-    rhs, _ = _kill_rhs(ens, params)
+    rhs, _ = _kill_rhs(ens, params, StepPlan(params, None, ens))
     return MprSystem(Sigma=_kill_matrix(ens, params), b=np.cumsum(rhs, axis=0).T)
 
 
@@ -197,65 +201,119 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
     martingale dynamics.
     """
     shifted = inc - lam * math.sqrt(params.delta_p) * dt
-    return step_ensemble(ens, params, shifted, dt, ou_step_factors(params, dt))
+    return step_ensemble(ens, params, shifted, StepPlan(params, dt, ens))
 
 
 # ----------------------------------------------------------------------
-# the closed-form drift kill over a path ensemble (step_ensemble applies
-# it; the dense solve_mpr above is its test oracle)
+# the per-run plan, and the closed-form drift kill over a path ensemble
+# (step_ensemble applies it; the dense solve_mpr above is its test oracle)
 
-class _KillTransform:
-    """Per-run constants for the closed-form drift-kill solution.
+class StepPlan:
+    """The per-run constants and work arrays of step_ensemble over dt for the
+    n books of `ens`, so that a step allocates no array of their size.
 
-    Row-differencing the square system leaves a bidiagonal relation in the
-    rotated unknowns e = B_E·λ and y_i = B(i,:)·λ, so each path's Girsanov
-    shifts (which only involve e and y, never λ itself) come out in O(K)
-    arithmetic per bucket instead of a dense solve.  λ is recovered on
-    demand as A⁻¹·shift[:-1] with A = [B_E; B rows 0..2K-2].
+    Constants, built once:
+      - the kill's right-side operator G (2K, 2K+1), the drift coefficients
+        and the pivot scales σΔp (see _kill_rhs);
+      - with `kill`, the closed-form solution's A = [B_E; B rows 0..2K-2]
+        and g = A⁻ᵀ·B(2K-1,:).  Row-differencing the square system leaves a
+        bidiagonal relation in the rotated unknowns e = B_E·λ and y_i =
+        B(i,:)·λ, so each path's Girsanov shifts (which only involve e and
+        y, never λ itself) come out in O(K) arithmetic per bucket instead of
+        a dense solve; λ is recovered on demand as A⁻¹·shift[:-1];
+      - with a dt (None for the right side alone), the exact OU step: the
+        decay e^{-aΔt}, the level m(1 - e^{-aΔt}), the stacked projection
+        [B_E; B] scaled by vol·√Δp/√dt, and the kill scale vol·Δp·√dt.
+
+    Work arrays, (2K+1, n) each, each holding two or more values in turn:
+      E  exp of the log state: filled here and by every clearing, read by
+         the next kill, scratch between the kill and clearing;
+      S  the pivots p = xσΔp in the kill, then the node values in clearing;
+      M  the drifts μ, then the kill's shift;
+      X  the right side, then the noise z of the OU update;
+    plus `draws`, the (n, F) factor increments, and `finite`, the kill's
+    finiteness mask.  E stays the exp of the state only while the books
+    change through step_ensemble alone.
     """
 
-    def __init__(self, params: ModelParams):
-        if np.any(params.sigma_q_rel <= 0) or params.sigma_edge_rel <= 0:
-            raise SingularSystemError(
-                "every bucket and the edge need positive volatility for a "
-                "unique market price of risk")
-        self.A = np.vstack([params.edge_loadings, params.loadings[:-1]])
-        try:
-            self.g = np.linalg.solve(self.A.T, params.loadings[-1])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"factor loadings do not identify the market prices of risk: {exc}") from exc
+    def __init__(self, params: ModelParams, dt: float | None, ens: Ensemble, *,
+                 kill: bool = False):
+        i0, w, dp = params.idx(0), _CLEARING_ANCHOR, params.delta_p
+        a = _state_rows(params.a_edge, params.a_q)
+        mean = _state_rows(params.mean_log_edge, params.mean_logq)
+        sigma = _state_rows(params.sigma_edge_rel, params.sigma_q_rel)
+        self.pivot_scale = sigma * dp
+        cross = np.hstack([params.loadings @ params.edge_loadings[:, None],
+                           -np.tril(params.loadings @ params.loadings.T, k=-1)])
+        cross *= sigma[1:]
+        self.G = cross.copy()
+        self.G[1:] -= cross[:-1]
+        own = w * sigma[i0 + 1, 0] / dp                 # w·q̃σ² = w·(σ/Δp)·p
+        self.G[i0, i0 + 1] -= own
+        self.G[i0 + 1, i0 + 1] += own
+        sign = np.ones_like(a[:-1])
+        sign[0], sign[i0 + 1] = -1.0, 1.0 - w
+        self.mean = mean[:-1]
+        self.mu_slope = -sign * a[:-1]
+        self.mu_level = sign * (0.5 * sigma[:-1]**2)
+        self.own_share = w / (1.0 - w)
+        if kill:
+            if np.any(params.sigma_q_rel <= 0) or params.sigma_edge_rel <= 0:
+                raise SingularSystemError(
+                    "every bucket and the edge need positive volatility for a "
+                    "unique market price of risk")
+            self.A = np.vstack([params.edge_loadings, params.loadings[:-1]])
+            try:
+                self.g = np.linalg.solve(self.A.T, params.loadings[-1])
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(
+                    f"factor loadings do not identify the market prices of risk: {exc}"
+                ) from exc
+        if dt is not None:
+            if dt <= 0:
+                raise ValueError("dt must be positive")
+            self.decay, vol = _ou_factors(a, sigma, dt)
+            self.level = mean * (1.0 - self.decay)
+            self.projection = np.vstack([params.edge_loadings, params.loadings]) \
+                * (vol * (math.sqrt(dp) / math.sqrt(dt)))
+            self.kill_scale = vol * (dp * math.sqrt(dt))
+            self.draws = np.empty((ens.pi.size, params.factor_count))
+        with np.errstate(over="ignore"):
+            self.E = np.exp(ens.log_state)
+        self.S, self.M, self.X = (np.empty_like(self.E) for _ in range(3))
+        self.finite = np.empty(self.E.shape, dtype=bool)
 
 
-def _batch_kill_shifts(ens: Ensemble, params: ModelParams, kt: _KillTransform
+def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drift-kill shifts of every path, (2K+1, n) in the state's row order
     (e = B_E·λ, then y = B·λ), the right sides of _kill_rhs, and the live
     paths whose kill is singular: a pivot q̃σ (the edge, the buckets below
     the top) under 1/COND_LIMIT of the path's largest bucket q̃σ, or a
-    non-finite shift.  Singular shifts are zeroed."""
-    dp = ens.delta_p
+    non-finite shift.  Singular shifts are zeroed.  The shifts are plan.M
+    and the right sides a view of plan.X."""
     i0 = params.idx(0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rhs, s = _kill_rhs(ens, params)
-        shift = np.multiply(s, dp)                  # the pivots, divided into rhs in place
-        np.divide(rhs, shift[:-1], out=shift[:-1])
+        rhs, p = _kill_rhs(ens, params, plan)
+        shift = plan.M                              # μ is spent
+        np.divide(rhs, p[:-1], out=shift[:-1])
         shift[i0 + 1] /= _CLEARING_ANCHOR
-        shift[i0] = (rhs[i0] / dp - _CLEARING_ANCHOR * s[i0 + 1] * shift[i0 + 1]) / s[i0]
+        shift[i0] = (rhs[i0] - _CLEARING_ANCHOR * p[i0 + 1] * shift[i0 + 1]) / p[i0]
         shift[0] *= -1.0                            # the edge enters with a minus sign
-        np.matmul(kt.g[1:], shift[1:-1], out=shift[-1])     # y_last = g·shift[:-1]
-        shift[-1] += kt.g[0] * shift[0]
-        sound = (s[:-1].min(axis=0) >= s[1:].max(axis=0) / COND_LIMIT) \
-            & np.isfinite(shift).all(axis=0)
-    np.copyto(shift, 0.0, where=~sound)
+        np.matmul(plan.g[1:], shift[1:-1], out=shift[-1])   # y_last = g·shift[:-1]
+        shift[-1] += plan.g[0] * shift[0]
+        sound = (p[:-1].min(axis=0) >= p[1:].max(axis=0) / COND_LIMIT) \
+            & np.isfinite(shift, out=plan.finite).all(axis=0)
+    if not sound.all():
+        np.copyto(shift, 0.0, where=~sound)
     return shift, rhs, ens.alive & ~sound
 
 
-def _path0_rel_residual(ens: Ensemble, params: ModelParams, kt: _KillTransform,
+def _path0_rel_residual(ens: Ensemble, params: ModelParams, plan: StepPlan,
                         shift: np.ndarray, rhs: np.ndarray) -> float:
     """Residual of the full system on path 0, as a solve-quality telltale;
     Σ is built for path 0 alone."""
-    lam0 = np.linalg.solve(kt.A, shift[:-1, 0])
+    lam0 = np.linalg.solve(plan.A, shift[:-1, 0])
     b = np.cumsum(rhs[:, 0])
     bnorm = float(np.linalg.norm(b))
     residual = _kill_matrix(ens.column(0), params)[0] @ lam0 - b
@@ -314,50 +372,34 @@ def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return decay, sigma * np.sqrt(var_scale)
 
 
-def ou_step_factors(params: ModelParams, dt: float) -> tuple:
-    """The per-run constants of step_ensemble over dt, edge row first as in
-    Ensemble.log_state: the (2K+1, F) stacked projection, then the long-run
-    means, the decays e^{-a dt} and the noise scales of the exact OU step as
-    (2K+1, 1) columns."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    decay, vol = _ou_factors(_state_rows(params.a_edge, params.a_q),
-                             _state_rows(params.sigma_edge_rel, params.sigma_q_rel), dt)
-    return (np.vstack([params.edge_loadings, params.loadings]),
-            _state_rows(params.mean_log_edge, params.mean_logq), decay, vol)
-
-
-def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float,
-                  factors: tuple, *, kill=None, translation: float = 0.0) -> Cleared:
+def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: StepPlan,
+                  *, kill=None, translation: float = 0.0) -> Cleared:
     """Advance every live path one step and re-clear it (in place).
 
     The (n, F) factor increments `inc`, projected on the loadings and scaled
-    to unit variance, drive the exact OU update of the log edge and masses;
-    the rotated drift-kill solutions `kill`, one (2K+1, n) array in the
-    state's row order, shift those drivers by -kill·Δp·√dt.  Live prices
-    then move by `translation`.
-    `factors` is ou_step_factors(params, dt), computed once per run.
+    to unit variance, drive the exact OU update of the log edge and masses,
+    state·e^{-aΔt} + m(1 - e^{-aΔt}) + z; the rotated drift-kill solutions
+    `kill`, one (2K+1, n) array in the state's row order, shift those
+    drivers by -kill·Δp·√dt.  Live prices then move by `translation`.
+    `plan` is the run's StepPlan(params, dt, ens): the noise scales are
+    folded into its projection and kill scale, and z, clearing's exp and
+    its node values go into its work arrays.
     """
-    projection, mean, decay, vol = factors
-    root_dt = math.sqrt(dt)
     # one gemm, edge row first as in the log state: the same bits for any
     # group of two or more paths
-    z = projection @ inc.T
-    z *= math.sqrt(params.delta_p) / root_dt
-    if kill is not None:
-        z -= kill * (params.delta_p * root_dt)
+    z = np.matmul(plan.projection, inc.T, out=plan.X)
+    if kill is not None:                    # E is scratch until clearing refills it
+        z -= np.multiply(kill, plan.kill_scale, out=plan.E)
     dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
     if dead is not None:        # frozen paths keep their state through the update
         frozen = ens.log_state[:, dead]
     state = ens.log_state       # updated in place
-    state -= mean
-    state *= decay
-    state += mean
-    z *= vol
+    state *= plan.decay
+    state += plan.level
     state += z
     if dead is not None:
         state[:, dead] = frozen
-    cleared = _batch_clear(ens, params)
+    cleared = _batch_clear(ens, params, plan.E, plan.S)
     if translation:
         np.add(ens.pi, translation, out=ens.pi, where=ens.alive)
     return cleared
@@ -366,7 +408,9 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, dt: float
 def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps: int,
               dt: float, seed: int = 0, *, risk_neutral: bool = True) -> Iterator[None]:
     """The one simulation loop: step `ens` in place n_steps times by dt hours,
-    append each step's row to `diag`, and yield after each step.
+    append each step's row to `diag`, and yield after each step.  The run's
+    StepPlan is built on `ens` at the first step; change ens only by
+    iterating, as its kill reads the exp that clearing leaves in the plan.
 
     Paths that breach the grid, turn non-finite or meet a singular drift kill
     are frozen and counted by cause.  If all abort, SingularSystemError (all
@@ -376,22 +420,20 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
     cfg = sheet.SheetConfig(factor_count=params.factor_count, delta_p=params.delta_p, seed=seed)
     noiseless = not (np.any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0)
     kill = risk_neutral and not noiseless   # no noise: measure change is a no-op
-    kt = _KillTransform(params) if kill else None
+    plan = StepPlan(params, dt, ens, kill=kill)
     translation = 0.0 if risk_neutral else params.drift_c * dt
-    factors = ou_step_factors(params, dt)
     singular = np.zeros(n_paths, dtype=bool)
     gen = sheet.generator()         # re-keyed for every draw
 
     for step in range(n_steps):
-        inc = sheet.increments_block(cfg, dt, step, n_paths, gen)
+        inc = sheet.increments_block(cfg, dt, step, n_paths, gen, out=plan.draws)
         shift, residual = None, math.nan
         if kill:
-            shift, rhs, singular = _batch_kill_shifts(ens, params, kt)
+            shift, rhs, singular = _batch_kill_shifts(ens, params, plan)
             ens.alive &= ~singular
             if ens.alive[0]:
-                residual = _path0_rel_residual(ens, params, kt, shift, rhs)
-        cleared = step_ensemble(ens, params, inc, dt, factors, kill=shift,
-                                translation=translation)
+                residual = _path0_rel_residual(ens, params, plan, shift, rhs)
+        cleared = step_ensemble(ens, params, inc, plan, kill=shift, translation=translation)
         diag.count(cleared, singular, ens.alive, residual)
         if not diag.rows[-1].alive:
             error = SingularSystemError if diag.n_aborted_singular == n_paths else SimulationError

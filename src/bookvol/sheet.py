@@ -66,16 +66,18 @@ def _chunk_block(cfg: SheetConfig, step: int, chunk: int, out: np.ndarray,
 
 
 def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int,
-                     gen: np.random.Generator | None = None) -> np.ndarray:
-    """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step.
+                     gen: np.random.Generator | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step,
+    into `out` ((n_streams, factor_count)) when given.
 
-    A loop over steps passes its one `generator()` as `gen`; the draws do not
-    depend on it.
+    A loop over steps passes its one `generator()` as `gen` and one array as
+    `out`; the draws depend on neither.
     """
     if not dt >= 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
     gen = generator() if gen is None else gen
-    out = np.empty((n_streams, cfg.factor_count))
+    out = np.empty((n_streams, cfg.factor_count)) if out is None else out
     for c, start in enumerate(range(0, n_streams, _CHUNK)):
         _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
     out *= math.sqrt(dt)

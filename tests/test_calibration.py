@@ -37,8 +37,7 @@ from bookvol.demand import Ensemble, init_ensemble
 from bookvol.errors import FitError, ParseError, SimulationError
 from bookvol.lob import MessageEvent, Side
 from bookvol.params import ModelParams, demo_params
-from bookvol.riskneutral import (SimDiagnostics, ou_step_factors, price_vol, run_steps,
-                                 step_ensemble)
+from bookvol.riskneutral import SimDiagnostics, StepPlan, price_vol, run_steps, step_ensemble
 from bookvol.sheet import SheetConfig, increments_block
 
 
@@ -297,10 +296,10 @@ def test_synthetic_log_round_trip_is_exact():
     book = init_ensemble(params)
     cfg = SheetConfig(2 * params.K, params.delta_p, seed=3)
     dt = 1 / 60
-    factors = ou_step_factors(params, dt)
+    plan = StepPlan(params, dt, book)
     for bar in range(n_bars):
         if bar > 0:
-            step_ensemble(book, params, increments_block(cfg, dt, bar - 1, 1), dt, factors,
+            step_ensemble(book, params, increments_block(cfg, dt, bar - 1, 1), plan,
                           translation=params.drift_c * dt)
         q = np.exp(book.log_q[:, 0])
         assert panel.pi[bar] == book.pi[0]
@@ -570,6 +569,20 @@ def test_fit_report_fits_each_row_alone():
     for j in range(len(panel.masses) - 1):
         assert (report.a[j], report.mean_logq[j], report.sigma_rel[j]) == \
             fit_ar1(np.log(panel.masses[j + 1]), dt)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["constant-pi", "walking-pi"])
+def test_fit_report_jarque_bera_is_that_of_pi(walk):
+    """fit_report takes the JB moments from its one summary of π: the same
+    bits as jarque_bera(panel.pi), (0.0, 1.0) for a constant π."""
+    panel, _ = _loadings_panel(n_bars=200)
+    panel.masses[0] = np.exp(np.linspace(0.0, 1.0, 200) ** 2)
+    if walk:
+        panel.pi = 20.0 + np.cumsum(np.random.default_rng(4).standard_normal(200)) * 0.01
+    report = fit_report(panel)
+    assert (report.jb_stat, report.jb_pvalue) == jarque_bera(panel.pi)
+    assert report.summary == summarize(panel.pi)
+    assert ((report.jb_stat, report.jb_pvalue) == (0.0, 1.0)) is not walk
 
 
 def test_fit_loadings_recovers_correlation():

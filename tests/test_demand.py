@@ -25,8 +25,8 @@ from bookvol.errors import SimulationError, UndefinedInverseError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
     SimDiagnostics,
+    StepPlan,
     _ou_factors,
-    ou_step_factors,
     run_steps,
     step_ensemble,
     step_risk_neutral,
@@ -280,7 +280,7 @@ def test_a_step_freezes_a_breached_book(stepper):
     books.log_edge[1] += 40.0
     inc, dt = np.zeros((2, params.factor_count)), 0.01
     if stepper == "physical":
-        cleared = step_ensemble(books, params, inc, dt, ou_step_factors(params, dt),
+        cleared = step_ensemble(books, params, inc, StepPlan(params, dt, books),
                                 translation=params.drift_c * dt)
     else:
         cleared = step_risk_neutral(books, params, np.zeros_like(inc), inc, dt)

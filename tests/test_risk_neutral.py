@@ -1,12 +1,15 @@
 """Risk-adjustment tests: the normalized price loadings, the drift-kill
 linear system against a scalar re-derivation, solver diagnostics, the
-closed-form kill against the dense solve on adverse states, and the
-ensemble's columns against the same books stepped and evaluated alone.  The
+closed-form kill against the dense solve on adverse states, the ensemble's
+columns against the same books stepped and evaluated alone, and the run's
+StepPlan: its reused exp against fresh stages, and a step that allocates no
+state-sized array.  The
 two clearing-volatility routes and the depth law are acceptance criteria 4
 and 5."""
 
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,11 +26,10 @@ from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_
 from bookvol.riskneutral import (
     COND_LIMIT,
     SimDiagnostics,
+    StepPlan,
     _batch_kill_shifts,
-    _KillTransform,
     build_mpr_system,
     kill_vectors,
-    ou_step_factors,
     price_vol,
     run_steps,
     sigma_pi_direct,
@@ -39,9 +41,10 @@ from bookvol.riskneutral import (
 from bookvol.sheet import SheetConfig, increments_block
 
 
-def _jittered_books(n, seed=0):
-    """n demo books with jittered masses and edge, re-cleared to be live."""
-    params = demo_params()
+def _jittered_books(n, seed=0, params=None):
+    """n books of `params` (the demo book) with jittered masses and edge,
+    re-cleared to be live."""
+    params = demo_params() if params is None else params
     rng = np.random.default_rng(seed)
     books = init_ensemble(params, n)
     for j in range(n):
@@ -134,12 +137,24 @@ def test_system_matches_scalar_arithmetic():
     assert np.allclose(solved.lam, lam_expected[None], rtol=1e-10)
 
 
-def test_right_side_matches_its_definition_at_k7():
+def _correlated_params():
+    """Demo parameters with factor correlation 0.4^|i-j| between buckets."""
+    params = demo_params()
+    n = 2 * params.K
+    corr = 0.4 ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    vals, vecs = np.linalg.eigh(corr)
+    return replace(params, loadings=(vecs * np.sqrt(vals)) @ vecs.T / math.sqrt(params.delta_p))
+
+
+@pytest.mark.parametrize("params", [demo_params(), _correlated_params()],
+                         ids=["diagonal", "correlated"])
+def test_right_side_matches_its_definition_at_k7(params):
     """b(i) built term by term with scalar loops: the physical drift of the
     masses below bucket i less the edge's, the anchored share w_i of bucket
     i's own drift, and the covariance σ_i·(B_i·V_i)·Δp of bucket i's mass
-    with the curve value entering it."""
-    params, books = _jittered_books(5, seed=3)
+    with the curve value entering it.  The demo loadings are diagonal, so
+    only the correlated ones reach the covariance with the buckets below i."""
+    params, books = _jittered_books(5, seed=3, params=params)
     n, F, dp = 2 * params.K, params.factor_count, params.delta_p
     i0 = params.idx(0)
     got = build_mpr_system(books, params).b
@@ -197,7 +212,7 @@ def test_closed_form_kill_matches_dense_solve(data):
         system = solve_mpr(build_mpr_system(book, params))
     except SingularSystemError:
         assume(False)
-    shift, _, singular = _batch_kill_shifts(book, params, _KillTransform(params))
+    shift, _, singular = _batch_kill_shifts(book, params, StepPlan(params, None, book, kill=True))
     assert not singular[0]
     lam = system.lam[0]
     got = shift[:, 0]
@@ -291,10 +306,11 @@ def _step_once(ens, params, inc, dt, risk_neutral):
     """One step of run_steps' loop: kill, drop singular paths, step."""
     singular = np.zeros(ens.pi.size, dtype=bool)
     shift = None
+    plan = StepPlan(params, dt, ens, kill=risk_neutral)
     if risk_neutral:
-        shift, _, singular = _batch_kill_shifts(ens, params, _KillTransform(params))
+        shift, _, singular = _batch_kill_shifts(ens, params, plan)
         ens.alive &= ~singular
-    cleared = step_ensemble(ens, params, inc, dt, ou_step_factors(params, dt), kill=shift,
+    cleared = step_ensemble(ens, params, inc, plan, kill=shift,
                             translation=0.0 if risk_neutral else params.drift_c * dt)
     return cleared, singular, shift
 
@@ -333,6 +349,48 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
         np.testing.assert_allclose(one.log_q[:, 0], ens.log_q[:, i], rtol=1e-12)
         np.testing.assert_allclose(one.log_edge, ens.log_edge[i:i + 1], rtol=1e-12)
         np.testing.assert_allclose(one.pi, ens.pi[i:i + 1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
+def test_reused_exp_matches_fresh_stages_on_adverse_states(params):
+    """run_steps' kill reads the exp that the previous clearing left in the
+    run's StepPlan.  Three steps of the adverse books, each on its own noise
+    stream, equal the same steps taken through a fresh plan, which
+    exponentiates the state, at every step, bit for bit: across the moved,
+    broken and singular books alike."""
+    dt, seed = 1.0 / 60.0, 11
+    ens, diag = _adverse_ensemble(params), SimDiagnostics()
+    for _ in run_steps(params, ens, diag, 3, dt, seed):
+        pass
+    fresh = _adverse_ensemble(params)
+    cfg = SheetConfig(params.factor_count, params.delta_p, seed=seed)
+    for step in range(3):
+        _step_once(fresh, params, increments_block(cfg, dt, step, 6), dt, True)
+    assert ens.alive.tolist() == fresh.alive.tolist() == [True, True, False, False, True, True]
+    assert np.array_equal(ens.log_state, fresh.log_state, equal_nan=True)
+    assert np.array_equal(ens.pi, fresh.pi)
+
+
+@pytest.mark.parametrize("risk_neutral", [True, False])
+def test_a_step_allocates_no_state_sized_array(risk_neutral):
+    """After the first step of a 2,048-path run, a step's traced allocations
+    peak below one (2K+1, n) float array: the run's StepPlan holds the draws
+    and the work arrays that the kill, the OU update and clearing reuse."""
+    params, n = demo_params(), 2048
+    ens = init_ensemble(params, n)
+    steps = run_steps(params, ens, SimDiagnostics(), 2, 1.0 / 60.0, seed=4,
+                      risk_neutral=risk_neutral)
+    tracemalloc.start()
+    try:
+        next(steps)
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        next(steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.log_state.nbytes == 245_760
+    assert peak - before < ens.log_state.nbytes
 
 
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
@@ -407,12 +465,12 @@ def test_physical_columns_match_books_stepped_alone():
     dt, n_steps, n = 1.0 / 60.0, 30, 3
     ens, _, _ = simulate_ensemble(params, n, n_steps * dt, dt, seed=3, risk_neutral=False)
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=3)
-    factors = ou_step_factors(params, dt)
     for i in range(n):
         book = init_ensemble(params)
+        plan = StepPlan(params, dt, book)
         for step in range(n_steps):
-            step_ensemble(book, params, increments_block(cfg, dt, step, n)[i:i + 1], dt,
-                          factors, translation=params.drift_c * dt)
+            step_ensemble(book, params, increments_block(cfg, dt, step, n)[i:i + 1], plan,
+                          translation=params.drift_c * dt)
         assert book.pi[0] == pytest.approx(ens.pi[i], rel=1e-12)
 
 
@@ -435,15 +493,6 @@ def test_grouped_run_matches_whole_run_bit_for_bit(risk_neutral):
         for name in ("pi", "log_q", "log_edge", "alive"):
             grouped = np.concatenate([getattr(ens, name) for ens in groups], axis=-1)
             assert np.array_equal(grouped, getattr(whole, name)), (size, name)
-
-
-def _correlated_params():
-    """Demo parameters with factor correlation 0.4^|i-j| between buckets."""
-    params = demo_params()
-    n = 2 * params.K
-    corr = 0.4 ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    vals, vecs = np.linalg.eigh(corr)
-    return replace(params, loadings=(vecs * np.sqrt(vals)) @ vecs.T / math.sqrt(params.delta_p))
 
 
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params(), _correlated_params()],
