@@ -149,26 +149,21 @@ def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _nodes(ens: Ensemble, x: np.ndarray | None = None,
-           nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _nodes(ens: Ensemble, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(2K+1, n) node values, the edge first, and the (n,) edge that puts
     each curve's zero mid-bucket 0: half of bucket 0 plus the masses below
     it, summed in row order.
 
-    The exp of the log state goes into `x` and the node values into `nodes`,
-    each a (2K+1, n) array when given; without `nodes` the node values
-    replace the exp in x.  Overflow to inf is left in place: _batch_clear
-    reports such paths as broken.
+    The node values are built in `out`, a (2K+1, n) array when given, as the
+    exp of the log state summed in place.  Overflow to inf is left in place:
+    _batch_clear reports such paths as broken.
     """
     K = len(ens.log_state) // 2
     with np.errstate(over="ignore"):
-        x = np.exp(ens.log_state, out=x)            # the edge, then the masses
-        vals = x if nodes is None else nodes
-        half = 0.5 * x[K]                           # before the running sum replaces q(0)
-        sums = _running_sum(x[1:], out=vals[1:])
+        vals = np.exp(ens.log_state, out=out)       # the edge, then the masses
+        half = 0.5 * vals[K]                        # before the running sum replaces q(0)
+        sums = _running_sum(vals[1:], out=vals[1:])
         anchor = half + sums[K - 2] if K > 1 else half
-        if nodes is not None:
-            vals[0] = x[0]
         np.subtract(vals[0], sums, out=sums)
     return vals, anchor
 
@@ -193,22 +188,17 @@ def _segment(vals: np.ndarray, curve: Ensemble, x, live=True):
     return width, np.where(live, node + curve.delta_p * (v_hi - x) / width, 0.0)
 
 
-def _batch_clear(ens: Ensemble, params: ModelParams, x: np.ndarray | None = None,
-                 nodes: np.ndarray | None = None) -> Cleared:
+def _batch_clear(ens: Ensemble, params: ModelParams, out: np.ndarray | None = None) -> Cleared:
     """Vectorized zero-crossing and edge re-anchoring (in place).
 
     Each live book's π moves to its curve's zero crossing, and its edge is
     re-anchored so the zero sits mid-bucket 0.  The masses keep their labels:
     the relative curve moves with π, however far the crossing lies.  Live
     books whose curve is non-finite or does not cross zero inside the grid
-    are marked dead and reported instead of cleared.
-
-    A stepping loop passes two (2K+1, n) work arrays: the node values are
-    built in `nodes`, and `x` holds exp(ens.log_state) on return, the
-    re-anchored edges and the placeholder state of broken books included,
-    the same bits as exponentiating the new state afresh.
+    are marked dead and reported instead of cleared.  A stepping loop passes
+    a (2K+1, n) work array as `out` for the node values.
     """
-    vals, anchor = _nodes(ens, x, nodes)
+    vals, anchor = _nodes(ens, out)
     # the nodes fall from the edge by non-negative masses, so an inf or a NaN
     # anywhere, the edge included, reaches the last node: test it alone
     sound = np.isfinite(vals[-1]) & ens.alive
@@ -220,8 +210,6 @@ def _batch_clear(ens: Ensemble, params: ModelParams, x: np.ndarray | None = None
         ens.log_q[:, broken] = params.mean_logq[:, None]
         ens.log_edge[broken] = params.mean_log_edge
         vals[:, broken] = 1.0
-        if x is not None:
-            x[:, broken] = np.exp(ens.log_state[:, broken])
     live = ens.alive
     if not np.count_nonzero(live):
         return Cleared(top, bottom, broken)
@@ -232,8 +220,6 @@ def _batch_clear(ens: Ensemble, params: ModelParams, x: np.ndarray | None = None
     ens.pi += z
     # live edges re-anchor so the zero sits mid-bucket 0; dead paths stay frozen
     np.log(anchor, out=ens.log_edge, where=live)
-    if x is not None:
-        np.exp(ens.log_edge, out=x[0], where=live)
     return Cleared(top, bottom, broken)
 
 

@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import sheet
 from .errors import ConfigError
 from .params import ModelParams
 from .riskneutral import simulate_ensemble
@@ -43,16 +44,18 @@ VOL_BRACKET = (1e-6, 5.0)
 
 
 def check_run(expiry: float, n_paths: int, dt: float, seed: int) -> None:
-    """Reject a simulation with no finite horizon, no path, a step outside (0, expiry],
-    or a seed that is not a 64-bit unsigned key."""
+    """Reject a simulation with no finite horizon, no whole path count, a step
+    outside (0, expiry], or a seed that is not a Philox key (sheet.check_seed)."""
     if not 0.0 < expiry < math.inf:
         raise ConfigError(f"expiry must be positive and finite, got {expiry}")
-    if n_paths < 1:
-        raise ConfigError(f"need at least one path, got {n_paths}")
+    if not (sheet.is_whole(n_paths) and n_paths >= 1):
+        raise ConfigError(f"n_paths must be an int of at least 1, got {n_paths!r}")
     if not 0.0 < dt <= expiry:
         raise ConfigError(f"dt must be in (0, expiry], got dt={dt} expiry={expiry}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    try:
+        sheet.check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -180,11 +183,10 @@ def implied_vol(price: float, spot: float, strike: float, expiry: float,
     or above spot, or price requiring a volatility above 5.  A price that
     equals intrinsic exactly sits on the boundary and maps to 0.
     """
-    if not (expiry > 0.0 and spot > 0.0 and strike > 0.0):
-        raise ValueError(
-            f"expiry, spot and strike must be positive, got "
-            f"expiry={expiry} spot={spot} strike={strike}"
-        )
+    if not (expiry > 0.0 and spot > 0.0 and strike > 0.0
+            and all(map(math.isfinite, (price, spot, strike, expiry, rate)))):
+        raise ValueError(f"expiry, spot and strike must be positive and all inputs finite, got "
+                         f"price={price} spot={spot} strike={strike} expiry={expiry} rate={rate}")
     intrinsic = max(spot - strike * math.exp(-rate * expiry), 0.0)
     if price == intrinsic:
         return 0.0

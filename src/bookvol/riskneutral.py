@@ -36,7 +36,7 @@ their labels, so the curve relative to π moves with π, as Itô-Wentzell
 carries it; keeping the profile intact preserves the stationary book shape
 that the volatility of π is built from.
 step_ensemble is the only step and run_steps the only loop over steps; a
-run's StepPlan holds its constants and the work arrays every step reuses.
+run's StepPlan holds constants and work arrays whose values die with the step.
 
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
 the curve-value loadings alone (price_vol); the live row of the linear
@@ -141,7 +141,7 @@ def _kill_rhs(ens: Ensemble, params: ModelParams, plan: StepPlan
               ) -> tuple[np.ndarray, np.ndarray]:
     """Right sides of the drift-kill systems, (2K, n), and the pivots p =
     xσΔp, (2K+1, n) in the state's row order, that they were built from,
-    with x = plan.E; views of plan.X and plan.S.
+    with x = exp(log state); views of plan.X and of plan.S, where p replaces x.
 
     With μ the physical drifts of the masses and the edge, the right side is
     b(i) = Σ_{l<i} μ_q(l) - μ_e + w_i·(μ_q(i) - q̃σ²(i)) + cross(i), where
@@ -154,13 +154,13 @@ def _kill_rhs(ens: Ensemble, params: ModelParams, plan: StepPlan
     w·μ_q(i0) is added to row i0.
     """
     i0 = params.idx(0)
-    x, p, mu, rhs = plan.E, plan.S, plan.M[:-1], plan.X[:-1]
-    np.multiply(x, plan.pivot_scale, out=p)
+    x, mu, rhs = np.exp(ens.log_state, out=plan.S), plan.M[:-1], plan.X[:-1]
     # N∘μ = x·(-N·a·(log x - m) + N·σ²/2); the last bucket's drift enters no row
     np.subtract(ens.log_state[:-1], plan.mean, out=mu)
     mu *= plan.mu_slope
     mu += plan.mu_level
     mu *= x[:-1]
+    p = np.multiply(x, plan.pivot_scale, out=x)     # x is spent
     np.matmul(plan.G, p, out=rhs)
     rhs += mu
     rhs[i0] += plan.own_share * mu[i0 + 1]
@@ -170,7 +170,7 @@ def _kill_rhs(ens: Ensemble, params: ModelParams, plan: StepPlan
 def build_mpr_system(ens: Ensemble, params: ModelParams) -> MprSystem:
     """Assemble each book's drift-kill equations, one row per potential
     clearing bucket: Σ is (n, 2K, F) and b is (n, 2K)."""
-    rhs, _ = _kill_rhs(ens, params, StepPlan(params, None, ens))
+    rhs, _ = _kill_rhs(ens, params, StepPlan(params, None, ens.pi.size))
     return MprSystem(Sigma=_kill_matrix(ens, params), b=np.cumsum(rhs, axis=0).T)
 
 
@@ -201,7 +201,7 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
     martingale dynamics.
     """
     shifted = inc - lam * math.sqrt(params.delta_p) * dt
-    return step_ensemble(ens, params, shifted, StepPlan(params, dt, ens))
+    return step_ensemble(ens, params, shifted, StepPlan(params, dt, ens.pi.size))
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +209,8 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
 # (step_ensemble applies it; the dense solve_mpr above is its test oracle)
 
 class StepPlan:
-    """The per-run constants and work arrays of step_ensemble over dt for the
-    n books of `ens`, so that a step allocates no array of their size.
+    """The per-run constants and work arrays of step_ensemble over dt for
+    n_paths books, so that a step allocates no array of their size.
 
     Constants, built once:
       - the kill's right-side operator G (2K, 2K+1), the drift coefficients
@@ -226,17 +226,16 @@ class StepPlan:
         [B_E; B] scaled by vol·√Δp/√dt, and the kill scale vol·Δp·√dt.
 
     Work arrays, (2K+1, n) each, each holding two or more values in turn:
-      E  exp of the log state: filled here and by every clearing, read by
-         the next kill, scratch between the kill and clearing;
-      S  the pivots p = xσΔp in the kill, then the node values in clearing;
+      S  in the kill the exp x of the state, then the pivots p = xσΔp; then
+         kill·kill_scale in the OU update, and the node values in clearing;
       M  the drifts μ, then the kill's shift;
       X  the right side, then the noise z of the OU update;
     plus `draws`, the (n, F) factor increments, and `finite`, the kill's
-    finiteness mask.  E stays the exp of the state only while the books
-    change through step_ensemble alone.
+    finiteness mask.  No value outlives its step, so a plan serves any books
+    of its size, whatever changed them between steps.
     """
 
-    def __init__(self, params: ModelParams, dt: float | None, ens: Ensemble, *,
+    def __init__(self, params: ModelParams, dt: float | None, n_paths: int, *,
                  kill: bool = False):
         i0, w, dp = params.idx(0), _CLEARING_ANCHOR, params.delta_p
         a = _state_rows(params.a_edge, params.a_q)
@@ -246,8 +245,7 @@ class StepPlan:
         cross = np.hstack([params.loadings @ params.edge_loadings[:, None],
                            -np.tril(params.loadings @ params.loadings.T, k=-1)])
         cross *= sigma[1:]
-        self.G = cross.copy()
-        self.G[1:] -= cross[:-1]
+        self.G = np.diff(cross, axis=0, prepend=0.0)
         own = w * sigma[i0 + 1, 0] / dp                 # w·q̃σ² = w·(σ/Δp)·p
         self.G[i0, i0 + 1] -= own
         self.G[i0 + 1, i0 + 1] += own
@@ -277,11 +275,9 @@ class StepPlan:
             self.projection = np.vstack([params.edge_loadings, params.loadings]) \
                 * (vol * (math.sqrt(dp) / math.sqrt(dt)))
             self.kill_scale = vol * (dp * math.sqrt(dt))
-            self.draws = np.empty((ens.pi.size, params.factor_count))
-        with np.errstate(over="ignore"):
-            self.E = np.exp(ens.log_state)
-        self.S, self.M, self.X = (np.empty_like(self.E) for _ in range(3))
-        self.finite = np.empty(self.E.shape, dtype=bool)
+            self.draws = np.empty((n_paths, params.factor_count))
+        self.S, self.M, self.X = (np.empty((2 * params.K + 1, n_paths)) for _ in range(3))
+        self.finite = np.empty(self.S.shape, dtype=bool)
 
 
 def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
@@ -381,15 +377,15 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     state·e^{-aΔt} + m(1 - e^{-aΔt}) + z; the rotated drift-kill solutions
     `kill`, one (2K+1, n) array in the state's row order, shift those
     drivers by -kill·Δp·√dt.  Live prices then move by `translation`.
-    `plan` is the run's StepPlan(params, dt, ens): the noise scales are
-    folded into its projection and kill scale, and z, clearing's exp and
-    its node values go into its work arrays.
+    `plan` is the run's StepPlan(params, dt, n_paths): the noise scales are
+    folded into its projection and kill scale, and z, the scaled kill and
+    clearing's node values go into its work arrays.
     """
     # one gemm, edge row first as in the log state: the same bits for any
     # group of two or more paths
     z = np.matmul(plan.projection, inc.T, out=plan.X)
-    if kill is not None:                    # E is scratch until clearing refills it
-        z -= np.multiply(kill, plan.kill_scale, out=plan.E)
+    if kill is not None:
+        z -= np.multiply(kill, plan.kill_scale, out=plan.S)
     dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
     if dead is not None:        # frozen paths keep their state through the update
         frozen = ens.log_state[:, dead]
@@ -399,7 +395,7 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     state += z
     if dead is not None:
         state[:, dead] = frozen
-    cleared = _batch_clear(ens, params, plan.E, plan.S)
+    cleared = _batch_clear(ens, params, plan.S)
     if translation:
         np.add(ens.pi, translation, out=ens.pi, where=ens.alive)
     return cleared
@@ -409,8 +405,8 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
               dt: float, seed: int = 0, *, risk_neutral: bool = True) -> Iterator[None]:
     """The one simulation loop: step `ens` in place n_steps times by dt hours,
     append each step's row to `diag`, and yield after each step.  The run's
-    StepPlan is built on `ens` at the first step; change ens only by
-    iterating, as its kill reads the exp that clearing leaves in the plan.
+    StepPlan is built at the first step and carries nothing from one step
+    to the next, so the caller may change ens between steps.
 
     Paths that breach the grid, turn non-finite or meet a singular drift kill
     are frozen and counted by cause.  If all abort, SingularSystemError (all
@@ -420,7 +416,7 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
     cfg = sheet.SheetConfig(factor_count=params.factor_count, delta_p=params.delta_p, seed=seed)
     noiseless = not (np.any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0)
     kill = risk_neutral and not noiseless   # no noise: measure change is a no-op
-    plan = StepPlan(params, dt, ens, kill=kill)
+    plan = StepPlan(params, dt, n_paths, kill=kill)
     translation = 0.0 if risk_neutral else params.drift_c * dt
     singular = np.zeros(n_paths, dtype=bool)
     gen = sheet.generator()         # re-keyed for every draw
@@ -449,6 +445,8 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     """Run n_paths through run_steps in ceil(horizon/dt) equal steps; an aborted
     path keeps its π from before the abort.  The None in the returned
     (ens, diag, None) is kept for callers that unpack three values."""
+    if not (sheet.is_whole(n_paths) and n_paths >= 1):
+        raise ValueError(f"n_paths must be an int of at least 1, got {n_paths!r}")
     if not (0 < horizon_hours < math.inf and 0 < dt_hours < math.inf):
         raise ValueError(f"horizon and dt must be positive and finite, got "
                          f"horizon_hours={horizon_hours}, dt_hours={dt_hours}")

@@ -16,6 +16,7 @@ prefix of the draw of more.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +31,25 @@ class SheetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:     # the Philox key is two 64-bit words
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
     @property
     def span(self) -> float:
         """Total price span covered by the factor buckets."""
         return self.factor_count * self.delta_p
+
+
+def is_whole(value) -> bool:
+    """Whether `value` is an int, a numpy integer included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not an int in [0, 2**64), the Philox key's first word."""
+    if not is_whole(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def generator() -> np.random.Generator:

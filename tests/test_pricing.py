@@ -68,6 +68,10 @@ def test_implied_vol_boundaries():
         implied_vol(1.0, -20.0, 18.0, 0.25)
     with pytest.raises(ValueError):
         implied_vol(1.0, 20.0, 18.0, 0.0)
+    with pytest.raises(ValueError):
+        implied_vol(math.nan, 20.0, 20.0, 0.01)
+    with pytest.raises(ValueError):
+        implied_vol(1.0, 20.0, 20.0, math.inf)
 
 
 def test_quote_statistics_by_hand():
@@ -129,15 +133,18 @@ def test_smile_table_round_trip_and_determinism():
 def test_request_validation():
     with pytest.raises(ConfigError):
         PricingRequest(strikes=(20.0,), expiry=0.0)
-    with pytest.raises(ConfigError):
-        PricingRequest(strikes=(20.0,), expiry=0.02, n_paths=0)
+    for n_paths in (0, 2.5, 3.0, True):
+        with pytest.raises(ConfigError, match=f"n_paths must be an int of at least 1, "
+                                              f"got {n_paths!r}"):
+            PricingRequest(strikes=(20.0,), expiry=0.02, n_paths=n_paths)
     for strikes in [(-1.0,), (math.nan, 20.0), (math.inf,)]:
         with pytest.raises(ConfigError, match="positive and finite"):
             PricingRequest(strikes=strikes, expiry=0.02)
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ConfigError, match="seed"):
             PricingRequest(strikes=(20.0,), expiry=0.02, seed=seed)
     PricingRequest(strikes=(20.0,), expiry=0.02, seed=2**64 - 1)
+    PricingRequest(strikes=(20.0,), expiry=0.02, n_paths=np.int64(5), seed=np.uint64(3))
     with pytest.raises(ConfigError):
         PricingRequest(strikes=(20.0,), expiry=0.02, dt=0.05)
     with pytest.raises(ConfigError):

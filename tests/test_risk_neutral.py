@@ -2,8 +2,8 @@
 linear system against a scalar re-derivation, solver diagnostics, the
 closed-form kill against the dense solve on adverse states, the ensemble's
 columns against the same books stepped and evaluated alone, and the run's
-StepPlan: its reused exp against fresh stages, and a step that allocates no
-state-sized array.  The
+StepPlan: a run and a plan reused across an edit of the books against fresh
+plans, and a step that allocates no state-sized array.  The
 two clearing-volatility routes and the depth law are acceptance criteria 4
 and 5."""
 
@@ -212,7 +212,7 @@ def test_closed_form_kill_matches_dense_solve(data):
         system = solve_mpr(build_mpr_system(book, params))
     except SingularSystemError:
         assume(False)
-    shift, _, singular = _batch_kill_shifts(book, params, StepPlan(params, None, book, kill=True))
+    shift, _, singular = _batch_kill_shifts(book, params, StepPlan(params, None, 1, kill=True))
     assert not singular[0]
     lam = system.lam[0]
     got = shift[:, 0]
@@ -302,11 +302,13 @@ def _adverse_ensemble(params):
     return ens
 
 
-def _step_once(ens, params, inc, dt, risk_neutral):
-    """One step of run_steps' loop: kill, drop singular paths, step."""
+def _step_once(ens, params, inc, dt, risk_neutral, plan=None):
+    """One step of run_steps' loop: kill, drop singular paths, step; through
+    a fresh plan unless one is given."""
     singular = np.zeros(ens.pi.size, dtype=bool)
     shift = None
-    plan = StepPlan(params, dt, ens, kill=risk_neutral)
+    if plan is None:
+        plan = StepPlan(params, dt, ens.pi.size, kill=risk_neutral)
     if risk_neutral:
         shift, _, singular = _batch_kill_shifts(ens, params, plan)
         ens.alive &= ~singular
@@ -352,12 +354,10 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
 
 
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
-def test_reused_exp_matches_fresh_stages_on_adverse_states(params):
-    """run_steps' kill reads the exp that the previous clearing left in the
-    run's StepPlan.  Three steps of the adverse books, each on its own noise
-    stream, equal the same steps taken through a fresh plan, which
-    exponentiates the state, at every step, bit for bit: across the moved,
-    broken and singular books alike."""
+def test_run_steps_matches_fresh_stages_on_adverse_states(params):
+    """Three run_steps steps of the adverse books, each on its own noise
+    stream, equal the same steps taken through a fresh plan at every step,
+    bit for bit: across the moved, broken and singular books alike."""
     dt, seed = 1.0 / 60.0, 11
     ens, diag = _adverse_ensemble(params), SimDiagnostics()
     for _ in run_steps(params, ens, diag, 3, dt, seed):
@@ -369,6 +369,27 @@ def test_reused_exp_matches_fresh_stages_on_adverse_states(params):
     assert ens.alive.tolist() == fresh.alive.tolist() == [True, True, False, False, True, True]
     assert np.array_equal(ens.log_state, fresh.log_state, equal_nan=True)
     assert np.array_equal(ens.pi, fresh.pi)
+
+
+def test_a_reused_plan_matches_a_fresh_one_after_an_edit_between_steps():
+    """A plan carries nothing from one step into the next: six demo books
+    stepped twice through one plan, with a bucket edited between the steps,
+    equal the same books and edit stepped through a fresh plan each step,
+    bit for bit."""
+    params, dt = demo_params(), 1.0 / 60.0
+    cfg = SheetConfig(params.factor_count, params.delta_p, seed=4)
+    plan = StepPlan(params, dt, 6, kill=True)
+    reused, fresh = init_ensemble(params, 6), init_ensemble(params, 6)
+    for s in range(2):
+        if s == 1:                              # an edit outside the stepping
+            reused.log_q[3] += 0.2
+            fresh.log_q[3] += 0.2
+        inc = increments_block(cfg, dt, s, 6)
+        _step_once(reused, params, inc, dt, True, plan)
+        _step_once(fresh, params, inc, dt, True)
+    assert reused.alive.all() and fresh.alive.all()
+    assert np.array_equal(reused.log_state, fresh.log_state)
+    assert np.array_equal(reused.pi, fresh.pi)
 
 
 @pytest.mark.parametrize("risk_neutral", [True, False])
@@ -467,7 +488,7 @@ def test_physical_columns_match_books_stepped_alone():
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=3)
     for i in range(n):
         book = init_ensemble(params)
-        plan = StepPlan(params, dt, book)
+        plan = StepPlan(params, dt, 1)
         for step in range(n_steps):
             step_ensemble(book, params, increments_block(cfg, dt, step, n)[i:i + 1], plan,
                           translation=params.drift_c * dt)
@@ -657,3 +678,10 @@ def test_simulate_ensemble_rejects_a_non_finite_horizon_or_step(horizon, dt):
         simulate_ensemble(demo_params(), 3, horizon, dt)
     assert str(exc.value) == ("horizon and dt must be positive and finite, got "
                               f"horizon_hours={horizon}, dt_hours={dt}")
+
+
+@pytest.mark.parametrize("n_paths", [0, -2, 2.5, 3.0, True])
+def test_simulate_ensemble_rejects_a_path_count_that_is_not_a_whole_number(n_paths):
+    with pytest.raises(ValueError) as exc:
+        simulate_ensemble(demo_params(), n_paths, 0.1, 0.05)
+    assert str(exc.value) == f"n_paths must be an int of at least 1, got {n_paths!r}"

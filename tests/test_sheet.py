@@ -84,12 +84,21 @@ def test_normalized_loading_gives_unit_rate_variance():
     assert vals.var() == pytest.approx(dt, rel=0.05)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_seed_outside_the_philox_key_range_is_rejected(seed):
-    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+@pytest.mark.parametrize("seed, message", [
+    (-1, r"seed must be in \[0, 2\*\*64\), got -1"),
+    (2**64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+    (1.9, "seed must be an integer, got 1.9"),
+    (2.0, "seed must be an integer, got 2.0"),
+    (True, "seed must be an integer, got True"),
+], ids=["-1", "18446744073709551616", "1.9", "2.0", "True"])
+def test_seed_outside_the_philox_key_range_is_rejected(seed, message):
+    with pytest.raises(ValueError, match=message):
         SheetConfig(factor_count=6, delta_p=0.25, seed=seed)
-    with pytest.raises(ValueError, match="seed must be in"):
+    with pytest.raises(ValueError, match=message):
         simulate_ensemble(demo_params(), 3, 0.1, 0.05, seed=seed)
-    with pytest.raises(ValueError, match="seed must be in"):
+    with pytest.raises(ValueError, match=message):
         synthesize_log(demo_params(), 2, seed=seed)
     SheetConfig(factor_count=6, delta_p=0.25, seed=2**64 - 1)     # the largest key is fine
+    numpy_seed = SheetConfig(factor_count=6, delta_p=0.25, seed=np.uint64(11))
+    assert np.array_equal(increments_block(numpy_seed, 0.5, 3, 10),
+                          increments_block(CFG, 0.5, 3, 10))
