@@ -68,7 +68,7 @@ def main() -> None:
     print(f"\nworst relative errors: a {err_a:.1%}, sigma {err_s:.1%}; "
           f"worst loading-correlation gap {err_c:.4f}")
 
-    fitted = cal.to_model_params(report)
+    fitted = report.params
     fitted.validate()
     print(f"fitted parameters validate; pi0 = {fitted.pi0:.4f} "
           f"(last clearing price of the synthetic session)")

@@ -30,7 +30,7 @@ from .riskneutral import (
     solve_mpr,
 )
 from .pricing import PricingRequest, SmileTable, implied_vol, smile
-from .calibration import FitReport, calibrate, parse_messages, to_model_params
+from .calibration import FitReport, calibrate, parse_messages
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,5 @@ __all__ = [
     "simulate_ensemble",
     "smile",
     "solve_mpr",
-    "to_model_params",
     "__version__",
 ]

@@ -13,12 +13,12 @@ Ornstein-Uhlenbeck rates per hour), a correlation square root for the
 factor loadings, an OLS trend for the clearing-price drift, a Jarque-Bera
 normality check, and descriptive statistics.
 
-``fit_report`` bundles all of it into a FitReport that converts to a full
-ModelParams via ``to_model_params``, closing the calibrate -> simulate
-loop.  ``synthesize_log`` runs the loop the other way: it simulates a
-physical-measure path and writes a message log whose replayed panel
-reproduces the simulated state exactly, which is what the round-trip
-estimation tests are built on.
+``fit_report`` bundles all of it into a FitReport: the fitted ModelParams,
+ready to simulate, and the diagnostics of the fit, closing the
+calibrate -> simulate loop.  ``synthesize_log`` runs the loop the other
+way: it simulates a physical-measure path and writes a message log whose
+replayed panel reproduces the simulated state exactly, which is what the
+round-trip estimation tests are built on.
 """
 
 from __future__ import annotations
@@ -469,33 +469,35 @@ def summarize(series: Sequence) -> SummaryStats:
 
 @dataclass
 class FitReport:
-    """Every estimated quantity, plus the grid geometry to rebuild params.
+    """A calibration: the fitted model ``params`` and the diagnostics of its
+    fit.  ``drift_c`` is the clearing-price trend per bar, the convention the
+    drift is usually quoted in; ``params.drift_c`` is the same trend per hour."""
 
-    ``drift_c`` is the clearing-price trend per bar (the convention the
-    drift is usually quoted in); ``to_model_params`` converts it to the
-    per-hour rate the simulator uses.
-    """
-
-    K: int
-    delta_p: float
-    pi_last: float
-    a: np.ndarray              # (2K,) per hour
-    mean_logq: np.ndarray      # (2K,)
-    sigma_rel: np.ndarray      # (2K,) per sqrt(hour)
-    a_edge: float
-    mean_log_edge: float
-    sigma_edge_rel: float
-    loadings: np.ndarray       # (2K, 2K)
+    params: ModelParams
     drift_c: float             # per bar
     jb_stat: float
     jb_pvalue: float
     summary: SummaryStats
 
+    # read-only views of params for the readers that take them from the
+    # report: bench/workloads.py and the acceptance test of criterion 9
+    a = property(lambda self: self.params.a_q)                  # (2K,) per hour
+    sigma_rel = property(lambda self: self.params.sigma_q_rel)  # (2K,) per sqrt(hour)
+    loadings = property(lambda self: self.params.loadings)      # (2K, 2K)
+
 
 def fit_report(panel: PanelData) -> FitReport:
-    """Run every estimator over a panel and bundle the results: one log of
-    the masses, an AR(1) fit per row at BAR_HOURS spacing, and the loadings
-    of the bucket rows.  The first row that is not positive is a FitError."""
+    """Run every estimator over a panel and bundle the fitted model with the
+    diagnostics of its fit: one log of the masses, an AR(1) fit per row at
+    BAR_HOURS spacing, and the loadings of the bucket rows.  The first row
+    that is not positive is a FitError.
+
+    The fitted model starts from the long-run book shape at the last
+    clearing price.  Edge loadings are not identified by the panel (a single
+    series cannot pin a direction in factor space), so the uniform
+    normalized profile is used.  The drift is fitted per bar, the report's
+    ``drift_c``, and ``params.drift_c`` holds it per hour.
+    """
     K = len(panel.masses) // 2
     bad = np.flatnonzero((panel.masses <= 0.0).any(axis=1))
     if bad.size:
@@ -507,48 +509,24 @@ def fit_report(panel: PanelData) -> FitReport:
     loadings = fit_loadings(log_masses[1:], panel.delta_p)
     summary = summarize(panel.pi)       # one pass for the summary and the JB moments
     jb, p = jarque_bera_from_moments(summary.nobs, summary.skewness, summary.kurtosis)
-    return FitReport(
+    drift_c = fit_drift(panel.pi)
+    params = ModelParams(
         K=K,
         delta_p=panel.delta_p,
-        pi_last=float(panel.pi[-1]),
-        a=a,
+        pi0=float(panel.pi[-1]),
+        q0=np.exp(mean_logq),
+        a_q=a,
         mean_logq=mean_logq,
-        sigma_rel=sigma_rel,
+        sigma_q_rel=sigma_rel,
+        loadings=loadings,
+        edge0=math.exp(edge.mean),
         a_edge=edge.a,
         mean_log_edge=edge.mean,
         sigma_edge_rel=edge.sigma_rel,
-        loadings=loadings,
-        drift_c=fit_drift(panel.pi),
-        jb_stat=jb,
-        jb_pvalue=p,
-        summary=summary,
+        edge_loadings=uniform_loadings(K, panel.delta_p),
+        drift_c=drift_c * (1.0 / BAR_HOURS),
     )
-
-
-def to_model_params(report: FitReport) -> ModelParams:
-    """Materialize fitted parameters as a simulatable ModelParams.
-
-    The simulation starts from the long-run book shape at the last
-    observed clearing price.  Edge loadings are not identified by the
-    panel (a single series cannot pin a direction in factor space), so the
-    uniform normalized profile is used.
-    """
-    return ModelParams(
-        K=report.K,
-        delta_p=report.delta_p,
-        pi0=report.pi_last,
-        q0=np.exp(report.mean_logq),
-        a_q=report.a.copy(),
-        mean_logq=report.mean_logq.copy(),
-        sigma_q_rel=report.sigma_rel.copy(),
-        loadings=report.loadings.copy(),
-        edge0=math.exp(report.mean_log_edge),
-        a_edge=report.a_edge,
-        mean_log_edge=report.mean_log_edge,
-        sigma_edge_rel=report.sigma_edge_rel,
-        edge_loadings=uniform_loadings(report.K, report.delta_p),
-        drift_c=report.drift_c * (1.0 / BAR_HOURS),
-    )
+    return FitReport(params, drift_c, jb, p, summary)
 
 
 def calibrate(source, pi0: float, K: int, delta_p: float,

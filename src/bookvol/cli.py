@@ -21,10 +21,10 @@ Command-line flags override config values.  Without ``--config`` the
 bundled demo parameter set is used.
 
 Every run emits a manifest recording the command, library version, seed and
-a SHA-256 hash of the fully resolved inputs; it is written next to the
-``--out`` artifact (``<out>.manifest.json``) or to stderr when the artifact
-goes to stdout.  Runs with identical configuration and seed produce
-byte-identical artifacts.
+a SHA-256 hash of the fully resolved inputs, the message log's content
+included; it is written next to the ``--out`` artifact
+(``<out>.manifest.json``) or to stderr when the artifact goes to stdout.
+Runs with identical configuration and seed produce byte-identical artifacts.
 
 Exit codes:
     0  success
@@ -151,20 +151,25 @@ def _parse_strikes(text: str) -> list[float]:
 # ----------------------------------------------------------------------
 # manifest and artifact output
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _write_artifact(text: str, out: str | None, command: str, seed: int,
                     effective: dict) -> None:
     """Write the artifact and its manifest.
 
     The manifest hash covers the fully resolved inputs (flags merged over
-    config, model parameters included), so two runs with the same hash and
-    seed are guaranteed byte-identical.
+    config, model parameters and the SHA-256 of a message log's text
+    included), so two runs with the same hash and seed are guaranteed
+    byte-identical.
     """
     canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "config_sha256": _sha256(canonical),
     }
     manifest_text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
     if out is None:
@@ -189,7 +194,8 @@ def _read_log(path: str) -> str:
 def cmd_replay(args) -> int:
     cfg = _load_config(args.config)
     strict = _setting(cfg, "replay", "strict", _boolean, False)
-    parsed = calibration.parse_messages(_read_log(args.log), strict=strict)
+    log = _read_log(args.log)
+    parsed = calibration.parse_messages(log, strict=strict)
     if parsed.issues:
         print(f"warning: {len(parsed.issues)} malformed lines skipped", file=sys.stderr)
         if args.verbose:
@@ -215,23 +221,23 @@ def cmd_replay(args) -> int:
         lines += [f"{_num(p)},{_num(q)}" for p, q in result.book.book_table(side).items()]
     text = "\n".join(lines) + "\n"
 
-    effective = {"command": "replay", "log": args.log, "opening_price": opening}
+    effective = {"command": "replay", "log_sha256": _sha256(log), "opening_price": opening}
     _write_artifact(text, args.out, "replay", seed=0, effective=effective)
     return 0
 
 
 def _report_text(report) -> str:
+    p = report.params
     lines = ["# per-bucket fits", "k,a_per_hour,mean_logq,sigma_rel"]
-    for i, k in enumerate(range(-report.K + 1, report.K + 1)):
-        lines.append(f"{k},{_num(report.a[i])},{_num(report.mean_logq[i])},"
-                     f"{_num(report.sigma_rel[i])}")
+    lines += [f"{k},{_num(a)},{_num(m)},{_num(s)}" for k, a, m, s in
+              zip(range(-p.K + 1, p.K + 1), p.a_q, p.mean_logq, p.sigma_q_rel)]
     lines += [
         "# edge aggregate",
-        f"a_per_hour,{_num(report.a_edge)}",
-        f"mean_log,{_num(report.mean_log_edge)}",
-        f"sigma_rel,{_num(report.sigma_edge_rel)}",
+        f"a_per_hour,{_num(p.a_edge)}",
+        f"mean_log,{_num(p.mean_log_edge)}",
+        f"sigma_rel,{_num(p.sigma_edge_rel)}",
         "# clearing-price diagnostics",
-        f"pi_last,{_num(report.pi_last)}",
+        f"pi_last,{_num(p.pi0)}",
         f"drift_per_bar,{_num(report.drift_c)}",
         f"jarque_bera,{_num(report.jb_stat)}",
         f"jarque_bera_pvalue,{_num(report.jb_pvalue)}",
@@ -250,14 +256,14 @@ def cmd_calibrate(args) -> int:
     p_max = _setting(cfg, "calibrate", "p_max", _number, calibration.PRICE_WINDOW[1])
     strict = _setting(cfg, "calibrate", "strict", _boolean, False)
 
-    report = calibration.calibrate(_read_log(args.log), pi0=pi0, K=K, delta_p=delta_p,
+    log = _read_log(args.log)
+    report = calibration.calibrate(log, pi0=pi0, K=K, delta_p=delta_p,
                                    strict=strict, p_min=p_min, p_max=p_max)
-    fitted = calibration.to_model_params(report)
-    artifact = json.dumps(params_to_dict(fitted), indent=1) + "\n"
+    artifact = json.dumps(params_to_dict(report.params), indent=1) + "\n"
     if args.verbose:
         sys.stderr.write(_report_text(report))
 
-    effective = {"command": "calibrate", "log": args.log, "pi0": pi0, "K": K,
+    effective = {"command": "calibrate", "log_sha256": _sha256(log), "pi0": pi0, "K": K,
                  "delta_p": delta_p, "p_min": p_min, "p_max": p_max,
                  "strict": strict}
     _write_artifact(artifact, args.out, "calibrate", seed=0, effective=effective)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import GridError, UndefinedInverseError
 from .params import ModelParams
+from .sheet import is_whole
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +78,10 @@ class Ensemble:
 
 
 def init_ensemble(params: ModelParams, n_paths: int = 1) -> Ensemble:
-    """n_paths copies of the initial book of `params`."""
+    """n_paths copies of the initial book of `params`; a path count that is
+    not an int of at least 1 is a ValueError."""
+    if not (is_whole(n_paths) and n_paths >= 1):
+        raise ValueError(f"n_paths must be an int of at least 1, got {n_paths!r}")
     params.validate()
     log_state = np.concatenate(([np.log(params.edge0)], np.log(params.q0)))
     return Ensemble(delta_p=params.delta_p, log_state=np.tile(log_state[:, None], (1, n_paths)),
@@ -149,6 +153,12 @@ def _running_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+# The fractional position w in bucket 0 where clearing puts the zero of the
+# curve: mid-bucket.  riskneutral's drift kill assumes the same w, and is
+# exact only while the two agree.
+_CLEARING_ANCHOR = 0.5
+
+
 def _nodes(ens: Ensemble, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(2K+1, n) node values, the edge first, and the (n,) edge that puts
     each curve's zero mid-bucket 0: half of bucket 0 plus the masses below
@@ -161,7 +171,7 @@ def _nodes(ens: Ensemble, out: np.ndarray | None = None) -> tuple[np.ndarray, np
     K = len(ens.log_state) // 2
     with np.errstate(over="ignore"):
         vals = np.exp(ens.log_state, out=out)       # the edge, then the masses
-        half = 0.5 * vals[K]                        # before the running sum replaces q(0)
+        half = _CLEARING_ANCHOR * vals[K]           # before the running sum replaces q(0)
         sums = _running_sum(vals[1:], out=vals[1:])
         anchor = half + sums[K - 2] if K > 1 else half
         np.subtract(vals[0], sums, out=sums)

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .sheet import is_whole
 
 _NORMALIZATION_TOL = 1e-9
 
@@ -78,15 +79,18 @@ class ModelParams:
 
     def validate(self) -> None:
         """Reject a non-finite value, naming its field and entry (`pi0`,
-        `q0[3]`, `loadings[2][5]`), then a K below 1, arrays of the wrong
-        shape, non-positive sizes or prices, negative speeds or vols, and
-        loading rows that are not normalized: each a ConfigError."""
+        `q0[3]`, `loadings[2][5]`), then a K that is not an int (bools
+        excluded) or is below 1, arrays of the wrong shape, non-positive sizes
+        or prices, negative speeds or vols, and loading rows that are not
+        normalized: each a ConfigError."""
         for f in fields(self):
             value = np.asarray(getattr(self, f.name), dtype=float)
             if not np.isfinite(value).all():
                 first = np.argwhere(~np.isfinite(value))[0]
                 at = "".join(f"[{i}]" for i in first)
                 raise ConfigError(f"{f.name}{at} must be finite, got {value[tuple(first)]}")
+        if not is_whole(self.K):
+            raise ConfigError(f"K must be an integer, got {self.K!r}")
         n = self.factor_count
         if self.K < 1:
             raise ConfigError("K must be at least 1")

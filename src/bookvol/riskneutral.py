@@ -54,20 +54,12 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import sheet
-from .demand import Cleared, Ensemble, _batch_clear, _running_sum, init_ensemble
+from .demand import (_CLEARING_ANCHOR, Cleared, Ensemble, _batch_clear, _running_sum,
+                     init_ensemble)
 from .errors import SimulationError, SingularSystemError
 from .params import ModelParams
 
 COND_LIMIT = 1e12
-
-# The fractional zero position w that the clearing bucket's drift-kill row
-# assumes: mid-bucket, where re-centering actually leaves the zero, so the
-# realized price drift is killed exactly.  Hypothetical rows for the other
-# buckets anchor at the bucket edge (w = 0); that choice decouples the row
-# differences — each λ_j is pinned by its own bucket's drift instead of an
-# alternating neighbour recursion that amplifies through thinly populated
-# buckets.
-_CLEARING_ANCHOR = 0.5
 
 
 def kill_vectors(ens: Ensemble, params: ModelParams) -> np.ndarray:
@@ -123,7 +115,12 @@ class MprSystem:
 def _kill_matrix(ens: Ensemble, params: ModelParams) -> np.ndarray:
     """Left sides Σ of the drift-kill systems, stacked (n, 2K, F): one row per
     potential clearing bucket, one matrix per book.  Only the clearing row
-    carries its bucket's own anchored noise."""
+    carries its bucket's own anchored noise: it puts the zero at demand's
+    _CLEARING_ANCHOR, where clearing re-centers it, so the realized price
+    drift is killed exactly.  The hypothetical rows of the other buckets
+    anchor at the bucket edge (w = 0), which decouples the row differences:
+    each λ_j is pinned by its own bucket's drift instead of an alternating
+    neighbour recursion that amplifies through thinly populated buckets."""
     i0 = params.idx(0)
     rows = -kill_vectors(ens, params)
     rows[i0] += _CLEARING_ANCHOR * np.exp(ens.log_q[i0]) * params.sigma_q_rel[i0] \
@@ -445,13 +442,12 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     """Run n_paths through run_steps in ceil(horizon/dt) equal steps; an aborted
     path keeps its π from before the abort.  The None in the returned
     (ens, diag, None) is kept for callers that unpack three values."""
-    if not (sheet.is_whole(n_paths) and n_paths >= 1):
-        raise ValueError(f"n_paths must be an int of at least 1, got {n_paths!r}")
+    # init_ensemble reports a bad path count, ahead of a bad horizon
+    ens, diag = init_ensemble(params, n_paths), SimDiagnostics()
     if not (0 < horizon_hours < math.inf and 0 < dt_hours < math.inf):
         raise ValueError(f"horizon and dt must be positive and finite, got "
                          f"horizon_hours={horizon_hours}, dt_hours={dt_hours}")
     n_steps = max(1, int(math.ceil(horizon_hours / dt_hours - 1e-12)))
-    ens, diag = init_ensemble(params, n_paths), SimDiagnostics()
     for _ in run_steps(params, ens, diag, n_steps, horizon_hours / n_steps, seed,
                        risk_neutral=risk_neutral):
         pass

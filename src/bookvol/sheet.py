@@ -82,7 +82,8 @@ def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int,
                      gen: np.random.Generator | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step,
-    into `out` ((n_streams, factor_count)) when given.
+    into `out` ((n_streams, factor_count)) when given; an `out` of any other
+    shape is a ValueError.
 
     A loop over steps passes its one `generator()` as `gen` and one array as
     `out`; the draws depend on neither.
@@ -90,7 +91,11 @@ def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int,
     if not dt >= 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
     gen = generator() if gen is None else gen
-    out = np.empty((n_streams, cfg.factor_count)) if out is None else out
+    shape = (n_streams, cfg.factor_count)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
     for c, start in enumerate(range(0, n_streams, _CHUNK)):
         _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
     out *= math.sqrt(dt)

@@ -30,7 +30,6 @@ from bookvol.calibration import (
     parse_messages,
     summarize,
     synthesize_log,
-    to_model_params,
     PanelData,
 )
 from bookvol.demand import Ensemble, init_ensemble
@@ -562,12 +561,12 @@ def test_fit_report_fits_each_row_alone():
     """The edge and every bucket get the fit_ar1 of their own log series."""
     panel, _ = _loadings_panel(n_bars=200)
     panel.masses[0] = np.exp(np.linspace(0.0, 1.0, 200) ** 2)
-    report = fit_report(panel)
+    fitted = fit_report(panel).params
     dt = 1.0 / 60.0
-    assert (report.a_edge, report.mean_log_edge, report.sigma_edge_rel) == \
+    assert (fitted.a_edge, fitted.mean_log_edge, fitted.sigma_edge_rel) == \
         fit_ar1(np.log(panel.masses[0]), dt)
     for j in range(len(panel.masses) - 1):
-        assert (report.a[j], report.mean_logq[j], report.sigma_rel[j]) == \
+        assert (fitted.a_q[j], fitted.mean_logq[j], fitted.sigma_q_rel[j]) == \
             fit_ar1(np.log(panel.masses[j + 1]), dt)
 
 
@@ -616,12 +615,15 @@ def test_fit_report_and_model_params_hand_off():
     report = calibrate(text, pi0=params.pi0, K=params.K, delta_p=params.delta_p,
                        p_min=19.0, p_max=21.5,
                        session=(SESSION_START_NS, SESSION_START_NS + n_bars * BAR_NS))
-    assert report.K == params.K
-
-    fitted = to_model_params(report)
+    fitted = report.params
+    assert fitted.K == params.K
     fitted.validate()
-    assert fitted.pi0 == report.pi_last
-    assert np.allclose(fitted.q0, np.exp(report.mean_logq))
+    # the report's a, sigma_rel and loadings are read-only views of its params
+    assert report.a is fitted.a_q and report.sigma_rel is fitted.sigma_q_rel
+    assert report.loadings is fitted.loadings
+    with pytest.raises(AttributeError):
+        report.a = fitted.a_q.copy()
+    assert np.allclose(fitted.q0, np.exp(fitted.mean_logq))
     assert fitted.drift_c == pytest.approx(report.drift_c * 60.0)
     # the fitted book must itself support simulation from a consistent state
     assert fitted.edge0 > 0
@@ -643,4 +645,4 @@ def test_calibrate_matches_manual_chain():
     manual = fit_report(panel)
     assert np.array_equal(auto.a, manual.a)
     assert auto.jb_stat == manual.jb_stat
-    assert auto.pi_last == manual.pi_last
+    assert auto.params.pi0 == manual.params.pi0 == float(panel.pi[-1])

@@ -83,6 +83,28 @@ def test_calibrate_feeds_simulate(tmp_path, capsys):
     assert "max_rel_residual" in out
 
 
+@pytest.mark.parametrize("command", ["replay", "calibrate"])
+def test_manifest_hashes_the_log_content_not_its_path(command, tmp_path, capsys):
+    """One order size scaled by 1.01 in the log, at the same path, changes
+    the manifest's config hash."""
+    params = demo_params()
+    lines = format_log(synthesize_log(params, 120, seed=5)).splitlines(keepends=True)
+    head, size = lines[-1].rstrip("\n").rsplit(",", 1)
+    edited = lines[:-1] + [f"{head},{float(size) * 1.01!r}\n"]
+    log, out = tmp_path / "session.log", tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"calibrate": {
+        "pi0": params.pi0, "K": params.K, "delta_p": params.delta_p,
+        "p_min": 19.0, "p_max": 21.5,
+    }}))
+    digests = []
+    for text in ("".join(lines), "".join(edited)):
+        log.write_text(text)
+        assert main([command, str(log), "--config", str(config), "--out", str(out)]) == 0
+        digests.append(json.loads((tmp_path / "out.manifest.json").read_text())["config_sha256"])
+    assert digests[0] != digests[1]
+
+
 @pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_replay_and_calibrate_report_malformed_lines(tmp_path, capsys):
     params = demo_params()

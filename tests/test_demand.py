@@ -77,6 +77,14 @@ def test_initial_state_is_consistent():
     assert abs(curve_value(book, book.pi)[0]) <= 1e-9 * math.exp(book.log_edge[0])
 
 
+@pytest.mark.parametrize("n_paths", [0, -2, 2.5, 3.0, True])
+def test_init_ensemble_rejects_a_path_count_that_is_not_a_whole_number(n_paths):
+    with pytest.raises(ValueError) as exc:
+        init_ensemble(demo_params(), n_paths)
+    assert str(exc.value) == f"n_paths must be an int of at least 1, got {n_paths!r}"
+    assert init_ensemble(demo_params(), np.int64(3)).pi.shape == (3,)
+
+
 def test_column_is_a_view_of_its_book():
     params = demo_params()
     books = init_ensemble(params, 3)

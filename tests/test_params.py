@@ -2,6 +2,7 @@
 bundled demo set."""
 
 import copy
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -134,6 +135,15 @@ def test_validate_rejects_bad_shapes_and_signs():
         ModelParams.create(**{**_kw(p), "q0": p.q0[:-1]})
     with pytest.raises(ConfigError):
         ModelParams.create(**{**_kw(p), "q0": -p.q0})
+
+
+@pytest.mark.parametrize("K", [7.0, True])
+def test_validate_rejects_a_K_that_is_not_an_int(K):
+    """A float or a bool K is named before any shape check reads it."""
+    with pytest.raises(ConfigError) as exc:
+        replace(demo_params(), K=K).validate()
+    assert str(exc.value) == f"K must be an integer, got {K!r}"
+    replace(demo_params(), K=np.int64(7)).validate()       # numpy integers pass
 
 
 def _kw(p: ModelParams) -> dict:

@@ -685,3 +685,8 @@ def test_simulate_ensemble_rejects_a_path_count_that_is_not_a_whole_number(n_pat
     with pytest.raises(ValueError) as exc:
         simulate_ensemble(demo_params(), n_paths, 0.1, 0.05)
     assert str(exc.value) == f"n_paths must be an int of at least 1, got {n_paths!r}"
+
+
+def test_simulate_ensemble_reports_a_bad_path_count_ahead_of_a_bad_horizon():
+    with pytest.raises(ValueError, match="n_paths must be an int of at least 1, got 0"):
+        simulate_ensemble(demo_params(), 0, -1.0, 0.05)

@@ -40,6 +40,15 @@ def test_negative_dt_rejected():
             increments_block(CFG, dt, 0, 1)
 
 
+@pytest.mark.parametrize("shape", [(5, 6), (12, 6), (10, 5)],
+                         ids=["fewer-rows", "more-rows", "fewer-columns"])
+def test_out_of_another_shape_is_rejected(shape):
+    """An `out` that is not (n_streams, factor_count) is named with both shapes."""
+    with pytest.raises(ValueError) as exc:
+        increments_block(CFG, 0.5, 3, 10, out=np.empty(shape))
+    assert str(exc.value) == f"out must have shape (10, 6), got {shape}"
+
+
 def test_rekeyed_draws_match_a_fresh_generator():
     # one generator is re-keyed from chunk to chunk and from call to call;
     # a state left over from the previous chunk or step (buffered bits, a
