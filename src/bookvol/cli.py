@@ -10,7 +10,7 @@ Five commands cover the pipeline end to end::
 
 Configuration is a JSON file with optional sections ``model`` (same schema
 as a parameter file), ``sheet`` (``seed``), ``pricing`` (``strikes``,
-``expiry``, ``dt``, ``paths``, ``seed``, ``rate``), ``simulate``
+``expiry``, ``dt``, ``paths``, ``seed``), ``simulate``
 (``measure``, ``expiry``, ``dt``, ``paths``, ``seed``), ``calibrate``
 (``pi0``, ``K``, ``delta_p``, ``p_min``, ``p_max``, ``strict``) and
 ``replay`` (``opening_price``, ``strict``).  A bare parameter file — such as
@@ -60,7 +60,7 @@ from .riskneutral import simulate_ensemble
 
 # the keys of each section; the "model" section is a parameter file, for params_from_dict
 _SECTIONS = {"sheet": {"seed"}, "replay": {"opening_price", "strict"},
-             "pricing": {"strikes", "expiry", "dt", "paths", "seed", "rate"},
+             "pricing": {"strikes", "expiry", "dt", "paths", "seed"},
              "simulate": {"measure", "expiry", "dt", "paths", "seed"},
              "calibrate": {"pi0", "K", "delta_p", "p_min", "p_max", "strict"}}
 
@@ -318,11 +318,10 @@ def cmd_simulate(args) -> int:
 
 def _build_request(args, cfg: dict, params: ModelParams) -> pricing.PricingRequest:
     seed, n_paths, expiry, dt = _run_settings(args, cfg, "pricing", 10_000)
-    rate = _setting(cfg, "pricing", "rate", _number, 0.0)
     flag = None if args.strikes is None else _parse_strikes(args.strikes)
     strikes = _setting(cfg, "pricing", "strikes", _numbers, [params.pi0], flag)
     return pricing.PricingRequest(strikes=tuple(strikes), expiry=expiry,
-                                  n_paths=n_paths, dt=dt, seed=seed, rate=rate)
+                                  n_paths=n_paths, dt=dt, seed=seed)
 
 
 def _price_text(table: pricing.SmileTable) -> str:
@@ -340,7 +339,7 @@ def _cmd_quotes(args, command: str, render) -> int:
     text = render(pricing.smile(params, req))
     effective = {"command": command, "strikes": list(req.strikes),
                  "expiry": req.expiry, "dt": req.dt, "paths": req.n_paths,
-                 "seed": req.seed, "rate": req.rate,
+                 "seed": req.seed,
                  "model": params_to_dict(params)}
     _write_artifact(text, args.out, command, seed=req.seed, effective=effective)
     return 0

@@ -10,9 +10,9 @@ parity an algebraic identity on the sample.
 
 Expiries and step sizes are quoted in trading years of
 ``TRADING_HOURS_PER_YEAR`` hours (252 days x 6.5 hours); the simulation
-itself runs in trading hours.  Discounting of the Monte Carlo payoff is
-omitted (the model is built at zero rate), but a nonzero ``rate`` is
-honored inside the Black-Scholes inversion.
+itself runs in trading hours.  Under Q the clearing price is itself a
+martingale, so there is one convention: the payoff is not discounted, the
+forward is π₀, and implied vols invert Black-Scholes at rate 0.
 
 Everything here is deterministic for a fixed (params, request) pair: the
 ensemble is driven by counter-based streams keyed on the request seed and
@@ -62,8 +62,7 @@ def check_run(expiry: float, n_paths: int, dt: float, seed: int) -> None:
 class PricingRequest:
     """Inputs of one valuation run.
 
-    ``strikes`` are in currency, ``expiry`` and ``dt`` in trading years,
-    ``rate`` is an annual rate used only for Black-Scholes inversion.
+    ``strikes`` are in currency, ``expiry`` and ``dt`` in trading years.
     """
 
     strikes: tuple
@@ -71,15 +70,12 @@ class PricingRequest:
     n_paths: int = 10_000
     dt: float = ONE_MINUTE_YEARS
     seed: int = 0
-    rate: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "strikes", tuple(float(k) for k in self.strikes))
         check_run(self.expiry, self.n_paths, self.dt, self.seed)
         if not all(0.0 < k < math.inf for k in self.strikes):
             raise ConfigError(f"strikes must be positive and finite, got {self.strikes}")
-        if not math.isfinite(self.rate):
-            raise ConfigError(f"rate must be finite, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +215,7 @@ def smile(params: ModelParams, req: PricingRequest) -> SmileTable:
 
     Common random numbers: every strike is priced on the same terminals,
     so the price curve is non-increasing and convex in strike exactly.
-    Implied vols invert Black-Scholes at spot = params.pi0.
+    Implied vols invert Black-Scholes at spot = params.pi0 and rate 0.
     """
     if not req.strikes:
         raise ConfigError("smile needs at least one strike")
@@ -228,6 +224,6 @@ def smile(params: ModelParams, req: PricingRequest) -> SmileTable:
     quotes = []
     for strike in req.strikes:
         price, se = call_price(terminals, strike)
-        iv = implied_vol(price, params.pi0, strike, req.expiry, req.rate)
+        iv = implied_vol(price, params.pi0, strike, req.expiry)
         quotes.append(OptionQuote(strike, price, se, iv))
     return SmileTable(tuple(quotes), n_aborted)

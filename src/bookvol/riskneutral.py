@@ -47,6 +47,7 @@ sigma_pi exactly.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
@@ -224,12 +225,14 @@ class StepPlan:
 
     Work arrays, (2K+1, n) each, each holding two or more values in turn:
       S  in the kill the exp x of the state, then the pivots p = xσΔp; then
-         kill·kill_scale in the OU update, and the node values in clearing;
-      M  the drifts μ, then the kill's shift;
+         the draws, in `draws`, an (n, F) view of its first n·F values; then
+         the node values in clearing;
+      M  the drifts μ, then the kill's shift, scaled in place by the OU
+         update;
       X  the right side, then the noise z of the OU update;
-    plus `draws`, the (n, F) factor increments, and `finite`, the kill's
-    finiteness mask.  No value outlives its step, so a plan serves any books
-    of its size, whatever changed them between steps.
+    plus `finite`, the kill's finiteness mask.  No value outlives its step,
+    so a plan serves any books of its size, whatever changed them between
+    steps.
     """
 
     def __init__(self, params: ModelParams, dt: float | None, n_paths: int, *,
@@ -272,9 +275,11 @@ class StepPlan:
             self.projection = np.vstack([params.edge_loadings, params.loadings]) \
                 * (vol * (math.sqrt(dp) / math.sqrt(dt)))
             self.kill_scale = vol * (dp * math.sqrt(dt))
-            self.draws = np.empty((n_paths, params.factor_count))
         self.S, self.M, self.X = (np.empty((2 * params.K + 1, n_paths)) for _ in range(3))
         self.finite = np.empty(self.S.shape, dtype=bool)
+        if dt is not None:          # F = 2K, so the draws fit in S
+            self.draws = self.S.reshape(-1)[:n_paths * params.factor_count] \
+                .reshape(n_paths, params.factor_count)
 
 
 def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
@@ -373,16 +378,18 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     to unit variance, drive the exact OU update of the log edge and masses,
     state·e^{-aΔt} + m(1 - e^{-aΔt}) + z; the rotated drift-kill solutions
     `kill`, one (2K+1, n) array in the state's row order, shift those
-    drivers by -kill·Δp·√dt.  Live prices then move by `translation`.
-    `plan` is the run's StepPlan(params, dt, n_paths): the noise scales are
-    folded into its projection and kill scale, and z, the scaled kill and
-    clearing's node values go into its work arrays.
+    drivers by -kill·Δp·√dt; `kill` is spent, scaled in place.  Live prices
+    then move by `translation`.  `plan` is the run's StepPlan(params, dt,
+    n_paths): the noise scales are folded into its projection and kill
+    scale, and z and clearing's node values go into its work arrays, so
+    `inc` may be plan.draws.
     """
     # one gemm, edge row first as in the log state: the same bits for any
     # group of two or more paths
     z = np.matmul(plan.projection, inc.T, out=plan.X)
     if kill is not None:
-        z -= np.multiply(kill, plan.kill_scale, out=plan.S)
+        kill *= plan.kill_scale
+        z -= kill
     dead = None if np.count_nonzero(ens.alive) == ens.alive.size else np.flatnonzero(~ens.alive)
     if dead is not None:        # frozen paths keep their state through the update
         frozen = ens.log_state[:, dead]
@@ -398,12 +405,66 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     return cleared
 
 
+class _OneBlasThread:
+    """A reentrant pin of numpy's bundled OpenBLAS to one thread.
+
+    The step's products are small gemms, (2K) × (2K+1) and (2K+1) × F by
+    n columns: a second BLAS thread buys them no wall time and only spins,
+    which doubled the CPU time of a 10⁴-path run on a 2-core host (numpy
+    2.4.6, scipy-openblas 0.3.31).  The thread-count getter and setter are
+    looked up on first use, through numpy's own extension module, and where
+    they are absent the pin does nothing.  The first open pin saves the
+    caller's count and the last one to close restores it, so interleaved
+    runs restore the count their first run found.
+    """
+
+    symbols = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+    def __init__(self):
+        self.calls = None       # (get, set); () where absent
+        self.depth = 0          # pins open
+        self.saved = None       # the caller's count
+
+    def _lookup(self) -> tuple:
+        try:
+            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            get, put = (getattr(lib, name) for name in self.symbols)
+        except (AttributeError, OSError):
+            return ()
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        return get, put
+
+    def __enter__(self):
+        if self.calls is None:
+            self.calls = self._lookup()
+        if self.calls and self.depth == 0:
+            self.saved = self.calls[0]()
+            self.calls[1](1)
+        self.depth += 1
+
+    def __exit__(self, *exc) -> bool:
+        self.depth -= 1
+        if self.calls and self.depth == 0:
+            self.calls[1](self.saved)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps: int,
               dt: float, seed: int = 0, *, risk_neutral: bool = True) -> Iterator[None]:
     """The one simulation loop: step `ens` in place n_steps times by dt hours,
     append each step's row to `diag`, and yield after each step.  The run's
     StepPlan is built at the first step and carries nothing from one step
     to the next, so the caller may change ens between steps.
+
+    A step runs, in order: under Q, the drift kill of the state and the
+    path-0 residual; then the draws of the step's increments into
+    plan.draws, over the spent pivots; then step_ensemble.  From the first
+    step until the run ends, raises or is closed, numpy's bundled OpenBLAS
+    runs on one thread (_OneBlasThread), and the caller's count comes back.
 
     Paths that breach the grid, turn non-finite or meet a singular drift kill
     are frozen and counted by cause.  If all abort, SingularSystemError (all
@@ -418,22 +479,25 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
     singular = np.zeros(n_paths, dtype=bool)
     gen = sheet.generator()         # re-keyed for every draw
 
-    for step in range(n_steps):
-        inc = sheet.increments_block(cfg, dt, step, n_paths, gen, out=plan.draws)
-        shift, residual = None, math.nan
-        if kill:
-            shift, rhs, singular = _batch_kill_shifts(ens, params, plan)
-            ens.alive &= ~singular
-            if ens.alive[0]:
-                residual = _path0_rel_residual(ens, params, plan, shift, rhs)
-        cleared = step_ensemble(ens, params, inc, plan, kill=shift, translation=translation)
-        diag.count(cleared, singular, ens.alive, residual)
-        if not diag.rows[-1].alive:
-            error = SingularSystemError if diag.n_aborted_singular == n_paths else SimulationError
-            raise error(f"all {n_paths} simulated paths aborted (top {diag.n_aborted_top}, "
-                        f"bottom {diag.n_aborted_bottom}, broken {diag.n_aborted_broken}, "
-                        f"singular {diag.n_aborted_singular})")
-        yield
+    with _one_blas_thread:
+        for step in range(n_steps):
+            shift, residual = None, math.nan
+            if kill:
+                shift, rhs, singular = _batch_kill_shifts(ens, params, plan)
+                ens.alive &= ~singular
+                if ens.alive[0]:
+                    residual = _path0_rel_residual(ens, params, plan, shift, rhs)
+            # the pivots in S are spent: draw into it
+            inc = sheet.increments_block(cfg, dt, step, n_paths, gen, out=plan.draws)
+            cleared = step_ensemble(ens, params, inc, plan, kill=shift, translation=translation)
+            diag.count(cleared, singular, ens.alive, residual)
+            if not diag.rows[-1].alive:
+                error = SingularSystemError if diag.n_aborted_singular == n_paths \
+                    else SimulationError
+                raise error(f"all {n_paths} simulated paths aborted (top {diag.n_aborted_top}, "
+                            f"bottom {diag.n_aborted_bottom}, broken {diag.n_aborted_broken}, "
+                            f"singular {diag.n_aborted_singular})")
+            yield
 
 
 def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,

@@ -180,7 +180,6 @@ _CALIBRATE_GRID = {"pi0": 20.16, "K": 7, "delta_p": 0.05}
     (["simulate"], {"simulate": {"dt": False}}, "simulate.dt must be a number, got False"),
     (["simulate"], {"simulate": {"expiry": 10**400}},
      f"simulate.expiry must be a number, got {10**400}"),
-    (["price"], {"pricing": {"rate": "0.01"}}, "pricing.rate must be a number, got '0.01'"),
     (["price"], {"pricing": {"strikes": 20.0}},
      "pricing.strikes must be a list of numbers, got 20.0"),
     (["smile"], {"pricing": {"strikes": "20"}},
@@ -197,12 +196,11 @@ _CALIBRATE_GRID = {"pi0": 20.16, "K": 7, "delta_p": 0.05}
      "calibrate.p_max must be a number, got [21.5]"),
     (["replay", "session.log"], {"replay": {"opening_price": "20.3"}},
      "replay.opening_price must be a number, got '20.3'"),
-    (["smile"], {"pricing": {"rate": math.nan}}, "rate must be finite, got nan"),
     (["simulate"], {"simulate": {"expiry": math.inf}},
      "expiry must be positive and finite, got inf"),
 ], ids=["pricing-expiry", "pricing-dt", "simulate-expiry", "simulate-dt", "expiry-overflow",
-        "rate", "strikes-number", "strikes-string", "strike-bool", "pi0", "delta_p", "p_min",
-        "p_max", "opening_price", "rate-nan", "expiry-inf"])
+        "strikes-number", "strikes-string", "strike-bool", "pi0", "delta_p", "p_min",
+        "p_max", "opening_price", "expiry-inf"])
 def test_config_number_that_is_not_one_exits_2(argv, config, message, tmp_path, capsys):
     """A boolean or a string is not read as a number: `"expiry": true` is not
     one year, and `"strikes": "20"` is not the strikes (2, 0)."""
@@ -246,6 +244,21 @@ def test_unknown_config_sections_and_keys_warn(tmp_path, capsys):
     # the bundled config holds only keys the commands read
     assert main(["replay", EXAMPLE_LOG, "--config", DEMO_CONFIG]) == 0
     assert "unknown config" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["price", "smile"])
+def test_pricing_rate_is_an_unknown_key(command, tmp_path, capsys):
+    """Under Q π is a martingale, so pricing has no rate: a config that still
+    sets one is warned about like any other unknown key, and its quotes are
+    those of the same config without it."""
+    quotes = {"strikes": [19.9, 20.2], "paths": 20, "expiry": 0.0002}
+    for name, section in (("a", {**quotes, "rate": 0.05}), ("b", quotes)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"pricing": section}))
+        assert main([command, "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+        warned = "warning: ignoring unknown config keys ['pricing.rate']"
+        assert (warned in capsys.readouterr().err.splitlines()) == (name == "a")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_config_integer_may_be_written_as_a_whole_float(tmp_path, capsys):

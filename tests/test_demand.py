@@ -4,6 +4,7 @@ process, liquidation proceeds, and the wealth/jump-penalty identities."""
 
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bookvol.demand import (
     _ACCUMULATE_MAX_COLUMNS,
     _batch_clear,
     _running_sum,
+    _segment,
     curve_value,
     init_ensemble,
     inverse,
@@ -372,6 +374,69 @@ def test_proceeds_match_dense_quadrature_on_adverse_curves(kind):
         xs = np.linspace(0.0, theta, 10_001)
         oracle = np.trapezoid([inverse(book, x)[0] for x in xs], xs)
         assert liquidation_proceeds(book, theta)[0] == pytest.approx(oracle, rel=1e-6)
+
+
+def _segment_oracle(vals, delta_p, x, live):
+    """Width and offset of the segment holding level x, one column at a time
+    in Python floats: walk down the column's nodes to the first one below x
+    (a level equal to an interior node falls in the segment starting there)."""
+    K, n = len(vals) // 2, vals.shape[1]
+    x, live = np.broadcast_to(x, n), np.broadcast_to(live, n)
+    width, offset = np.ones(n), np.zeros(n)
+    for i in range(n):
+        if not live[i]:
+            continue
+        col, level = [float(v) for v in vals[:, i]], float(x[i])
+        j = 1
+        while j < 2 * K and col[j] >= level:
+            j += 1
+        width[i] = col[j - 1] - col[j]
+        node = (j - 1 - (K - 0.5)) * delta_p
+        offset[i] = node + delta_p * (col[j - 1] - level) / width[i]
+    return width, offset
+
+
+def _adverse_curves(K, rng):
+    """Node columns of decreasing curves, each with a level at 0 (clearing)
+    and one away from 0 (the inverse): whole-number masses put the zero in
+    the first segment, in the last, and exactly on each interior node; float
+    masses put the other level on each interior node, at both ends of the
+    curve range, and at random inside it."""
+    cols, zero_cols, levels = [], [], []
+    q = rng.integers(1, 9, 2 * K).astype(float)
+    for edge in (0.5 * q[0], q.sum() - 0.5 * q[-1], *np.cumsum(q)[:-1]):
+        zero_cols.append(np.concatenate(([edge], edge - np.cumsum(q))))
+    for _ in range(3):
+        q = rng.uniform(0.01, 3.0, 2 * K)
+        col = np.concatenate(([0.0], -np.cumsum(q))) + rng.uniform(0.0, q.sum())
+        cols += [col] * (2 * K + 2)
+        levels += [*col[1:-1], col[0], col[-1], rng.uniform(col[-1], col[0])]
+    return np.array(zero_cols).T, np.array(cols).T, np.array(levels)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 129])
+def test_segment_matches_a_per_column_search_bit_for_bit(K):
+    """_segment's width and offset equal a slow per-column search exactly, in
+    a batch and one column at a time, at level 0 and away from it, with
+    dead columns at width 1 and offset 0 (K = 129 counts past a uint8)."""
+    rng = np.random.default_rng(K)
+    delta_p = 0.05
+    curve = SimpleNamespace(delta_p=delta_p)
+    zero_vals, vals, levels = _adverse_curves(K, rng)
+    assert np.all(np.diff(vals, axis=0) < 0) and np.all(np.diff(zero_vals, axis=0) < 0)
+    assert np.any(zero_vals[1:-1] == 0.0) and np.any(vals[1:-1] == levels)
+    for v, x in ((zero_vals, 0.0), (vals, levels)):
+        n = v.shape[1]
+        for live in (True, np.arange(n) % 3 != 1):
+            want = _segment_oracle(v, delta_p, x, live)
+            got = _segment(v, curve, x, live)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            if live is not True:
+                assert np.all(got[0][~live] == 1.0) and np.all(got[1][~live] == 0.0)
+            for i in range(n):
+                one = _segment(v[:, i:i + 1], curve, np.broadcast_to(x, n)[i:i + 1],
+                               np.broadcast_to(live, n)[i:i + 1])
+                assert one[0][0] == want[0][i] and one[1][0] == want[1][i]
 
 
 def test_node_level_falls_in_the_segment_starting_there():

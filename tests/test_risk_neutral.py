@@ -3,7 +3,8 @@ linear system against a scalar re-derivation, solver diagnostics, the
 closed-form kill against the dense solve on adverse states, the ensemble's
 columns against the same books stepped and evaluated alone, and the run's
 StepPlan: a run and a plan reused across an edit of the books against fresh
-plans, and a step that allocates no state-sized array.  The
+plans, a plan of three state-sized work arrays, and a step that allocates no
+state-sized array; and the run's one-thread BLAS pin.  The
 two clearing-volatility routes and the depth law are acceptance criteria 4
 and 5."""
 
@@ -21,7 +22,7 @@ from bookvol import riskneutral
 from bookvol.calibration import synthesize_log
 from bookvol.demand import (_batch_clear, init_ensemble, inverse, liquidation_proceeds,
                             node_values, wealth_increment)
-from bookvol.errors import SingularSystemError
+from bookvol.errors import SimulationError, SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
     COND_LIMIT,
@@ -395,8 +396,8 @@ def test_a_reused_plan_matches_a_fresh_one_after_an_edit_between_steps():
 @pytest.mark.parametrize("risk_neutral", [True, False])
 def test_a_step_allocates_no_state_sized_array(risk_neutral):
     """After the first step of a 2,048-path run, a step's traced allocations
-    peak below one (2K+1, n) float array: the run's StepPlan holds the draws
-    and the work arrays that the kill, the OU update and clearing reuse."""
+    peak below one (2K+1, n) float array: the run's StepPlan holds the work
+    arrays that the kill, the draws, the OU update and clearing reuse."""
     params, n = demo_params(), 2048
     ens = init_ensemble(params, n)
     steps = run_steps(params, ens, SimDiagnostics(), 2, 1.0 / 60.0, seed=4,
@@ -412,6 +413,103 @@ def test_a_step_allocates_no_state_sized_array(risk_neutral):
         tracemalloc.stop()
     assert ens.log_state.nbytes == 245_760
     assert peak - before < ens.log_state.nbytes
+
+
+def test_a_plan_holds_three_state_sized_arrays_and_the_mask():
+    """A 2,048-path Q plan allocates its three (2K+1, n) float work arrays,
+    the (2K+1, n) finiteness mask and a few kB of constants: the draws are a
+    view of S, not a fourth array."""
+    params, n = demo_params(), 2048
+    cells = (2 * params.K + 1) * n
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        plan = StepPlan(params, 1.0 / 60.0, n, kill=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cells * 8 == 245_760 and plan.draws.shape == (n, params.factor_count)
+    assert np.shares_memory(plan.draws, plan.S)
+    assert peak - before <= 3 * cells * 8 + cells + 32_768
+
+
+class _FakeBlas:
+    """A BLAS thread count behind a getter and a setter, as the pin sees it."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+    def put(self, threads):
+        self.threads = threads
+
+
+@pytest.mark.parametrize("exit", ["ends", "raises", "closed"])
+def test_a_run_holds_one_blas_thread_and_restores_the_count(monkeypatch, exit):
+    """From its first step until it ends, raises or is closed early, a run
+    holds BLAS at one thread; then the caller's count comes back."""
+    blas = _FakeBlas(3)
+    monkeypatch.setattr(riskneutral._one_blas_thread, "calls", (blas.get, blas.put))
+    params = demo_params()
+    ens = init_ensemble(params, 4)
+    if exit == "raises":                        # demand positive across the grid
+        ens.log_edge[:] = math.log(1.01 * params.q0.sum())
+    steps = run_steps(params, ens, SimDiagnostics(), 2, 1.0 / 60.0, seed=1)
+    assert blas.threads == 3
+    if exit == "raises":
+        with pytest.raises(SimulationError, match="all 4 simulated paths aborted"):
+            next(steps)
+    else:
+        next(steps)
+        assert blas.threads == 1
+        if exit == "closed":
+            steps.close()
+        else:
+            assert list(steps) == [None]
+    assert blas.threads == 3
+
+
+def test_interleaved_runs_restore_the_count_the_first_one_found(monkeypatch):
+    """Two runs open at once: the count stays at one until both are closed,
+    in whichever order, and then the count the first run found comes back."""
+    blas = _FakeBlas(2)
+    monkeypatch.setattr(riskneutral._one_blas_thread, "calls", (blas.get, blas.put))
+    params = demo_params()
+    first, second = (run_steps(params, init_ensemble(params, 2), SimDiagnostics(), 3,
+                               1.0 / 60.0) for _ in range(2))
+    next(first)
+    next(second)
+    first.close()
+    assert blas.threads == 1
+    second.close()
+    assert blas.threads == 2
+
+
+def test_the_blas_pin_does_nothing_without_the_symbols(monkeypatch):
+    """A BLAS without the OpenBLAS thread calls leaves the pin with nothing to call."""
+    pin = riskneutral._OneBlasThread()
+    monkeypatch.setattr(pin, "symbols", ("no_such_get_threads", "no_such_set_threads"))
+    with pin:
+        assert pin.calls == ()
+
+
+def test_the_blas_pin_reaches_numpys_openblas():
+    """Where numpy bundles OpenBLAS, a pin sets its count to one, and the
+    last pin to close restores the count the first one found."""
+    pin = riskneutral._OneBlasThread()
+    calls = pin._lookup()
+    if not calls:
+        pytest.skip("numpy's BLAS reports no OpenBLAS thread count")
+    get = calls[0]
+    before = get()
+    with pin:
+        assert get() == 1
+        with pin:
+            assert get() == 1
+        assert get() == 1
+    assert get() == before
 
 
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
