@@ -38,7 +38,8 @@ from .demand import init_ensemble
 from .errors import ConfigError, FitError, ParseError
 from .lob import MessageEvent, OrderBook, Side, replay
 from .params import ModelParams, uniform_loadings
-from .riskneutral import SimDiagnostics, run_steps
+from .riskneutral import run_steps
+from .sheet import is_whole
 
 SESSION_START_NS = 34_200_000_000_000   # 09:30
 SESSION_END_NS = 57_600_000_000_000     # 16:00
@@ -235,8 +236,11 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
     Bars that receive no message carry the snapshot of the last bar that
     did (of the first one, before any message) and are flagged as gaps.  A
     book that is empty at a bar end is snapshotted as it is, with zero
-    masses, which ``fit_report`` rejects.  A bad grid raises ConfigError.
+    masses, which ``fit_report`` rejects.  A bad grid (K not an int of at
+    least 1, bools excluded; Δp not positive and finite) raises ConfigError.
     """
+    if not is_whole(K):
+        raise ConfigError(f"K must be an integer, got {K!r}")
     if not K >= 1:
         raise ConfigError(f"K must be at least 1, got {K}")
     if not 0.0 < delta_p < math.inf:
@@ -574,8 +578,7 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
     path that aborts raises SimulationError.
     """
     ens = init_ensemble(params, 1)
-    steps = run_steps(params, ens, SimDiagnostics(), n_bars - 1,
-                      BAR_HOURS, seed, risk_neutral=False)
+    steps = run_steps(params, ens, n_bars - 1, BAR_HOURS, seed, risk_neutral=False)
     K = params.K
     # per bucket j, k = j - K + 1: buys below the clearing price, sells at
     # and above it, at offset k·Δp

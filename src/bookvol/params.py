@@ -51,7 +51,8 @@ class ModelParams:
     mean_log_edge: float
     sigma_edge_rel: float
     edge_loadings: np.ndarray     # (2K,)
-    # physical-measure clearing-price drift, currency per hour (diagnostic only)
+    # the physical measure's clearing-price trend, currency per hour: run_steps
+    # adds drift_c·dt to every live π at each step under P, never under Q
     drift_c: float = 0.0
 
     @property

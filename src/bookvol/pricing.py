@@ -148,20 +148,19 @@ def put_price(terminals: np.ndarray, strike: float) -> tuple:
     return _payoff_stats(np.maximum(strike - np.asarray(terminals, dtype=float), 0.0))
 
 
-def bs_call(spot: float, strike: float, expiry: float, rate: float,
-            sigma: float) -> float:
-    """Black-Scholes value of a European call.
+def bs_call(spot: float, strike: float, expiry: float, sigma: float) -> float:
+    """Black-Scholes value of a European call at rate 0, the one convention
+    of a martingale π: no carry and no discount.
 
-    The zero-volatility (or zero-expiry) limit is the discounted
-    intrinsic value max(spot - strike*exp(-rate*expiry), 0).
+    The zero-volatility (or zero-expiry) limit is the intrinsic value
+    max(spot - strike, 0).
     """
-    disc = math.exp(-rate * expiry)
     if sigma <= 0.0 or expiry <= 0.0:
-        return max(spot - strike * disc, 0.0)
+        return max(spot - strike, 0.0)
     srt = sigma * math.sqrt(expiry)
-    d1 = (math.log(spot / strike) + (rate + 0.5 * sigma * sigma) * expiry) / srt
+    d1 = (math.log(spot / strike) + 0.5 * sigma * sigma * expiry) / srt
     d2 = d1 - srt
-    return spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d2)
+    return spot * _norm_cdf(d1) - strike * _norm_cdf(d2)
 
 
 def _norm_cdf(x: float) -> float:
@@ -169,39 +168,38 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def implied_vol(price: float, spot: float, strike: float, expiry: float,
-                rate: float = 0.0) -> Optional[float]:
+def implied_vol(price: float, spot: float, strike: float, expiry: float) -> Optional[float]:
     """Annualized volatility whose Black-Scholes call value matches ``price``.
 
     Bisection over sigma in [1e-6, 5], pinched to 1e-12 in sigma.
     Returns None (undefined, not an exception) when no root exists in the
-    bracket: price strictly below the discounted intrinsic value, price at
+    bracket: price strictly below the intrinsic value, price at
     or above spot, or price requiring a volatility above 5.  A price that
     equals intrinsic exactly sits on the boundary and maps to 0.
     """
     if not (expiry > 0.0 and spot > 0.0 and strike > 0.0
-            and all(map(math.isfinite, (price, spot, strike, expiry, rate)))):
+            and all(map(math.isfinite, (price, spot, strike, expiry)))):
         raise ValueError(f"expiry, spot and strike must be positive and all inputs finite, got "
-                         f"price={price} spot={spot} strike={strike} expiry={expiry} rate={rate}")
-    intrinsic = max(spot - strike * math.exp(-rate * expiry), 0.0)
+                         f"price={price} spot={spot} strike={strike} expiry={expiry}")
+    intrinsic = max(spot - strike, 0.0)
     if price == intrinsic:
         return 0.0
     if price < intrinsic or price >= spot:
         return None
 
     lo, hi = VOL_BRACKET
-    if bs_call(spot, strike, expiry, rate, lo) >= price:
+    if bs_call(spot, strike, expiry, lo) >= price:
         # Root sits below the bracket floor; the floor is within tolerance
         # of it for any realistic vega.
         return lo
-    if bs_call(spot, strike, expiry, rate, hi) < price:
+    if bs_call(spot, strike, expiry, hi) < price:
         return None
     # Pinch the bracket to 1e-12 in sigma rather than stopping on the
     # price gap alone: where vega is tiny (deep in the money, short
     # expiry) a 1e-8 price gap can still hide a 1e-5 error in sigma.
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if bs_call(spot, strike, expiry, rate, mid) < price:
+        if bs_call(spot, strike, expiry, mid) < price:
             lo = mid
         else:
             hi = mid

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -194,9 +194,8 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
     dW_j -> dW_j - λ_j√Δp·dt, then re-clear (in place).  The test oracle of
     the closed-form kill that run_steps applies.
 
-    The physical-measure price translation params.drift_c does not apply here;
-    it is a diagnostic of the observed price series, not part of the
-    martingale dynamics.
+    params.drift_c, the physical measure's price trend, does not apply here:
+    run_steps adds it to π under P only, and under Q π is a martingale.
     """
     shifted = inc - lam * math.sqrt(params.delta_p) * dt
     return step_ensemble(ens, params, shifted, StepPlan(params, dt, ens.pi.size))
@@ -336,7 +335,7 @@ class StepRow(NamedTuple):
 class SimDiagnostics:
     """Per-step rows of a simulation; the run totals are sums over them."""
 
-    rows: list[StepRow] = field(default_factory=list)
+    rows: list[StepRow]
 
     n_relabel = 0           # clearing never relabels; read by bench/workloads.py
     n_steps = property(lambda self: len(self.rows))
@@ -350,14 +349,6 @@ class SimDiagnostics:
     @property
     def max_rel_residual(self) -> float:
         return max((r.residual for r in self.rows if not math.isnan(r.residual)), default=0.0)
-
-    def count(self, cleared: Cleared, singular: np.ndarray, alive: np.ndarray,
-              residual: float) -> None:
-        """Append one step's row."""
-        top, bottom, broken = cleared
-        self.rows.append(StepRow(int(np.count_nonzero(alive)), int(np.count_nonzero(top)),
-                                 int(np.count_nonzero(bottom)), int(np.count_nonzero(broken)),
-                                 int(np.count_nonzero(singular)), residual))
 
 
 def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -453,12 +444,12 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps: int,
-              dt: float, seed: int = 0, *, risk_neutral: bool = True) -> Iterator[None]:
-    """The one simulation loop: step `ens` in place n_steps times by dt hours,
-    append each step's row to `diag`, and yield after each step.  The run's
-    StepPlan is built at the first step and carries nothing from one step
-    to the next, so the caller may change ens between steps.
+def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed: int = 0,
+              *, risk_neutral: bool = True) -> Iterator[StepRow]:
+    """The one simulation loop: step `ens` in place n_steps times by dt hours
+    and yield each step's StepRow after the step.  The run's StepPlan is
+    built at the first step and carries nothing from one step to the next,
+    so the caller may change ens between steps.
 
     A step runs, in order: under Q, the drift kill of the state and the
     path-0 residual; then the draws of the step's increments into
@@ -468,7 +459,8 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
 
     Paths that breach the grid, turn non-finite or meet a singular drift kill
     are frozen and counted by cause.  If all abort, SingularSystemError (all
-    singular) or SimulationError is raised.
+    of this run's paths singular) or SimulationError is raised, with this
+    run's counts.
     """
     n_paths = ens.pi.size
     cfg = sheet.SheetConfig(factor_count=params.factor_count, delta_p=params.delta_p, seed=seed)
@@ -478,6 +470,7 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
     translation = 0.0 if risk_neutral else params.drift_c * dt
     singular = np.zeros(n_paths, dtype=bool)
     gen = sheet.generator()         # re-keyed for every draw
+    rows = []                       # this run's, for the all-aborted verdict
 
     with _one_blas_thread:
         for step in range(n_steps):
@@ -489,15 +482,20 @@ def run_steps(params: ModelParams, ens: Ensemble, diag: SimDiagnostics, n_steps:
                     residual = _path0_rel_residual(ens, params, plan, shift, rhs)
             # the pivots in S are spent: draw into it
             inc = sheet.increments_block(cfg, dt, step, n_paths, gen, out=plan.draws)
-            cleared = step_ensemble(ens, params, inc, plan, kill=shift, translation=translation)
-            diag.count(cleared, singular, ens.alive, residual)
-            if not diag.rows[-1].alive:
-                error = SingularSystemError if diag.n_aborted_singular == n_paths \
+            top, bottom, broken = step_ensemble(ens, params, inc, plan, kill=shift,
+                                                translation=translation)
+            row = StepRow(int(np.count_nonzero(ens.alive)), int(np.count_nonzero(top)),
+                          int(np.count_nonzero(bottom)), int(np.count_nonzero(broken)),
+                          int(np.count_nonzero(singular)), residual)
+            rows.append(row)
+            if not row.alive:
+                run = SimDiagnostics(rows)
+                error = SingularSystemError if run.n_aborted_singular == n_paths \
                     else SimulationError
-                raise error(f"all {n_paths} simulated paths aborted (top {diag.n_aborted_top}, "
-                            f"bottom {diag.n_aborted_bottom}, broken {diag.n_aborted_broken}, "
-                            f"singular {diag.n_aborted_singular})")
-            yield
+                raise error(f"all {n_paths} simulated paths aborted (top {run.n_aborted_top}, "
+                            f"bottom {run.n_aborted_bottom}, broken {run.n_aborted_broken}, "
+                            f"singular {run.n_aborted_singular})")
+            yield row
 
 
 def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
@@ -506,13 +504,11 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
     """Run n_paths through run_steps in ceil(horizon/dt) equal steps; an aborted
     path keeps its π from before the abort.  The None in the returned
     (ens, diag, None) is kept for callers that unpack three values."""
-    # init_ensemble reports a bad path count, ahead of a bad horizon
-    ens, diag = init_ensemble(params, n_paths), SimDiagnostics()
+    ens = init_ensemble(params, n_paths)   # reports a bad path count, ahead of a bad horizon
     if not (0 < horizon_hours < math.inf and 0 < dt_hours < math.inf):
         raise ValueError(f"horizon and dt must be positive and finite, got "
                          f"horizon_hours={horizon_hours}, dt_hours={dt_hours}")
     n_steps = max(1, int(math.ceil(horizon_hours / dt_hours - 1e-12)))
-    for _ in run_steps(params, ens, diag, n_steps, horizon_hours / n_steps, seed,
-                       risk_neutral=risk_neutral):
-        pass
-    return ens, diag, None
+    steps = run_steps(params, ens, n_steps, horizon_hours / n_steps, seed,
+                      risk_neutral=risk_neutral)
+    return ens, SimDiagnostics(list(steps)), None

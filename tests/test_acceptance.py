@@ -43,7 +43,6 @@ from bookvol.params import (
 )
 from bookvol.pricing import PricingRequest, bs_call, implied_vol, smile
 from bookvol.riskneutral import (
-    SimDiagnostics,
     build_mpr_system,
     price_vol,
     run_steps,
@@ -201,7 +200,7 @@ def test_criterion_07_implied_vol_round_trip():
         for moneyness in (0.9, 1.0, 1.1):
             for expiry in (0.02, 0.25):
                 strike = moneyness * SPOT
-                price = bs_call(SPOT, strike, expiry, 0.0, sigma)
+                price = bs_call(SPOT, strike, expiry, sigma)
                 if price == max(SPOT - strike, 0.0):
                     # the closed form itself carries zero volatility
                     # information here: the price is exactly intrinsic in
@@ -319,7 +318,7 @@ def test_criterion_12_wealth_dynamics_structure():
         dt = horizon / n_steps
         book, theta, wealth, stieltjes = init_ensemble(flat), 0.0, 0.0, 0.0
         before = copy.deepcopy(book)
-        steps = run_steps(flat, book, SimDiagnostics(), n_steps, dt, seed=2, risk_neutral=False)
+        steps = run_steps(flat, book, n_steps, dt, seed=2, risk_neutral=False)
         for step, _ in enumerate(steps):
             assert book.alive[0]
             theta_new = rate * (step + 1) * dt

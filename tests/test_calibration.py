@@ -33,10 +33,10 @@ from bookvol.calibration import (
     PanelData,
 )
 from bookvol.demand import Ensemble, init_ensemble
-from bookvol.errors import FitError, ParseError, SimulationError
+from bookvol.errors import ConfigError, FitError, ParseError, SimulationError
 from bookvol.lob import MessageEvent, Side
 from bookvol.params import ModelParams, demo_params
-from bookvol.riskneutral import SimDiagnostics, StepPlan, price_vol, run_steps, step_ensemble
+from bookvol.riskneutral import StepPlan, price_vol, run_steps, step_ensemble
 from bookvol.sheet import SheetConfig, increments_block
 
 
@@ -256,6 +256,16 @@ def test_panel_requires_some_events():
         build_panel([], pi0=20.0, K=2, delta_p=0.1, session=(0, 4 * BAR_NS))
 
 
+@pytest.mark.parametrize("K", [2.0, 2.5, True])
+def test_a_grid_size_that_is_not_an_int_is_rejected_by_name(K):
+    events = [MessageEvent("A", Side.BUY, SESSION_START_NS, "b", 20.3, 5.0)]
+    with pytest.raises(ConfigError) as panel:
+        build_panel(events, pi0=20.0, K=K, delta_p=0.1)
+    with pytest.raises(ConfigError) as fit:
+        calibrate(format_log(events), pi0=20.0, K=K, delta_p=0.1)
+    assert str(panel.value) == str(fit.value) == f"K must be an integer, got {K!r}"
+
+
 @pytest.mark.parametrize("side, ticks, k", [
     (Side.SELL, 1, 0),      # offset +Δp/2: top of bucket 0
     (Side.BUY, -1, -1),     # offset -Δp/2: top of bucket -1
@@ -356,8 +366,7 @@ def test_synthetic_log_of_zero_and_one_bars(monkeypatch):
 def _synthesis_oracle(params, n_bars, seed):
     """synthesize_log rebuilt from run_steps states one message at a time."""
     ens = init_ensemble(params, 1)
-    steps = run_steps(params, ens, SimDiagnostics(), n_bars - 1, 1 / 60, seed,
-                      risk_neutral=False)
+    steps = run_steps(params, ens, n_bars - 1, 1 / 60, seed, risk_neutral=False)
     K = params.K
     events, live = [], []
     for bar in range(n_bars):

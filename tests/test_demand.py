@@ -26,7 +26,6 @@ from bookvol.demand import (
 from bookvol.errors import SimulationError, UndefinedInverseError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
-    SimDiagnostics,
     StepPlan,
     _ou_factors,
     run_steps,
@@ -53,7 +52,7 @@ def _flat_params(K=4, delta_p=0.1, qbar=50.0, drift_c=0.0, sigma=0.0):
 
 def _physical_steps(params, book, n_steps, dt, seed):
     """Step `book` under the physical measure; yield after each step."""
-    return run_steps(params, book, SimDiagnostics(), n_steps, dt, seed, risk_neutral=False)
+    return run_steps(params, book, n_steps, dt, seed, risk_neutral=False)
 
 
 # ----------------------------------------------------------------------
@@ -276,8 +275,7 @@ def test_single_state_steps_raise_clearing_errors(stepper):
     params = demo_params()
     book = init_ensemble(params)
     book.log_edge[0] = math.log(1.01 * params.q0.sum())    # demand positive across the grid
-    steps = run_steps(params, book, SimDiagnostics(), 1, 0.01,
-                      risk_neutral=stepper == "risk_neutral")
+    steps = run_steps(params, book, 1, 0.01, risk_neutral=stepper == "risk_neutral")
     with pytest.raises(SimulationError, match=r"all 1 simulated paths aborted \(top 1, bottom 0"):
         next(steps)
     assert not book.alive[0] and book.pi[0] == params.pi0

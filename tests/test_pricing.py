@@ -21,30 +21,30 @@ from bookvol.pricing import (
 )
 
 
-def _bs_reference(spot, strike, expiry, rate, sigma):
-    """Independent closed form via math.erf (no scipy)."""
+def _bs_reference(spot, strike, expiry, sigma):
+    """Independent closed form via math.erf (no scipy), at rate 0."""
     if sigma <= 0 or expiry <= 0:
-        return max(spot - strike * math.exp(-rate * expiry), 0.0)
+        return max(spot - strike, 0.0)
     srt = sigma * math.sqrt(expiry)
-    d1 = (math.log(spot / strike) + (rate + 0.5 * sigma**2) * expiry) / srt
+    d1 = (math.log(spot / strike) + 0.5 * sigma**2 * expiry) / srt
     d2 = d1 - srt
     cdf = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    return spot * cdf(d1) - strike * math.exp(-rate * expiry) * cdf(d2)
+    return spot * cdf(d1) - strike * cdf(d2)
 
 
 def test_closed_form_matches_independent_reference():
     for spot in (18.0, 20.16, 25.0):
         for strike in (15.0, 20.0, 24.0):
             for sigma in (0.08, 0.25, 0.9):
-                for expiry, rate in ((0.02, 0.0), (0.5, 0.03)):
-                    assert bs_call(spot, strike, expiry, rate, sigma) == pytest.approx(
-                        _bs_reference(spot, strike, expiry, rate, sigma), rel=1e-12)
+                for expiry in (0.02, 0.5):
+                    assert bs_call(spot, strike, expiry, sigma) == pytest.approx(
+                        _bs_reference(spot, strike, expiry, sigma), rel=1e-12)
 
 
 def test_closed_form_degenerates_to_intrinsic():
-    assert bs_call(20.0, 18.0, 0.25, 0.0, 0.0) == 2.0
-    assert bs_call(20.0, 18.0, 0.0, 0.0, 0.4) == 2.0
-    assert bs_call(20.0, 22.0, 0.0, 0.0, 0.4) == 0.0
+    assert bs_call(20.0, 18.0, 0.25, 0.0) == 2.0
+    assert bs_call(20.0, 18.0, 0.0, 0.4) == 2.0
+    assert bs_call(20.0, 22.0, 0.0, 0.4) == 0.0
 
 
 def test_implied_vol_round_trip():
@@ -52,7 +52,7 @@ def test_implied_vol_round_trip():
         for moneyness in (0.95, 1.0, 1.05):
             for expiry in (0.1, 0.5):
                 strike = 20.0 * moneyness
-                price = bs_call(20.0, strike, expiry, 0.0, sigma)
+                price = bs_call(20.0, strike, expiry, sigma)
                 got = implied_vol(price, 20.0, strike, expiry)
                 assert got == pytest.approx(sigma, abs=1e-9)
 

@@ -26,8 +26,8 @@ from bookvol.errors import SimulationError, SingularSystemError
 from bookvol.params import ModelParams, demo_params, identity_loadings, uniform_loadings
 from bookvol.riskneutral import (
     COND_LIMIT,
-    SimDiagnostics,
     StepPlan,
+    StepRow,
     _batch_kill_shifts,
     build_mpr_system,
     kill_vectors,
@@ -222,26 +222,56 @@ def test_closed_form_kill_matches_dense_solve(data):
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
+def _thin_books(params):
+    """Five demo books, the middle three with a singular kill."""
+    ens = init_ensemble(params, 5)
+    ens.log_q[2, 1] = -700.0                # interior bucket k = -4 holds e^-700
+    ens.log_q[2, 2] = -10.0                 # pivot ~1e-16 of the largest, y still finite
+    ens.log_edge[3] = 709.0                 # edge drift overflows: b and e are not finite
+    return ens
+
+
 def test_thin_bucket_kill_is_singular_not_bottom():
     params = demo_params()
     dt = 1.0 / 60.0
     clean, _, _ = simulate_ensemble(params, 5, 3 * dt, dt, seed=2)
 
-    ens = init_ensemble(params, 5)
-    ens.log_q[2, 1] = -700.0                # interior bucket k = -4 holds e^-700
-    ens.log_q[2, 2] = -10.0                 # pivot ~1e-16 of the largest, y still finite
-    ens.log_edge[3] = 709.0                 # edge drift overflows: b and e are not finite
-    diag = SimDiagnostics()
-    for _ in run_steps(params, ens, diag, 3, dt, seed=2):
-        pass
-    assert (diag.n_aborted_singular, diag.n_aborted_bottom, diag.n_aborted_top) == (3, 0, 0)
-    assert [r.singular for r in diag.rows] == [3, 0, 0]
+    ens = _thin_books(params)
+    rows = list(run_steps(params, ens, 3, dt, seed=2))
+    assert [(r.singular, r.bottom, r.top) for r in rows] == [(3, 0, 0), (0, 0, 0), (0, 0, 0)]
     assert ens.alive.tolist() == [True, False, False, False, True]
     assert np.all(ens.pi[1:4] == params.pi0)
     others = [0, 4]
     assert np.array_equal(ens.pi[others], clean.pi[others])
     assert np.array_equal(ens.log_q[:, others], clean.log_q[:, others])
     assert np.array_equal(ens.log_edge[others], clean.log_edge[others])
+
+
+def test_a_run_reports_only_its_own_aborts():
+    """Each run counts its own paths: after a thin-book run that aborts three
+    paths as singular, a run whose three paths all break is a
+    SimulationError with no singular abort in its counts."""
+    params, dt = demo_params(), 1.0 / 60.0
+    rows = list(run_steps(params, _thin_books(params), 3, dt, seed=2))
+    assert sum(r.singular for r in rows) == 3
+    ens = init_ensemble(params, 3)
+    ens.log_edge[:] = math.log(1e20)        # the curve overflows: every book breaks
+    with pytest.raises(SimulationError) as info:
+        list(run_steps(params, ens, 3, dt, seed=2))
+    assert type(info.value) is SimulationError
+    assert str(info.value) == ("all 3 simulated paths aborted "
+                               "(top 0, bottom 0, broken 3, singular 0)")
+
+
+@pytest.mark.parametrize("risk_neutral", [True, False])
+def test_a_run_yields_the_rows_simulate_ensemble_returns(risk_neutral):
+    params, dt, n_steps = demo_params(), 1.0 / 64.0, 8
+    rows = list(run_steps(params, init_ensemble(params, 7), n_steps, dt, seed=3,
+                          risk_neutral=risk_neutral))
+    _, diag, _ = simulate_ensemble(params, 7, n_steps * dt, dt, seed=3,
+                                   risk_neutral=risk_neutral)
+    assert all(type(row) is StepRow for row in rows) and len(rows) == n_steps
+    assert np.array_equal(rows, diag.rows, equal_nan=True)
 
 
 def test_singular_system_raises():
@@ -360,8 +390,8 @@ def test_run_steps_matches_fresh_stages_on_adverse_states(params):
     stream, equal the same steps taken through a fresh plan at every step,
     bit for bit: across the moved, broken and singular books alike."""
     dt, seed = 1.0 / 60.0, 11
-    ens, diag = _adverse_ensemble(params), SimDiagnostics()
-    for _ in run_steps(params, ens, diag, 3, dt, seed):
+    ens = _adverse_ensemble(params)
+    for _ in run_steps(params, ens, 3, dt, seed):
         pass
     fresh = _adverse_ensemble(params)
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=seed)
@@ -400,7 +430,7 @@ def test_a_step_allocates_no_state_sized_array(risk_neutral):
     arrays that the kill, the draws, the OU update and clearing reuse."""
     params, n = demo_params(), 2048
     ens = init_ensemble(params, n)
-    steps = run_steps(params, ens, SimDiagnostics(), 2, 1.0 / 60.0, seed=4,
+    steps = run_steps(params, ens, 2, 1.0 / 60.0, seed=4,
                       risk_neutral=risk_neutral)
     tracemalloc.start()
     try:
@@ -456,7 +486,7 @@ def test_a_run_holds_one_blas_thread_and_restores_the_count(monkeypatch, exit):
     ens = init_ensemble(params, 4)
     if exit == "raises":                        # demand positive across the grid
         ens.log_edge[:] = math.log(1.01 * params.q0.sum())
-    steps = run_steps(params, ens, SimDiagnostics(), 2, 1.0 / 60.0, seed=1)
+    steps = run_steps(params, ens, 2, 1.0 / 60.0, seed=1)
     assert blas.threads == 3
     if exit == "raises":
         with pytest.raises(SimulationError, match="all 4 simulated paths aborted"):
@@ -467,7 +497,7 @@ def test_a_run_holds_one_blas_thread_and_restores_the_count(monkeypatch, exit):
         if exit == "closed":
             steps.close()
         else:
-            assert list(steps) == [None]
+            assert [row.alive for row in steps] == [4]
     assert blas.threads == 3
 
 
@@ -477,8 +507,8 @@ def test_interleaved_runs_restore_the_count_the_first_one_found(monkeypatch):
     blas = _FakeBlas(2)
     monkeypatch.setattr(riskneutral._one_blas_thread, "calls", (blas.get, blas.put))
     params = demo_params()
-    first, second = (run_steps(params, init_ensemble(params, 2), SimDiagnostics(), 3,
-                               1.0 / 60.0) for _ in range(2))
+    first, second = (run_steps(params, init_ensemble(params, 2), 3, 1.0 / 60.0)
+                     for _ in range(2))
     next(first)
     next(second)
     first.close()
@@ -697,12 +727,12 @@ def test_noiseless_paths_stay_put_under_both_measures():
 
 def test_track_records_price_paths():
     params = demo_params()
-    ens, diag = init_ensemble(params, 4), SimDiagnostics()
+    ens = init_ensemble(params, 4)
     track = [ens.pi[:2].copy()]
-    for _ in run_steps(params, ens, diag, 4, 0.125, seed=1):
+    for _ in run_steps(params, ens, 4, 0.125, seed=1):
         track.append(ens.pi[:2].copy())
     track = np.array(track)
-    assert track.shape == (diag.n_steps + 1, 2)
+    assert track.shape == (5, 2)
     assert np.allclose(track[0], params.pi0)
     assert track[-1, 0] == ens.pi[0]
 
