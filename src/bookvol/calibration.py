@@ -210,17 +210,18 @@ def _snapshot(book: OrderBook, K: int, delta_p: float):
     sell nets out of the edge exactly when it lands in bucket -K.
     """
     pi = book.clearing_price
-    masses = np.zeros(2 * K + 1)       # bucket -K in row 0 until the edge takes it
+    masses = [0.0] * (2 * K + 1)       # bucket -K in row 0 until the edge takes it
     edge = 0.0
+    buy = Side.BUY
     for order, remaining in book.resting_orders():
         k = max(-K, min(K, math.ceil(round((order.price - pi) / delta_p, 9) - 0.5)))
         masses[k + K] += remaining
-        if order.side is Side.BUY:
+        if order.side is buy:
             edge += remaining
         elif k == -K:
             edge -= remaining
     below_grid, masses[0] = masses[0], edge
-    return pi, masses, below_grid
+    return pi, np.array(masses), below_grid
 
 
 def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,

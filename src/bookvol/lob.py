@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from typing import NamedTuple
 
@@ -70,6 +70,12 @@ class MessageEvent(NamedTuple):
     size: float
 
 
+# Positional constructors for the hot paths: they skip the named tuple's
+# keyword-handling __new__.
+_trade = partial(tuple.__new__, Trade)
+_order = partial(tuple.__new__, LimitOrder)
+
+
 # eq=False: cancels find their record in a level with deque.remove, which
 # must compare by identity, not field by field.
 @dataclass(eq=False, slots=True)
@@ -97,6 +103,11 @@ class OrderBook:
         self._sell_levels: dict[float, deque[_Resting]] = {}
         self._buys: list[float] = []    # -price of each buy level
         self._sells: list[float] = []   # price of each sell level
+        # what submit works on for each side of the incoming order: the
+        # opposite side's keys and levels, the sign that turns one of its
+        # keys into a price, then the order's own side
+        self._for_buy = (self._sells, self._sell_levels, 1.0, self._buys, self._buy_levels)
+        self._for_sell = (self._buys, self._buy_levels, -1.0, self._sells, self._sell_levels)
 
     # ------------------------------------------------------------------
     # inspection
@@ -135,34 +146,35 @@ class OrderBook:
 
         remaining = float(quantity)
         trades: list[Trade] = []
-        if side is _BUY:
-            keys, levels, sign, own_keys, own_levels = (
-                self._sells, self._sell_levels, 1.0, self._buys, self._buy_levels)
-        else:
-            keys, levels, sign, own_keys, own_levels = (
-                self._buys, self._buy_levels, -1.0, self._sells, self._sell_levels)
-        # level keys are prices on the sell side and -price on the buy side;
-        # ``sign`` turns an opposite-side key back into its price
+        keys, levels, sign, own_keys, own_levels = \
+            self._for_buy if side is _BUY else self._for_sell
         limit = sign * price
-        while remaining > 0 and keys:
+        while keys:
             key = keys[0]
             if key > limit:
                 break
             queue = levels[sign * key]
-            while remaining > 0 and queue:
+            while queue:
                 maker = queue[0]
+                have = maker.remaining
                 maker_id, _, maker_price, _ = maker.order
-                qty = maker.remaining if maker.remaining < remaining else remaining
-                trades.append(Trade(maker_price, qty, maker_id, order_id))
-                remaining -= qty
-                maker.remaining -= qty
-                if maker.remaining <= 0:
-                    queue.popleft()
-                    del resting[maker_id]
+                if have > remaining:              # the maker outlasts the order
+                    maker.remaining = have - remaining
+                    trades.append(_trade((maker_price, remaining, maker_id, order_id)))
+                    remaining = 0.0
+                    break
+                trades.append(_trade((maker_price, have, maker_id, order_id)))
+                remaining -= have
+                queue.popleft()
+                del resting[maker_id]
+                if remaining <= 0:
+                    break
             self.last_trade_price = maker_price
             if not queue:
                 del keys[0]
-                del levels[sign * key]
+                del levels[maker_price]
+            if remaining <= 0:
+                break
 
         if remaining > 0:
             rest = resting[order_id] = _Resting(order, remaining)
@@ -217,10 +229,11 @@ def replay(
     book = OrderBook(opening_price)
     submit, cancel = book.submit, book.cancel
     result = ReplayResult(book=book, trades=[])
+    add_fills, add_price = result.trades.extend, result.clearing_prices.append
     for ev in events:
         msg_type, side, timestamp, order_id, price, size = ev
         if msg_type == "A":
-            fills = submit(LimitOrder(order_id, side, price, size))
+            fills = submit(_order((order_id, side, price, size)))
         elif msg_type == "D":
             fills = None
             try:
@@ -232,12 +245,12 @@ def replay(
                 cancel(order_id)
             except UnknownOrderError:
                 result.orphan_modifies += 1
-            fills = submit(LimitOrder(order_id, side, price, size))
+            fills = submit(_order((order_id, side, price, size)))
         else:
             raise OrderError(f"unknown message type {msg_type!r}")
         if fills:
-            result.trades.extend(fills)
-            result.clearing_prices.append((timestamp, book.last_trade_price))
+            add_fills(fills)
+            add_price((timestamp, book.last_trade_price))
         if on_event is not None:
             on_event(ev, book)
     return result

@@ -309,12 +309,14 @@ def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
 def _path0_rel_residual(ens: Ensemble, params: ModelParams, plan: StepPlan,
                         shift: np.ndarray, rhs: np.ndarray) -> float:
     """Residual of the full system on path 0, as a solve-quality telltale;
-    Σ is built for path 0 alone."""
-    lam0 = np.linalg.solve(plan.A, shift[:-1, 0])
-    b = np.cumsum(rhs[:, 0])
-    bnorm = float(np.linalg.norm(b))
-    residual = _kill_matrix(ens.column(0), params)[0] @ lam0 - b
-    return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
+    Σ is built for path 0 alone.  Like the kill, it runs under errstate: a
+    book that overflows reads as a non-finite residual, not a warning."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam0 = np.linalg.solve(plan.A, shift[:-1, 0])
+        b = np.cumsum(rhs[:, 0])
+        bnorm = float(np.linalg.norm(b))
+        residual = _kill_matrix(ens.column(0), params)[0] @ lam0 - b
+        return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -429,6 +429,20 @@ def test_inconsistent_demand_exits_4(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_edge_exits_4_without_a_warning(tmp_path, capsys):
+    save_params(demo_params(), tmp_path / "p.json")
+    d = json.loads((tmp_path / "p.json").read_text())
+    d["Q(-K,0)"] = 1e300                  # overflows the path-0 residual too
+    (tmp_path / "huge.json").write_text(json.dumps(d))
+    rc = main(["simulate", "--config", str(tmp_path / "huge.json"),
+               "--paths", "2", "--expiry", "0.0002", "--seed", "0"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "(top 0, bottom 0, broken 2, singular 0)" in err
+    assert "warning" not in err
+
+
 def test_singular_kill_on_every_path_exits_3(tmp_path, capsys):
     save_params(demo_params(), tmp_path / "p.json")
     d = json.loads((tmp_path / "p.json").read_text())

@@ -13,6 +13,7 @@ from bookvol.lob import (
     MessageEvent,
     OrderBook,
     Side,
+    Trade,
     replay,
 )
 
@@ -99,6 +100,26 @@ def test_partial_fill_rests_remainder_at_own_limit():
     book.submit(_order("s", "S", 101.0, 4.0))
     book.submit(_order("b", "B", 105.0, 10.0))
     assert book.book_table(Side.BUY) == {105.0: 6.0}
+
+
+def test_sweep_over_three_levels_leaves_one_maker_partly_filled():
+    book = OrderBook(100.0)
+    book.submit(_order("s1", "S", 101.0, 2.0))
+    book.submit(_order("s2", "S", 101.0, 1.5))
+    book.submit(_order("s3", "S", 102.0, 3.0))
+    book.submit(_order("s4", "S", 103.0, 4.0))
+    book.submit(_order("s5", "S", 103.0, 2.0))
+    book.submit(_order("s6", "S", 104.0, 1.0))
+    fills = book.submit(_order("b", "B", 103.0, 8.5))
+    assert fills == [Trade(101.0, 2.0, "s1", "b"), Trade(101.0, 1.5, "s2", "b"),
+                     Trade(102.0, 3.0, "s3", "b"), Trade(103.0, 2.0, "s4", "b")]
+    assert all(type(t) is Trade for t in fills)
+    assert book.clearing_price == 103.0
+    assert book.book_table(Side.SELL) == {103.0: 4.0, 104.0: 1.0}   # s4 keeps 2 of 4
+    assert book.book_table(Side.BUY) == {}
+    assert [(o.order_id, rem) for o, rem in book.resting_orders()] == \
+        [("s4", 2.0), ("s5", 2.0), ("s6", 1.0)]
+    assert book._sells == [103.0, 104.0]
 
 
 def test_incoming_never_matches_through_its_limit():
@@ -287,8 +308,12 @@ def _reference_replay(events, opening_price):
     return book, trades, clearing, orphans
 
 
+_WHOLE_LOTS = st.integers(min_value=1, max_value=6).map(float)
+_EIGHTHS = st.integers(min_value=1, max_value=48).map(lambda n: n / 8)
+
+
 @st.composite
-def _message_stream(draw):
+def _message_stream(draw, sizes=_WHOLE_LOTS):
     """Adds, deletes and modifies over five ticks, with some orphans."""
     n = draw(st.integers(min_value=1, max_value=40))
     known = {}                                     # order id -> (side, price)
@@ -304,7 +329,7 @@ def _message_stream(draw):
             side = draw(st.sampled_from([Side.BUY, Side.SELL]))
         if price is None or draw(st.booleans()):   # a modify may keep its price
             price = float(draw(st.integers(min_value=98, max_value=102)))
-        size = float(draw(st.integers(min_value=1, max_value=6)))
+        size = draw(sizes)
         if kind != "D":
             known[order_id] = (side, price)
         events.append(MessageEvent(kind, side, i, order_id, price, size))
@@ -328,10 +353,38 @@ _STALE_LEVEL = [
 ]
 
 
+# Sizes in eighths; b1 takes s1 and s2 whole, exactly exhausting itself on
+# s2, then b2 ends on s3 exactly and b3 leaves s4 part-filled.
+_EXACT_TIES = [
+    MessageEvent("A", Side.SELL, 0, "s1", 101.0, 0.375),
+    MessageEvent("A", Side.SELL, 1, "s2", 101.0, 1.125),
+    MessageEvent("A", Side.SELL, 2, "s3", 102.0, 0.625),
+    MessageEvent("A", Side.SELL, 3, "s4", 102.0, 2.5),
+    MessageEvent("A", Side.BUY, 4, "b1", 101.0, 1.5),
+    MessageEvent("A", Side.BUY, 5, "b2", 102.0, 0.625),
+    MessageEvent("A", Side.BUY, 6, "b3", 102.0, 0.875),
+    MessageEvent("M", Side.SELL, 7, "s4", 100.0, 1.625),   # crosses nothing, rests
+    MessageEvent("A", Side.BUY, 8, "b4", 100.0, 1.625),    # exhausts s4 exactly
+]
+
+
 @given(_message_stream())
 @example(_STALE_LEVEL)
 @settings(max_examples=200, deadline=None)
 def test_replay_matches_reference_matcher(events):
+    _assert_replay_matches_reference(events)
+
+
+@given(_message_stream(sizes=_EIGHTHS))
+@example(_EXACT_TIES)
+@settings(max_examples=200, deadline=None)
+def test_replay_matches_reference_matcher_in_eighths(events):
+    """Fractional sizes, exact in binary, so a fill that exhausts a maker
+    or the order to the last eighth leaves nothing behind in either book."""
+    _assert_replay_matches_reference(events)
+
+
+def _assert_replay_matches_reference(events):
     result = replay(events, opening_price=100.0)
     book, trades, clearing, orphans = _reference_replay(events, 100.0)
 
@@ -346,3 +399,5 @@ def test_replay_matches_reference_matcher(events):
     assert result.book._buys == sorted(-p for p in result.book._buy_levels)
     assert [(o.order_id, rem) for o, rem in result.book.resting_orders()] == \
         [(o[0], o[3]) for o in book.orders]
+    assert all(type(t) is Trade for t in result.trades)
+    assert all(type(o) is LimitOrder for o, _ in result.book.resting_orders())

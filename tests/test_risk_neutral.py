@@ -263,6 +263,17 @@ def test_a_run_reports_only_its_own_aborts():
                                "(top 0, bottom 0, broken 3, singular 0)")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_book_is_a_simulation_error_not_a_warning():
+    """An edge of 1e300 overflows the path-0 residual as well as the kill;
+    with warnings as errors the run still ends in the run's own verdict."""
+    params = replace(demo_params(), edge0=1e300)
+    with pytest.raises(SimulationError) as info:
+        list(run_steps(params, init_ensemble(params, 2), 3, 1.0 / 60.0))
+    assert type(info.value) is SimulationError
+    assert str(info.value).endswith("(top 0, bottom 0, broken 2, singular 0)")
+
+
 @pytest.mark.parametrize("risk_neutral", [True, False])
 def test_a_run_yields_the_rows_simulate_ensemble_returns(risk_neutral):
     params, dt, n_steps = demo_params(), 1.0 / 64.0, 8
