@@ -11,10 +11,8 @@ import math
 
 from bookvol.demand import init_ensemble
 from bookvol.params import demo_params
-from bookvol.pricing import PricingRequest, simulate_terminals, smile
+from bookvol.pricing import TRADING_HOURS_PER_YEAR, PricingRequest, simulate_terminals, smile
 from bookvol.riskneutral import sigma_pi_direct
-
-HOURS_PER_YEAR = 1638.0
 
 
 def main() -> None:
@@ -43,7 +41,7 @@ def main() -> None:
           f"range {min(ivs):.4f} .. {max(ivs):.4f} (annual)")
     spot_vol = sigma_pi_direct(init_ensemble(params), params)[0]   # per sqrt hour
     print(f"for scale: instantaneous clearing-price vol "
-          f"{spot_vol * math.sqrt(HOURS_PER_YEAR):.4f} annualized")
+          f"{spot_vol * math.sqrt(TRADING_HOURS_PER_YEAR):.4f} annualized")
 
 
 if __name__ == "__main__":

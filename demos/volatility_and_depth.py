@@ -14,6 +14,7 @@ import numpy as np
 
 from bookvol.demand import init_ensemble
 from bookvol.params import demo_params
+from bookvol.pricing import TRADING_HOURS_PER_YEAR
 from bookvol.riskneutral import (
     build_mpr_system,
     price_vol,
@@ -22,8 +23,6 @@ from bookvol.riskneutral import (
     step_risk_neutral,
 )
 from bookvol.sheet import SheetConfig, increments_block
-
-HOURS_PER_YEAR = 1638.0
 
 
 def main() -> None:
@@ -36,7 +35,7 @@ def main() -> None:
     books.log_q[params.idx(0)] += np.log(factors)     # all else equal
     vols = sigma_pi_direct(books, params)
     for factor, vol in zip(factors, vols):
-        print(f"{factor:8.2f} {vol:18.6f} {vol * math.sqrt(HOURS_PER_YEAR):10.4f}")
+        print(f"{factor:8.2f} {vol:18.6f} {vol * math.sqrt(TRADING_HOURS_PER_YEAR):10.4f}")
 
     base, doubled = vols[2], vols[3]
     print(f"\ndoubling check: {doubled:.12f} == {base:.12f}/2 "

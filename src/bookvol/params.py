@@ -51,8 +51,8 @@ class ModelParams:
     mean_log_edge: float
     sigma_edge_rel: float
     edge_loadings: np.ndarray     # (2K,)
-    # the physical measure's clearing-price trend, currency per hour: run_steps
-    # adds drift_c·dt to every live π at each step under P, never under Q
+    # the physical measure's clearing-price trend, currency per hour: a P
+    # StepPlan moves every live π by drift_c·dt a step, a Q plan by nothing
     drift_c: float = 0.0
 
     @property

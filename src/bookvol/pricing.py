@@ -120,10 +120,8 @@ def simulate_terminals(params: ModelParams, req: PricingRequest) -> np.ndarray:
     prices of the paths that survived.  Aborted paths are excluded and
     reported through a warning; when none survive, simulate_ensemble raises.
     """
-    horizon_hours = req.expiry * TRADING_HOURS_PER_YEAR
-    dt_hours = req.dt * TRADING_HOURS_PER_YEAR
-    ens, diag, _ = simulate_ensemble(params, req.n_paths, horizon_hours, dt_hours,
-                                     seed=req.seed, risk_neutral=True)
+    ens, diag, _ = simulate_ensemble(params, req.n_paths, req.expiry * TRADING_HOURS_PER_YEAR,
+                                     req.dt * TRADING_HOURS_PER_YEAR, seed=req.seed)
     if diag.n_aborted:
         warnings.warn(f"{diag.n_aborted} of {req.n_paths} paths aborted and were excluded "
                       "from the terminal sample", RuntimeWarning, stacklevel=2)

@@ -50,6 +50,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -191,11 +192,8 @@ def solve_mpr(system: MprSystem) -> MprSystem:
 def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
                       inc: np.ndarray, dt: float) -> Cleared:
     """One step of every book under the changed measure with dense λ (n, F):
-    dW_j -> dW_j - λ_j√Δp·dt, then re-clear (in place).  The test oracle of
-    the closed-form kill that run_steps applies.
-
-    params.drift_c, the physical measure's price trend, does not apply here:
-    run_steps adds it to π under P only, and under Q π is a martingale.
+    dW_j -> dW_j - λ_j√Δp·dt, then re-clear (in place) through a Q plan, so
+    π takes no trend.  The test oracle of the closed-form kill of run_steps.
     """
     shifted = inc - lam * math.sqrt(params.delta_p) * dt
     return step_ensemble(ens, params, shifted, StepPlan(params, dt, ens.pi.size))
@@ -207,17 +205,20 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
 
 class StepPlan:
     """The per-run constants and work arrays of step_ensemble over dt for
-    n_paths books, so that a step allocates no array of their size.
+    n_paths books, so that a step allocates no array of their size, and the
+    run's measure: under Q (the default) a step kills the drift wherever
+    there is noise (`kills`); under P it kills nothing, and live prices
+    trend by `translation` = drift_c·dt a step (0 under Q).
 
     Constants, built once:
       - the kill's right-side operator G (2K, 2K+1), the drift coefficients
         and the pivot scales σΔp (see _kill_rhs);
-      - with `kill`, the closed-form solution's A = [B_E; B rows 0..2K-2]
-        and g = A⁻ᵀ·B(2K-1,:).  Row-differencing the square system leaves a
-        bidiagonal relation in the rotated unknowns e = B_E·λ and y_i =
-        B(i,:)·λ, so each path's Girsanov shifts (which only involve e and
-        y, never λ itself) come out in O(K) arithmetic per bucket instead of
-        a dense solve; λ is recovered on demand as A⁻¹·shift[:-1];
+      - at the first kill, the closed-form solution's A = [B_E; B rows
+        0..2K-2] and g = A⁻ᵀ·B(2K-1,:).  Row-differencing the square system
+        leaves a bidiagonal relation in the rotated unknowns e = B_E·λ and
+        y_i = B(i,:)·λ, so each path's Girsanov shifts (which only involve e
+        and y, never λ itself) come out in O(K) arithmetic per bucket instead
+        of a dense solve; λ is recovered on demand as A⁻¹·shift[:-1];
       - with a dt (None for the right side alone), the exact OU step: the
         decay e^{-aΔt}, the level m(1 - e^{-aΔt}), the stacked projection
         [B_E; B] scaled by vol·√Δp/√dt, and the kill scale vol·Δp·√dt.
@@ -235,8 +236,10 @@ class StepPlan:
     """
 
     def __init__(self, params: ModelParams, dt: float | None, n_paths: int, *,
-                 kill: bool = False):
+                 risk_neutral: bool = True):
         i0, w, dp = params.idx(0), _CLEARING_ANCHOR, params.delta_p
+        self.params = params
+        self.kills = risk_neutral and (any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0)
         a = _state_rows(params.a_edge, params.a_q)
         mean = _state_rows(params.mean_log_edge, params.mean_logq)
         sigma = _state_rows(params.sigma_edge_rel, params.sigma_q_rel)
@@ -254,18 +257,8 @@ class StepPlan:
         self.mu_slope = -sign * a[:-1]
         self.mu_level = sign * (0.5 * sigma[:-1]**2)
         self.own_share = w / (1.0 - w)
-        if kill:
-            if np.any(params.sigma_q_rel <= 0) or params.sigma_edge_rel <= 0:
-                raise SingularSystemError(
-                    "every bucket and the edge need positive volatility for a "
-                    "unique market price of risk")
-            self.A = np.vstack([params.edge_loadings, params.loadings[:-1]])
-            try:
-                self.g = np.linalg.solve(self.A.T, params.loadings[-1])
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(
-                    f"factor loadings do not identify the market prices of risk: {exc}"
-                ) from exc
+        self.S, self.M, self.X = (np.empty((2 * params.K + 1, n_paths)) for _ in range(3))
+        self.finite = np.empty(self.S.shape, dtype=bool)
         if dt is not None:
             if dt <= 0:
                 raise ValueError("dt must be positive")
@@ -274,11 +267,25 @@ class StepPlan:
             self.projection = np.vstack([params.edge_loadings, params.loadings]) \
                 * (vol * (math.sqrt(dp) / math.sqrt(dt)))
             self.kill_scale = vol * (dp * math.sqrt(dt))
-        self.S, self.M, self.X = (np.empty((2 * params.K + 1, n_paths)) for _ in range(3))
-        self.finite = np.empty(self.S.shape, dtype=bool)
-        if dt is not None:          # F = 2K, so the draws fit in S
+            self.translation = 0.0 if risk_neutral else params.drift_c * dt
             self.draws = self.S.reshape(-1)[:n_paths * params.factor_count] \
-                .reshape(n_paths, params.factor_count)
+                .reshape(n_paths, params.factor_count)     # F = 2K, so the draws fit in S
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        p = self.params
+        if np.any(p.sigma_q_rel <= 0) or p.sigma_edge_rel <= 0:
+            raise SingularSystemError("every bucket and the edge need positive volatility for a "
+                                      "unique market price of risk")
+        return np.vstack([p.edge_loadings, p.loadings[:-1]])
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        try:
+            return np.linalg.solve(self.A.T, self.params.loadings[-1])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"factor loadings do not identify the market prices of risk: {exc}") from exc
 
 
 def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
@@ -350,13 +357,12 @@ class SimDiagnostics:
 
     @property
     def max_rel_residual(self) -> float:
-        return max((r.residual for r in self.rows if not math.isnan(r.residual)), default=0.0)
+        return max((r.residual for r in self.rows if not math.isnan(r.residual)),
+                   default=math.nan)
 
 
 def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact-step decay e^{-a dt} and noise scale sqrt(var of the OU increment)."""
-    a = np.asarray(a, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
     decay = np.exp(-a * dt)
     var_scale = np.where(a > 0, -np.expm1(-2 * np.where(a > 0, a, 1.0) * dt) / (2 * a + (a <= 0)),
                          dt)
@@ -364,7 +370,7 @@ def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: StepPlan,
-                  *, kill=None, translation: float = 0.0) -> Cleared:
+                  *, kill=None) -> Cleared:
     """Advance every live path one step and re-clear it (in place).
 
     The (n, F) factor increments `inc`, projected on the loadings and scaled
@@ -372,10 +378,10 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     state·e^{-aΔt} + m(1 - e^{-aΔt}) + z; the rotated drift-kill solutions
     `kill`, one (2K+1, n) array in the state's row order, shift those
     drivers by -kill·Δp·√dt; `kill` is spent, scaled in place.  Live prices
-    then move by `translation`.  `plan` is the run's StepPlan(params, dt,
-    n_paths): the noise scales are folded into its projection and kill
-    scale, and z and clearing's node values go into its work arrays, so
-    `inc` may be plan.draws.
+    then move by the plan's translation, the trend under P.  `plan` is the
+    run's StepPlan(params, dt, n_paths, risk_neutral=...): the noise scales
+    are folded into its projection and kill scale, and z and clearing's
+    node values go into its work arrays, so `inc` may be plan.draws.
     """
     # one gemm, edge row first as in the log state: the same bits for any
     # group of two or more paths
@@ -393,8 +399,8 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     if dead is not None:
         state[:, dead] = frozen
     cleared = _batch_clear(ens, params, plan.S)
-    if translation:
-        np.add(ens.pi, translation, out=ens.pi, where=ens.alive)
+    if plan.translation:
+        np.add(ens.pi, plan.translation, out=ens.pi, where=ens.alive)
     return cleared
 
 
@@ -449,13 +455,13 @@ _one_blas_thread = _OneBlasThread()
 def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed: int = 0,
               *, risk_neutral: bool = True) -> Iterator[StepRow]:
     """The one simulation loop: step `ens` in place n_steps times by dt hours
-    and yield each step's StepRow after the step.  The run's StepPlan is
-    built at the first step and carries nothing from one step to the next,
-    so the caller may change ens between steps.
+    and yield each step's StepRow after the step.  The run's StepPlan, built
+    at the first step, decides the measure and carries nothing from one step
+    to the next, so the caller may change ens between steps.
 
-    A step runs, in order: under Q, the drift kill of the state and the
-    path-0 residual; then the draws of the step's increments into
-    plan.draws, over the spent pivots; then step_ensemble.  From the first
+    A step runs, in order: where plan.kills (under Q), the drift kill of the
+    state and the path-0 residual; then the draws of the step's increments
+    into plan.draws, over the spent pivots; then step_ensemble.  From the first
     step until the run ends, raises or is closed, numpy's bundled OpenBLAS
     runs on one thread (_OneBlasThread), and the caller's count comes back.
 
@@ -466,10 +472,7 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
     """
     n_paths = ens.pi.size
     cfg = sheet.SheetConfig(factor_count=params.factor_count, delta_p=params.delta_p, seed=seed)
-    noiseless = not (np.any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0)
-    kill = risk_neutral and not noiseless   # no noise: measure change is a no-op
-    plan = StepPlan(params, dt, n_paths, kill=kill)
-    translation = 0.0 if risk_neutral else params.drift_c * dt
+    plan = StepPlan(params, dt, n_paths, risk_neutral=risk_neutral)
     singular = np.zeros(n_paths, dtype=bool)
     gen = sheet.generator()         # re-keyed for every draw
     rows = []                       # this run's, for the all-aborted verdict
@@ -477,15 +480,14 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
     with _one_blas_thread:
         for step in range(n_steps):
             shift, residual = None, math.nan
-            if kill:
+            if plan.kills:
                 shift, rhs, singular = _batch_kill_shifts(ens, params, plan)
                 ens.alive &= ~singular
                 if ens.alive[0]:
                     residual = _path0_rel_residual(ens, params, plan, shift, rhs)
             # the pivots in S are spent: draw into it
             inc = sheet.increments_block(cfg, dt, step, n_paths, gen, out=plan.draws)
-            top, bottom, broken = step_ensemble(ens, params, inc, plan, kill=shift,
-                                                translation=translation)
+            top, bottom, broken = step_ensemble(ens, params, inc, plan, kill=shift)
             row = StepRow(int(np.count_nonzero(ens.alive)), int(np.count_nonzero(top)),
                           int(np.count_nonzero(bottom)), int(np.count_nonzero(broken)),
                           int(np.count_nonzero(singular)), residual)

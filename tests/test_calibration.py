@@ -305,11 +305,10 @@ def test_synthetic_log_round_trip_is_exact():
     book = init_ensemble(params)
     cfg = SheetConfig(2 * params.K, params.delta_p, seed=3)
     dt = 1 / 60
-    plan = StepPlan(params, dt, 1)
+    plan = StepPlan(params, dt, 1, risk_neutral=False)
     for bar in range(n_bars):
         if bar > 0:
-            step_ensemble(book, params, increments_block(cfg, dt, bar - 1, 1), plan,
-                          translation=params.drift_c * dt)
+            step_ensemble(book, params, increments_block(cfg, dt, bar - 1, 1), plan)
         q = np.exp(book.log_q[:, 0])
         assert panel.pi[bar] == book.pi[0]
         assert np.array_equal(panel.masses[1:, bar], q)

@@ -309,12 +309,12 @@ def test_simulate_verbose_table_adds_up_to_the_artifact(tmp_path, capsys, measur
     assert int(columns["alive"][-1]) == 60 - aborted
     residuals = [float(v) for v in columns["path0_rel_residual"]]
     solved = [v for v in residuals if not math.isnan(v)]
-    assert f"{max(solved, default=0.0):.6e}" == artifact["max_rel_residual"]
+    assert f"{max(solved, default=math.nan):.6e}" == artifact["max_rel_residual"]
     if measure == "risk_neutral":
         assert aborted > 0
         assert int(artifact["n_aborted_singular"]) > 0
     else:
-        assert np.isnan(residuals).all()
+        assert np.isnan(residuals).all() and artifact["max_rel_residual"] == "nan"
 
 
 # ----------------------------------------------------------------------

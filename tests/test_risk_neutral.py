@@ -3,8 +3,9 @@ linear system against a scalar re-derivation, solver diagnostics, the
 closed-form kill against the dense solve on adverse states, the ensemble's
 columns against the same books stepped and evaluated alone, and the run's
 StepPlan: a run and a plan reused across an edit of the books against fresh
-plans, a plan of three state-sized work arrays, and a step that allocates no
-state-sized array; and the run's one-thread BLAS pin.  The
+plans, a plan of three state-sized work arrays, a step that allocates no
+state-sized array, the measure a plan decides (P's trend, and Q's kill that
+alone fails on a partly quiet book); and the run's one-thread BLAS pin.  The
 two clearing-volatility routes and the depth law are acceptance criteria 4
 and 5."""
 
@@ -213,7 +214,7 @@ def test_closed_form_kill_matches_dense_solve(data):
         system = solve_mpr(build_mpr_system(book, params))
     except SingularSystemError:
         assume(False)
-    shift, _, singular = _batch_kill_shifts(book, params, StepPlan(params, None, 1, kill=True))
+    shift, _, singular = _batch_kill_shifts(book, params, StepPlan(params, None, 1))
     assert not singular[0]
     lam = system.lam[0]
     got = shift[:, 0]
@@ -350,12 +351,11 @@ def _step_once(ens, params, inc, dt, risk_neutral, plan=None):
     singular = np.zeros(ens.pi.size, dtype=bool)
     shift = None
     if plan is None:
-        plan = StepPlan(params, dt, ens.pi.size, kill=risk_neutral)
-    if risk_neutral:
+        plan = StepPlan(params, dt, ens.pi.size, risk_neutral=risk_neutral)
+    if plan.kills:
         shift, _, singular = _batch_kill_shifts(ens, params, plan)
         ens.alive &= ~singular
-    cleared = step_ensemble(ens, params, inc, plan, kill=shift,
-                            translation=0.0 if risk_neutral else params.drift_c * dt)
+    cleared = step_ensemble(ens, params, inc, plan, kill=shift)
     return cleared, singular, shift
 
 
@@ -420,7 +420,7 @@ def test_a_reused_plan_matches_a_fresh_one_after_an_edit_between_steps():
     bit for bit."""
     params, dt = demo_params(), 1.0 / 60.0
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=4)
-    plan = StepPlan(params, dt, 6, kill=True)
+    plan = StepPlan(params, dt, 6)
     reused, fresh = init_ensemble(params, 6), init_ensemble(params, 6)
     for s in range(2):
         if s == 1:                              # an edit outside the stepping
@@ -465,7 +465,7 @@ def test_a_plan_holds_three_state_sized_arrays_and_the_mask():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        plan = StepPlan(params, 1.0 / 60.0, n, kill=True)
+        plan = StepPlan(params, 1.0 / 60.0, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -627,10 +627,9 @@ def test_physical_columns_match_books_stepped_alone():
     cfg = SheetConfig(params.factor_count, params.delta_p, seed=3)
     for i in range(n):
         book = init_ensemble(params)
-        plan = StepPlan(params, dt, 1)
+        plan = StepPlan(params, dt, 1, risk_neutral=False)
         for step in range(n_steps):
-            step_ensemble(book, params, increments_block(cfg, dt, step, n)[i:i + 1], plan,
-                          translation=params.drift_c * dt)
+            step_ensemble(book, params, increments_block(cfg, dt, step, n)[i:i + 1], plan)
         assert book.pi[0] == pytest.approx(ens.pi[i], rel=1e-12)
 
 
@@ -734,6 +733,48 @@ def test_noiseless_paths_stay_put_under_both_measures():
                                          risk_neutral=risk_neutral)
         assert diag.n_aborted == 0
         assert np.allclose(ens.pi, params.pi0, atol=1e-9)
+
+
+def test_a_partly_quiet_book_fails_only_the_kill():
+    """One quiet bucket (demo params, sigma_q_rel[3] = 0) leaves the market
+    price of risk without a unique value, which only the closed-form kill
+    needs: the dense system still assembles, a dense-λ step and a P run
+    still step, and a Q run raises at its first step, untouched."""
+    params, dt = demo_params(), 1.0 / 60.0
+    sigma = params.sigma_q_rel.copy()
+    sigma[3] = 0.0
+    quiet = replace(params, sigma_q_rel=sigma)
+    system = build_mpr_system(init_ensemble(quiet, 2), quiet)
+    assert system.Sigma.shape == (2, 14, 14) and np.isfinite(system.b).all()
+    books = init_ensemble(quiet, 2)
+    inc = increments_block(SheetConfig(quiet.factor_count, quiet.delta_p, seed=1), dt, 0, 2)
+    step_risk_neutral(books, quiet, np.zeros((2, quiet.factor_count)), inc, dt)
+    assert books.alive.all() and np.isfinite(books.pi).all()
+    rows = list(run_steps(quiet, init_ensemble(quiet, 4), 3, dt, seed=1, risk_neutral=False))
+    assert [row.alive for row in rows] == [4, 4, 4]
+    ens = init_ensemble(quiet, 4)
+    steps = run_steps(quiet, ens, 3, dt, seed=1)
+    with pytest.raises(SingularSystemError,
+                       match="every bucket and the edge need positive volatility"):
+        next(steps)
+    assert np.array_equal(ens.log_state, init_ensemble(quiet, 4).log_state)
+
+
+def test_a_physical_plan_moves_live_prices_by_the_trend():
+    """On the same books, zero increments and no kill, a P plan moves each
+    live π by exactly drift_c·dt more than a Q plan does; a frozen π stays."""
+    params, dt = demo_params(), 1.0 / 60.0
+    moved = {}
+    for risk_neutral in (True, False):
+        books = init_ensemble(params, 3)
+        books.log_q[params.idx(0), 1] += 0.5
+        books.alive[2] = False
+        plan = StepPlan(params, dt, 3, risk_neutral=risk_neutral)
+        step_ensemble(books, params, np.zeros((3, params.factor_count)), plan)
+        moved[risk_neutral] = books.pi
+    assert params.drift_c != 0.0
+    assert np.array_equal(moved[False][:2], moved[True][:2] + params.drift_c * dt)
+    assert moved[False][2] == moved[True][2] == params.pi0
 
 
 def test_track_records_price_paths():
