@@ -71,9 +71,10 @@ class Ensemble:
     def log_q(self, value) -> None:
         self.log_state[1:] = value
 
-    def column(self, i: int) -> Ensemble:
-        """Book i as an ensemble of one whose arrays are views into this one."""
-        s = slice(i, i + 1)
+    def column(self, i: int | slice) -> Ensemble:
+        """Book i as an ensemble of one, or the books of slice i as an
+        ensemble, whose arrays are views into this one."""
+        s = i if isinstance(i, slice) else slice(i, i + 1)
         return Ensemble(self.delta_p, self.log_state[:, s], self.pi[s], self.alive[s])
 
 

@@ -37,6 +37,9 @@ carries it; keeping the profile intact preserves the stationary book shape
 that the volatility of π is built from.
 step_ensemble is the only step and run_steps the only loop over steps; a
 run's StepPlan holds constants and work arrays whose values die with the step.
+A run steps its paths in groups of _GROUP_PATHS, each on its own noise
+streams and the leading part of the one plan's work arrays, so its working
+memory does not grow with the path count.
 
 The quoted volatility identity sigma_pi = ||V||·Δp/q̃(clearing bucket) uses
 the curve-value loadings alone (price_vol); the live row of the linear
@@ -47,6 +50,7 @@ sigma_pi exactly.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
 from dataclasses import dataclass, replace
@@ -203,12 +207,19 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
 # the per-run plan, and the closed-form drift kill over a path ensemble
 # (step_ensemble applies it; the dense solve_mpr above is its test oracle)
 
+def _leading(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The C-contiguous view of the leading values of `a` in `shape`."""
+    return a.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+
+
 class StepPlan:
     """The per-run constants and work arrays of step_ensemble over dt for
-    n_paths books, so that a step allocates no array of their size, and the
-    run's measure: under Q (the default) a step kills the drift wherever
-    there is noise (`kills`); under P it kills nothing, and live prices
-    trend by `translation` = drift_c·dt a step (0 under Q).
+    up to n_paths books, so that a step allocates no array of their size,
+    and the run's measure: under Q (the default) a step kills the drift
+    wherever there is noise (`kills`); under P it kills nothing, and live
+    prices trend by `translation` = drift_c·dt a step (0 under Q).  A run
+    sizes its plan to its widest group of paths, and each group steps
+    through narrow(m), the same plan on the leading values of its arrays.
 
     Constants, built once:
       - the kill's right-side operator G (2K, 2K+1), the drift coefficients
@@ -225,14 +236,14 @@ class StepPlan:
 
     Work arrays, (2K+1, n) each, each holding two or more values in turn:
       S  in the kill the exp x of the state, then the pivots p = xσΔp; then
-         the draws, in `draws`, an (n, F) view of its first n·F values; then
-         the node values in clearing;
+         the draws, in `draws`, an (n, F) view of its first n·F values (F =
+         2K, so they fit); then the node values in clearing;
       M  the drifts μ, then the kill's shift, scaled in place by the OU
          update;
       X  the right side, then the noise z of the OU update;
     plus `finite`, the kill's finiteness mask.  No value outlives its step,
     so a plan serves any books of its size, whatever changed them between
-    steps.
+    steps, and one group after another within a step.
     """
 
     def __init__(self, params: ModelParams, dt: float | None, n_paths: int, *,
@@ -268,8 +279,21 @@ class StepPlan:
                 * (vol * (math.sqrt(dp) / math.sqrt(dt)))
             self.kill_scale = vol * (dp * math.sqrt(dt))
             self.translation = 0.0 if risk_neutral else params.drift_c * dt
-            self.draws = self.S.reshape(-1)[:n_paths * params.factor_count] \
-                .reshape(n_paths, params.factor_count)     # F = 2K, so the draws fit in S
+
+    @property
+    def draws(self) -> np.ndarray:
+        """The (n, F) view of S that a step draws its increments into."""
+        return _leading(self.S, (self.S.shape[1], self.params.factor_count))
+
+    def narrow(self, n_paths: int) -> StepPlan:
+        """This plan for a group of n_paths books, at most its own width:
+        the same constants, and work arrays that are C-contiguous views of
+        the leading (2K+1)·n_paths values of this plan's."""
+        group = copy.copy(self)
+        shape = (len(self.S), n_paths)
+        group.S, group.M, group.X, group.finite = (
+            _leading(a, shape) for a in (self.S, self.M, self.X, self.finite))
+        return group
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -452,6 +476,25 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+# Paths a run steps at once, a whole number of sheet chunks.  At 5,120 a
+# step's temporaries on live books stay under glibc's 128 kB mmap threshold
+# (the widest, clearing's (2K-1, n) comparison, is 67 kB at K = 7), so they
+# are not faulted in afresh at every step; narrower groups cost time
+# (BENCH_groups.json).
+_GROUP_PATHS = 20 * sheet._CHUNK
+
+
+def _groups(n_paths: int) -> list[slice]:
+    """The paths of a run in groups of _GROUP_PATHS, in stream order; a tail
+    of fewer than one sheet chunk folds into the group before it, so no
+    group of a run of several is narrower than a chunk, the width from
+    which the kill's products keep their bits."""
+    starts = list(range(0, n_paths, _GROUP_PATHS))
+    if len(starts) > 1 and n_paths - starts[-1] < sheet._CHUNK:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_paths])]
+
+
 def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed: int = 0,
               *, risk_neutral: bool = True) -> Iterator[StepRow]:
     """The one simulation loop: step `ens` in place n_steps times by dt hours
@@ -459,11 +502,16 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
     at the first step, decides the measure and carries nothing from one step
     to the next, so the caller may change ens between steps.
 
-    A step runs, in order: where plan.kills (under Q), the drift kill of the
-    state and the path-0 residual; then the draws of the step's increments
-    into plan.draws, over the spent pivots; then step_ensemble.  From the first
-    step until the run ends, raises or is closed, numpy's bundled OpenBLAS
-    runs on one thread (_OneBlasThread), and the caller's count comes back.
+    Each step visits the run's groups of paths (_groups) in stream order,
+    each a column view of `ens` stepped through plan.narrow(its width), so
+    the run's working memory does not grow with its path count and the bits
+    do not depend on the group size.  A group's step runs, in order: where
+    plan.kills (under Q), the drift kill of its state, and in the first
+    group the path-0 residual; then the draws of its own streams into its
+    plan.draws, over the spent pivots; then step_ensemble.  The step's row
+    sums the groups' counts.  From the first step until the run ends,
+    raises or is closed, numpy's bundled OpenBLAS runs on one thread
+    (_OneBlasThread), and the caller's count comes back.
 
     Paths that breach the grid, turn non-finite or meet a singular drift kill
     are frozen and counted by cause.  If all abort, SingularSystemError (all
@@ -472,25 +520,32 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
     """
     n_paths = ens.pi.size
     cfg = sheet.SheetConfig(factor_count=params.factor_count, delta_p=params.delta_p, seed=seed)
-    plan = StepPlan(params, dt, n_paths, risk_neutral=risk_neutral)
-    singular = np.zeros(n_paths, dtype=bool)
+    groups = _groups(n_paths)
+    plan = StepPlan(params, dt, max(g.stop - g.start for g in groups),
+                    risk_neutral=risk_neutral)
+    views = [plan.narrow(g.stop - g.start) for g in groups]
     gen = sheet.generator()         # re-keyed for every draw
     rows = []                       # this run's, for the all-aborted verdict
 
     with _one_blas_thread:
         for step in range(n_steps):
-            shift, residual = None, math.nan
-            if plan.kills:
-                shift, rhs, singular = _batch_kill_shifts(ens, params, plan)
-                ens.alive &= ~singular
-                if ens.alive[0]:
-                    residual = _path0_rel_residual(ens, params, plan, shift, rhs)
-            # the pivots in S are spent: draw into it
-            inc = sheet.increments_block(cfg, dt, step, n_paths, gen, out=plan.draws)
-            top, bottom, broken = step_ensemble(ens, params, inc, plan, kill=shift)
-            row = StepRow(int(np.count_nonzero(ens.alive)), int(np.count_nonzero(top)),
-                          int(np.count_nonzero(bottom)), int(np.count_nonzero(broken)),
-                          int(np.count_nonzero(singular)), residual)
+            residual, counts = math.nan, []
+            for g, view in zip(groups, views):
+                group = ens.column(g)
+                shift, singular = None, False
+                if plan.kills:
+                    shift, rhs, singular = _batch_kill_shifts(group, params, view)
+                    group.alive &= ~singular
+                    if g.start == 0 and group.alive[0]:
+                        residual = _path0_rel_residual(group, params, view, shift, rhs)
+                # the pivots in S are spent: draw into it
+                inc = sheet.increments_block(cfg, dt, step, g.stop - g.start, gen,
+                                             out=view.draws,
+                                             first_chunk=g.start // sheet._CHUNK)
+                top, bottom, broken = step_ensemble(group, params, inc, view, kill=shift)
+                counts.append([np.count_nonzero(mask)
+                               for mask in (group.alive, top, bottom, broken, singular)])
+            row = StepRow(*(int(sum(c)) for c in zip(*counts)), residual)
             rows.append(row)
             if not row.alive:
                 run = SimDiagnostics(rows)
@@ -506,8 +561,11 @@ def simulate_ensemble(params: ModelParams, n_paths: int, horizon_hours: float,
                       dt_hours: float, seed: int = 0, *,
                       risk_neutral: bool = True) -> tuple[Ensemble, SimDiagnostics, None]:
     """Run n_paths through run_steps in ceil(horizon/dt) equal steps; an aborted
-    path keeps its π from before the abort.  The None in the returned
-    (ens, diag, None) is kept for callers that unpack three values."""
+    path keeps its π from before the abort.  The run steps its paths in
+    groups, so beyond the ensemble's (2K+1)·8 + 9 bytes a path (129 at K = 7)
+    its memory does not grow with n_paths, and the returned bits do not
+    depend on the group size.  The None in the returned (ens, diag, None) is
+    kept for callers that unpack three values."""
     ens = init_ensemble(params, n_paths)   # reports a bad path count, ahead of a bad horizon
     if not (0 < horizon_hours < math.inf and 0 < dt_hours < math.inf):
         raise ValueError(f"horizon and dt must be positive and finite, got "

@@ -10,7 +10,9 @@ chunk) with the step index in the counter, so any (stream, step) block can be
 regenerated independently and runs are bit-identical for a fixed seed and
 step schedule.  Streams are grouped in chunks of 256 per key; the normals
 come off the generator in row order, so a draw of the first n streams is a
-prefix of the draw of more.
+prefix of the draw of more, and a draw from chunk c on is rows 256·c onward
+of a draw from chunk 0: a group of streams that starts on a chunk boundary
+is drawn alone, with the same bits.
 """
 
 from __future__ import annotations
@@ -80,23 +82,26 @@ def _chunk_block(cfg: SheetConfig, step: int, chunk: int, out: np.ndarray,
 
 def increments_block(cfg: SheetConfig, dt: float, step: int, n_streams: int,
                      gen: np.random.Generator | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Factor increments dW ~ N(0, dt) for streams 0..n_streams-1 at one step,
-    into `out` ((n_streams, factor_count)) when given; an `out` of any other
-    shape is a ValueError.
+                     out: np.ndarray | None = None, *, first_chunk: int = 0) -> np.ndarray:
+    """Factor increments dW ~ N(0, dt) at one step for the n_streams streams
+    from 256·first_chunk on, into `out` ((n_streams, factor_count)) when
+    given; an `out` of any other shape, or a first_chunk that is not an int
+    of at least 0, is a ValueError.
 
     A loop over steps passes its one `generator()` as `gen` and one array as
     `out`; the draws depend on neither.
     """
     if not dt >= 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
+    if not (is_whole(first_chunk) and first_chunk >= 0):
+        raise ValueError(f"first_chunk must be an int of at least 0, got {first_chunk!r}")
     gen = generator() if gen is None else gen
     shape = (n_streams, cfg.factor_count)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
-    for c, start in enumerate(range(0, n_streams, _CHUNK)):
+    for c, start in enumerate(range(0, n_streams, _CHUNK), start=first_chunk):
         _chunk_block(cfg, step, c, out[start:start + _CHUNK], gen)
     out *= math.sqrt(dt)
     return out

@@ -5,7 +5,9 @@ columns against the same books stepped and evaluated alone, and the run's
 StepPlan: a run and a plan reused across an edit of the books against fresh
 plans, a plan of three state-sized work arrays, a step that allocates no
 state-sized array, the measure a plan decides (P's trend, and Q's kill that
-alone fails on a partly quiet book); and the run's one-thread BLAS pin.  The
+alone fails on a partly quiet book); a run in groups of paths against the
+run in one group, its all-aborted verdict, and its working memory against
+its path count; and the run's one-thread BLAS pin.  The
 two clearing-volatility routes and the depth law are acceptance criteria 4
 and 5."""
 
@@ -459,7 +461,8 @@ def test_a_step_allocates_no_state_sized_array(risk_neutral):
 def test_a_plan_holds_three_state_sized_arrays_and_the_mask():
     """A 2,048-path Q plan allocates its three (2K+1, n) float work arrays,
     the (2K+1, n) finiteness mask and a few kB of constants: the draws are a
-    view of S, not a fourth array."""
+    view of S, not a fourth array.  Narrowed to a group of 300 paths, it
+    uses the leading values of the same arrays as C-contiguous views."""
     params, n = demo_params(), 2048
     cells = (2 * params.K + 1) * n
     tracemalloc.start()
@@ -472,6 +475,12 @@ def test_a_plan_holds_three_state_sized_arrays_and_the_mask():
     assert cells * 8 == 245_760 and plan.draws.shape == (n, params.factor_count)
     assert np.shares_memory(plan.draws, plan.S)
     assert peak - before <= 3 * cells * 8 + cells + 32_768
+    group = plan.narrow(300)
+    assert group.draws.shape == (300, params.factor_count)
+    for name in ("S", "M", "X", "finite"):
+        view, whole = getattr(group, name), getattr(plan, name)
+        assert view.shape == (2 * params.K + 1, 300) and view.flags.c_contiguous
+        assert view.ctypes.data == whole.ctypes.data
 
 
 class _FakeBlas:
@@ -633,25 +642,95 @@ def test_physical_columns_match_books_stepped_alone():
         assert book.pi[0] == pytest.approx(ens.pi[i], rel=1e-12)
 
 
+def _run_in_groups(monkeypatch, group_paths, n, n_steps, risk_neutral=True, seed=3):
+    """An n-path demo run of n_steps one-minute steps in groups of
+    group_paths: the books after it and its rows."""
+    monkeypatch.setattr(riskneutral, "_GROUP_PATHS", group_paths)
+    params = demo_params()
+    ens = init_ensemble(params, n)
+    rows = list(run_steps(params, ens, n_steps, 1.0 / 60.0, seed, risk_neutral=risk_neutral))
+    return ens, rows
+
+
 @pytest.mark.parametrize("risk_neutral", [True, False])
-def test_grouped_run_matches_whole_run_bit_for_bit(risk_neutral):
-    """A 5,120-path run stepped in groups of 256 or of 2,560 columns equals
-    the whole run bit for bit over 60 steps: the noise projection is one
-    gemm and the kill's products keep their bits at these sizes.  Checked on
-    OpenBLAS 0.3.31 (Haswell kernels, numpy 2.4); smaller groups still
-    differ through the kill's gemv."""
-    params, n, n_steps, dt = demo_params(), 5120, 60, 1.0 / 60.0
-    whole, _, _ = simulate_ensemble(params, n, 1.0, dt, seed=3, risk_neutral=risk_neutral)
-    cfg = SheetConfig(params.factor_count, params.delta_p, seed=3)
-    for size in (256, 2560):
-        groups = [init_ensemble(params, size) for _ in range(n // size)]
-        for step in range(n_steps):
-            inc = increments_block(cfg, dt, step, n)
-            for g, ens in enumerate(groups):
-                _step_once(ens, params, inc[g * size:(g + 1) * size], dt, risk_neutral)
-        for name in ("pi", "log_q", "log_edge", "alive"):
-            grouped = np.concatenate([getattr(ens, name) for ens in groups], axis=-1)
-            assert np.array_equal(grouped, getattr(whole, name)), (size, name)
+def test_grouped_run_matches_whole_run_bit_for_bit(monkeypatch, risk_neutral):
+    """run_steps in groups of 256 or of 2,560 paths equals the run in one
+    group bit for bit over 60 steps: π, the log state, alive and every row.
+    The noise projection is one gemm and the kill's products keep their bits
+    from 256 columns on; a tail under 256 paths folds into the group before
+    it, so no group is narrower, as the ragged counts pin.  Checked on
+    OpenBLAS 0.3.31 (Haswell kernels, numpy 2.4); narrower groups differ
+    through the kill's gemv."""
+    widths = {
+        5120: {256: [256] * 20, 2560: [2560] * 2},
+        2 * 2560 + 300: {256: [256] * 20 + [300], 2560: [2560, 2560, 300]},
+        2560 + 100: {256: [256] * 9 + [356], 2560: [2660]},
+    }
+    for n, by_size in widths.items():
+        whole, whole_rows = _run_in_groups(monkeypatch, n, n, 60, risk_neutral)
+        assert [g.stop - g.start for g in riskneutral._groups(n)] == [n]
+        for size, want in by_size.items():
+            ens, rows = _run_in_groups(monkeypatch, size, n, 60, risk_neutral)
+            assert [g.stop - g.start for g in riskneutral._groups(n)] == want
+            for name in ("pi", "log_state", "alive"):
+                assert np.array_equal(getattr(ens, name), getattr(whole, name)), (n, size, name)
+            assert np.array_equal(rows, whole_rows, equal_nan=True), (n, size)
+
+
+@pytest.mark.parametrize("cause", ["broken", "singular"])
+def test_a_run_in_groups_aborts_only_when_every_group_has(monkeypatch, cause):
+    """Books of the second of two groups broken between steps (an edge that
+    overflows the curve, or a bucket too thin for a sound kill) abort at the
+    next step, and the run goes on stepping the first group; once the first
+    group's books are broken too, the run raises with the whole run's
+    counts, SingularSystemError when every path was singular."""
+    monkeypatch.setattr(riskneutral, "_GROUP_PATHS", 256)
+    params, n = demo_params(), 512
+    ens = init_ensemble(params, n)
+
+    def break_books(paths):
+        if cause == "broken":
+            ens.log_edge[paths] = math.log(1e20)
+        else:
+            ens.log_q[2, paths] = -700.0
+
+    steps = run_steps(params, ens, 5, 1.0 / 60.0, seed=2)
+    assert next(steps).alive == n
+    break_books(slice(256, None))
+    row = next(steps)
+    assert (row.alive, getattr(row, cause)) == (256, 256)
+    first = ens.log_state[:, :256].copy()
+    assert next(steps).alive == 256
+    assert not np.array_equal(ens.log_state[:, :256], first)   # the first group still steps
+    break_books(slice(None, 256))
+    error = SingularSystemError if cause == "singular" else SimulationError
+    with pytest.raises(error) as info:
+        next(steps)
+    assert type(info.value) is error
+    counts = {"broken": "broken 512, singular 0", "singular": "broken 0, singular 512"}[cause]
+    assert str(info.value) == f"all 512 simulated paths aborted (top 0, bottom 0, {counts})"
+
+
+def test_a_runs_working_memory_does_not_grow_with_its_path_count(monkeypatch):
+    """In groups of 2,560 paths, the traced peak of a 3-step Q run of four
+    groups exceeds that of a one-group run by the ensemble's 129 B per extra
+    path (the (2K+1, n) float log state, π and alive) and at most 32 kB
+    more: the plan and a step's temporaries are as wide as a group.  A plan
+    as wide as the run would add 375 B a path, 2.9 MB here."""
+    monkeypatch.setattr(riskneutral, "_GROUP_PATHS", 2560)
+    params, dt = demo_params(), 1.0 / 60.0
+    simulate_ensemble(params, 300, 3 * dt, dt, seed=4)     # first-call set-up, untraced
+    peaks = {}
+    for n in (2560, 4 * 2560):
+        tracemalloc.start()
+        try:
+            simulate_ensemble(params, n, 3 * dt, dt, seed=4)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    per_path = init_ensemble(params, 1).log_state.nbytes + 8 + 1
+    assert per_path == 129
+    assert peaks[4 * 2560] - peaks[2560] <= 3 * 2560 * per_path + 32_768
 
 
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params(), _correlated_params()],

@@ -26,6 +26,22 @@ def test_short_last_chunk_is_a_prefix_of_the_whole_chunk():
     assert np.array_equal(short, whole[:300])
 
 
+@pytest.mark.parametrize("chunk, n", [(1, 256), (2, 300), (3, 44)])
+def test_a_draw_from_a_later_chunk_is_the_tail_of_a_draw_from_chunk_0(chunk, n):
+    """A draw of n streams from chunk c on equals rows 256·c onward of a draw
+    from chunk 0 at the same step, a short last chunk included."""
+    whole = increments_block(CFG, 0.5, step=4, n_streams=256 * chunk + n)
+    tail = increments_block(CFG, 0.5, step=4, n_streams=n, first_chunk=chunk)
+    assert np.array_equal(tail, whole[256 * chunk:])
+
+
+@pytest.mark.parametrize("chunk", [-1, 1.0, 2.5, True, "1"])
+def test_a_first_chunk_that_is_not_a_whole_number_is_rejected(chunk):
+    with pytest.raises(ValueError) as exc:
+        increments_block(CFG, 0.5, 3, 10, first_chunk=chunk)
+    assert str(exc.value) == f"first_chunk must be an int of at least 0, got {chunk!r}"
+
+
 def test_steps_and_seeds_decorrelate():
     a = increments_block(CFG, 1.0, step=0, n_streams=4)
     b = increments_block(CFG, 1.0, step=1, n_streams=4)
