@@ -72,10 +72,12 @@ class Ensemble:
         self.log_state[1:] = value
 
     def column(self, i: int | slice) -> Ensemble:
-        """Book i as an ensemble of one, or the books of slice i as an
-        ensemble, whose arrays are views into this one."""
-        s = i if isinstance(i, slice) else slice(i, i + 1)
-        return Ensemble(self.delta_p, self.log_state[:, s], self.pi[s], self.alive[s])
+        """Book i, indexed as in a sequence, as an ensemble of one, or the
+        books of slice i as an ensemble; the arrays are views into this one."""
+        if not isinstance(i, slice):
+            i = range(self.pi.size)[i]
+            i = slice(i, i + 1)
+        return Ensemble(self.delta_p, self.log_state[:, i], self.pi[i], self.alive[i])
 
 
 def init_ensemble(params: ModelParams, n_paths: int = 1) -> Ensemble:

@@ -38,7 +38,7 @@ class Side(Enum):
     SELL = "S"
 
 
-_BUY = Side.BUY  # a module global reads faster than the enum attribute
+_BUY, _SELL = Side.BUY, Side.SELL  # module globals read faster than enum attributes
 
 
 class LimitOrder(NamedTuple):
@@ -103,9 +103,9 @@ class OrderBook:
         self._sell_levels: dict[float, deque[_Resting]] = {}
         self._buys: list[float] = []    # -price of each buy level
         self._sells: list[float] = []   # price of each sell level
-        # what submit works on for each side of the incoming order: the
-        # opposite side's keys and levels, the sign that turns one of its
-        # keys into a price, then the order's own side
+        # each side's view for submit, cancel and book_table: the opposite
+        # side's keys and levels, the sign that turns one of its keys into a
+        # price (and one of the own side's into -price), then the own side
         self._for_buy = (self._sells, self._sell_levels, 1.0, self._buys, self._buy_levels)
         self._for_sell = (self._buys, self._buy_levels, -1.0, self._sells, self._sell_levels)
 
@@ -123,10 +123,8 @@ class OrderBook:
 
     def book_table(self, side: Side) -> dict[float, float]:
         """Aggregate resting quantity by price level, best price first."""
-        if side is _BUY:
-            levels, prices = self._buy_levels, [-key for key in self._buys]
-        else:
-            levels, prices = self._sell_levels, self._sells
+        _, _, sign, keys, levels = self._for_buy if side is _BUY else self._for_sell
+        prices = [-sign * key for key in keys]
         # reduce, not sum: from Python 3.12 sum() compensates float rounding
         return {price: reduce(add, [r.remaining for r in levels[price]]) for price in prices}
 
@@ -140,14 +138,18 @@ class OrderBook:
             raise OrderError(f"order {order_id!r}: quantity must be positive and finite")
         if not 0 < price < math.inf:
             raise OrderError(f"order {order_id!r}: price must be positive and finite")
+        if side is _BUY:
+            keys, levels, sign, own_keys, own_levels = self._for_buy
+        elif side is _SELL:
+            keys, levels, sign, own_keys, own_levels = self._for_sell
+        else:
+            raise OrderError(f"order {order_id!r}: side must be a Side, got {side!r}")
         resting = self._resting
         if order_id in resting:
             raise OrderError(f"duplicate order id {order_id!r}")
 
         remaining = float(quantity)
         trades: list[Trade] = []
-        keys, levels, sign, own_keys, own_levels = \
-            self._for_buy if side is _BUY else self._for_sell
         limit = sign * price
         while keys:
             key = keys[0]
@@ -192,15 +194,12 @@ class OrderBook:
         if rest is None:
             raise UnknownOrderError(f"no resting order with id {order_id!r}")
         _, side, price, _ = rest.order
-        if side is _BUY:
-            keys, levels, key = self._buys, self._buy_levels, -price
-        else:
-            keys, levels, key = self._sells, self._sell_levels, price
+        _, _, sign, keys, levels = self._for_buy if side is _BUY else self._for_sell
         queue = levels[price]
         queue.remove(rest)
         if not queue:
             del levels[price]
-            del keys[bisect_left(keys, key)]
+            del keys[bisect_left(keys, -sign * price)]
         return rest.remaining
 
 

@@ -20,10 +20,10 @@ kept as b(0) over the row differences db(i) = b(i+1) - b(i), and that whole
 column is one product and one sum, G·p + N∘μ, in the pivots p = xσΔp and
 the drifts μ of the log state's rows: G holds the covariance terms,
 differenced, once per run in StepPlan.  The closed-form kill solves it into
-one shift per row of the log state, edge first, and the full b (dense
-systems, path-0 residual) is its cumulative sum.  Under the changed measure
-each factor increment picks up -λ_j√Δp·dt, which is how step_risk_neutral
-applies the dense solution.
+one shift per row of the log state, edge first; b is its cumulative sum, and
+Σλ on path 0 (the residual telltale) is a running sum of pivots × shifts.
+Under the changed measure each factor increment picks up -λ_j√Δp·dt, which
+is how step_risk_neutral applies the dense solution, the test oracle.
 
 Every function here answers per book, for the columns of a demand.Ensemble;
 a single book is an ensemble of one.
@@ -224,12 +224,12 @@ class StepPlan:
     Constants, built once:
       - the kill's right-side operator G (2K, 2K+1), the drift coefficients
         and the pivot scales σΔp (see _kill_rhs);
-      - at the first kill, the closed-form solution's A = [B_E; B rows
-        0..2K-2] and g = A⁻ᵀ·B(2K-1,:).  Row-differencing the square system
+      - at the first kill, the closed-form solution's g = A⁻ᵀ·B(2K-1,:),
+        A = [B_E; B rows 0..2K-2].  Row-differencing the square system
         leaves a bidiagonal relation in the rotated unknowns e = B_E·λ and
         y_i = B(i,:)·λ, so each path's Girsanov shifts (which only involve e
         and y, never λ itself) come out in O(K) arithmetic per bucket instead
-        of a dense solve; λ is recovered on demand as A⁻¹·shift[:-1];
+        of a dense solve, the last as y_last = g·shift[:-1];
       - with a dt (None for the right side alone), the exact OU step: the
         decay e^{-aΔt}, the level m(1 - e^{-aΔt}), the stacked projection
         [B_E; B] scaled by vol·√Δp/√dt, and the kill scale vol·Δp·√dt.
@@ -296,17 +296,13 @@ class StepPlan:
         return group
 
     @cached_property
-    def A(self) -> np.ndarray:
+    def g(self) -> np.ndarray:
         p = self.params
         if np.any(p.sigma_q_rel <= 0) or p.sigma_edge_rel <= 0:
             raise SingularSystemError("every bucket and the edge need positive volatility for a "
                                       "unique market price of risk")
-        return np.vstack([p.edge_loadings, p.loadings[:-1]])
-
-    @cached_property
-    def g(self) -> np.ndarray:
         try:
-            return np.linalg.solve(self.A.T, self.params.loadings[-1])
+            return np.linalg.solve(np.vstack([p.edge_loadings, p.loadings[:-1]]).T, p.loadings[-1])
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"factor loadings do not identify the market prices of risk: {exc}") from exc
@@ -337,17 +333,20 @@ def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
     return shift, rhs, ens.alive & ~sound
 
 
-def _path0_rel_residual(ens: Ensemble, params: ModelParams, plan: StepPlan,
-                        shift: np.ndarray, rhs: np.ndarray) -> float:
-    """Residual of the full system on path 0, as a solve-quality telltale;
-    Σ is built for path 0 alone.  Like the kill, it runs under errstate: a
-    book that overflows reads as a non-finite residual, not a warning."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lam0 = np.linalg.solve(plan.A, shift[:-1, 0])
+def _path0_rel_residual(params: ModelParams, plan: StepPlan, shift: np.ndarray,
+                        rhs: np.ndarray) -> float:
+    """‖Σλ - b‖/‖b‖ on path 0, read off the kill's pivots p (plan.S) and
+    shifts (e, y) with no Σ and no λ: row i of Σλ is -p_e·e + Σ_{l<i} p_l·y_l,
+    plus w·p_i0·y_i0 on the clearing row, and b is the running sum of rhs.
+    Under errstate, like the kill: an overflow reads as a non-finite value."""
+    i0 = params.idx(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ps = plan.S[:-1, 0] * shift[:-1, 0]
+        ps[0] = -ps[0]
+        sigma_lam = np.cumsum(ps)
+        sigma_lam[i0] += _CLEARING_ANCHOR * ps[i0 + 1]
         b = np.cumsum(rhs[:, 0])
-        bnorm = float(np.linalg.norm(b))
-        residual = _kill_matrix(ens.column(0), params)[0] @ lam0 - b
-        return float(np.linalg.norm(residual)) / (bnorm if bnorm > 0 else 1.0)
+        return math.hypot(*(sigma_lam - b)) / (math.hypot(*b) or 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +536,7 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
                     shift, rhs, singular = _batch_kill_shifts(group, params, view)
                     group.alive &= ~singular
                     if g.start == 0 and group.alive[0]:
-                        residual = _path0_rel_residual(group, params, view, shift, rhs)
+                        residual = _path0_rel_residual(params, view, shift, rhs)
                 # the pivots in S are spent: draw into it
                 inc = sheet.increments_block(cfg, dt, step, g.stop - g.start, gen,
                                              out=view.draws,

@@ -98,6 +98,20 @@ def test_column_is_a_view_of_its_book():
     assert np.array_equal(books.pi[[0, 2]], [params.pi0] * 2)
 
 
+def test_column_indexes_like_a_sequence():
+    """A negative i counts from the end, an i out of range is an IndexError
+    (never an empty ensemble), and a slice keeps its slice meaning."""
+    books = init_ensemble(demo_params(), 3)
+    books.pi[:] = [1.0, 2.0, 3.0]
+    assert [books.column(i).pi.tolist() for i in (0, 2, -1, -3)] == [[1.0], [3.0], [3.0], [1.0]]
+    assert books.column(np.int64(1)).pi.tolist() == [2.0]
+    for i in (3, 5, -4):
+        with pytest.raises(IndexError):
+            books.column(i)
+    assert books.column(slice(1, 5)).pi.tolist() == [2.0, 3.0]
+    assert books.column(slice(5, 6)).pi.size == 0
+
+
 # ----------------------------------------------------------------------
 # clearing
 

@@ -173,6 +173,18 @@ def test_non_finite_order_rejected(price, qty):
     assert book.book_table(Side.SELL) == {101.0: 5.0}
 
 
+@pytest.mark.parametrize("side", ["B", "S", None, 1])
+def test_order_whose_side_is_not_a_side_rejected(side):
+    """A side given as its letter, or any other non-Side, is an OrderError
+    naming the order, from submit and from replay alike; nothing rests."""
+    book = OrderBook(20.0)
+    with pytest.raises(OrderError, match="order 'b1': side must be a Side"):
+        book.submit(LimitOrder("b1", side, 20.0, 1.0))
+    assert book.resting_orders() == []
+    with pytest.raises(OrderError, match="order 'x': side must be a Side"):
+        replay([MessageEvent("A", side, 1, "x", 20.0, 1.0)], 20.0)
+
+
 # ----------------------------------------------------------------------
 # replay semantics
 

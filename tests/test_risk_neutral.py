@@ -32,6 +32,7 @@ from bookvol.riskneutral import (
     StepPlan,
     StepRow,
     _batch_kill_shifts,
+    _path0_rel_residual,
     build_mpr_system,
     kill_vectors,
     price_vol,
@@ -201,7 +202,10 @@ def test_solver_diagnostics_over_a_path():
 def test_closed_form_kill_matches_dense_solve(data):
     """The shift column (e, y) = (B_E·λ, B·λ), in the state's row order, with
     λ from the dense solve, on jittered, thin and freshly cleared books, at
-    demo size and at K = 1."""
+    demo size and at K = 1.  The step's path-0 residual, read off the kill's
+    pivots and shifts, is within the same tolerance on the closed-form
+    shift, and on a shift with one entry scaled it reads what the dense Σ
+    reads on the λ′ that solves [B_E; B rows 0..2K-2]·λ′ = that shift."""
     params = data.draw(st.sampled_from([demo_params(), _tiny_params()]))
     n = 2 * params.K
     book = init_ensemble(params)
@@ -216,13 +220,23 @@ def test_closed_form_kill_matches_dense_solve(data):
         system = solve_mpr(build_mpr_system(book, params))
     except SingularSystemError:
         assume(False)
-    shift, _, singular = _batch_kill_shifts(book, params, StepPlan(params, None, 1))
+    plan = StepPlan(params, None, 1)
+    shift, rhs, singular = _batch_kill_shifts(book, params, plan)
     assert not singular[0]
     lam = system.lam[0]
     got = shift[:, 0]
     want = np.concatenate([[params.edge_loadings @ lam], params.loadings @ lam])
     tol = 100 * system.cond[0] * np.finfo(float).eps
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+    assert _path0_rel_residual(params, plan, shift, rhs) <= tol
+
+    shift[data.draw(st.integers(0, n - 1)), 0] *= data.draw(st.floats(-3.0, 3.0))
+    a = np.vstack([params.edge_loadings, params.loadings[:-1]])
+    lam_bad = np.linalg.solve(a, shift[:-1, 0])
+    b = system.b[0]
+    dense = np.linalg.norm(system.Sigma[0] @ lam_bad - b) / np.linalg.norm(b)
+    if dense > 1e-8:
+        assert _path0_rel_residual(params, plan, shift, rhs) == pytest.approx(dense, rel=1e-6)
 
 
 def _thin_books(params):
