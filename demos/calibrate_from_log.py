@@ -49,6 +49,7 @@ def main() -> None:
         parsed.events, pi0=truth.pi0, K=truth.K, delta_p=truth.delta_p,
         session=(cal.SESSION_START_NS, cal.SESSION_START_NS + n_bars * cal.BAR_NS))
     report = cal.fit_report(panel)
+    fitted = report.params
 
     print(f"\nnormality of one-minute log returns: "
           f"JB = {report.jb_stat:.2f}, p = {report.jb_pvalue:.3%}")
@@ -57,18 +58,17 @@ def main() -> None:
           f"{'sig true':>9s} {'sig fit':>9s}")
     for j in range(truth.factor_count):
         k = j - truth.K + 1
-        print(f"{k:+6d} {truth.a_q[j]:8.2f} {report.a[j]:8.2f} "
-              f"{truth.sigma_q_rel[j]:9.4f} {report.sigma_rel[j]:9.4f}")
+        print(f"{k:+6d} {truth.a_q[j]:8.2f} {fitted.a_q[j]:8.2f} "
+              f"{truth.sigma_q_rel[j]:9.4f} {fitted.sigma_q_rel[j]:9.4f}")
 
-    err_a = np.abs(report.a / truth.a_q - 1.0).max()
-    err_s = np.abs(report.sigma_rel / truth.sigma_q_rel - 1.0).max()
+    err_a = np.abs(fitted.a_q / truth.a_q - 1.0).max()
+    err_s = np.abs(fitted.sigma_q_rel / truth.sigma_q_rel - 1.0).max()
     corr_true = (truth.loadings @ truth.loadings.T) * truth.delta_p
-    corr_fit = (report.loadings @ report.loadings.T) * truth.delta_p
+    corr_fit = (fitted.loadings @ fitted.loadings.T) * truth.delta_p
     err_c = np.abs(corr_fit - corr_true).max()
     print(f"\nworst relative errors: a {err_a:.1%}, sigma {err_s:.1%}; "
           f"worst loading-correlation gap {err_c:.4f}")
 
-    fitted = report.params
     fitted.validate()
     print(f"fitted parameters validate; pi0 = {fitted.pi0:.4f} "
           f"(last clearing price of the synthetic session)")

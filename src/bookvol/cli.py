@@ -54,11 +54,11 @@ from .errors import (
     SingularSystemError,
 )
 from .lob import Side, replay
-from .params import (ModelParams, _integer, _number, _numbers, demo_params, params_from_dict,
-                     params_to_dict)
+from .params import (_ENTRY_KEYS, _MODEL_KEYS, ModelParams, _integer, _number, _numbers,
+                     demo_params, params_from_dict, params_to_dict)
 from .riskneutral import simulate_ensemble
 
-# the keys of each section; the "model" section is a parameter file, for params_from_dict
+# the keys of each section; the "model" section is a parameter file, whose keys params holds
 _SECTIONS = {"sheet": {"seed"}, "replay": {"opening_price", "strict"},
              "pricing": {"strikes", "expiry", "dt", "paths", "seed"},
              "simulate": {"measure", "expiry", "dt", "paths", "seed"},
@@ -85,11 +85,15 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     if "buckets" in raw:            # a parameter file used directly as config
-        return {"model": raw}
+        raw = {"model": raw}
     sections = sorted(set(raw) - {"model", *_SECTIONS})
-    keys = sorted(f"{name}.{key}" for name, known in _SECTIONS.items()
-                  if isinstance(raw.get(name), dict) for key in raw[name].keys() - known)
-    for what, unknown in (("sections", sections), ("keys", keys)):
+    keys = [f"{name}.{key}" for name, known in {**_SECTIONS, "model": _MODEL_KEYS}.items()
+            if isinstance(raw.get(name), dict) for key in raw[name].keys() - known]
+    entries = raw["model"].get("buckets") if isinstance(raw.get("model"), dict) else None
+    if isinstance(entries, list):   # named as params_from_dict names them
+        keys += [f"model.buckets[k={r.get('k')}].{key}" for r in entries
+                 if isinstance(r, dict) for key in r.keys() - _ENTRY_KEYS]
+    for what, unknown in (("sections", sections), ("keys", sorted(keys))):
         if unknown:
             print(f"warning: ignoring unknown config {what} {unknown}", file=sys.stderr)
     return raw

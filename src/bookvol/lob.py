@@ -123,6 +123,8 @@ class OrderBook:
 
     def book_table(self, side: Side) -> dict[float, float]:
         """Aggregate resting quantity by price level, best price first."""
+        if side is not _BUY and side is not _SELL:
+            raise OrderError(f"book side must be a Side, got {side!r}")
         _, _, sign, keys, levels = self._for_buy if side is _BUY else self._for_sell
         prices = [-sign * key for key in keys]
         # reduce, not sum: from Python 3.12 sum() compensates float rounding

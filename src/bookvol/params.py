@@ -139,6 +139,9 @@ _SCALAR_KEYS = (("delta_p", "delta_p"), ("pi0", "pi(0)"), ("edge0", "Q(-K,0)"),
                 ("sigma_edge_rel", "sigma_Q_rel(-K)"), ("drift_c", "c"))
 _BUCKET_KEYS = (("q0", "q(k,0)"), ("sigma_q_rel", "sigma_q_rel(k)"), ("a_q", "a(k)"),
                 ("mean_logq", "mean_logq(k)"))
+# every key of a model and of one of its bucket entries
+_MODEL_KEYS = {"K", "buckets", "loadings", "edge_loadings", *(key for _, key in _SCALAR_KEYS)}
+_ENTRY_KEYS = {"k", *(key for _, key in _BUCKET_KEYS)}
 
 
 def params_to_dict(p: ModelParams) -> dict:

@@ -35,8 +35,9 @@ is re-anchored so the zero sits mid-bucket 0 at the new π.  The masses keep
 their labels, so the curve relative to π moves with π, as Itô-Wentzell
 carries it; keeping the profile intact preserves the stationary book shape
 that the volatility of π is built from.
-step_ensemble is the only step and run_steps the only loop over steps; a
-run's StepPlan holds constants and work arrays whose values die with the step.
+step_ensemble is the only step and run_steps the only loop over steps; the
+step's functions read the model from the run's StepPlan alone, which holds
+constants and work arrays whose values die with the step.
 A run steps its paths in groups of _GROUP_PATHS, each on its own noise
 streams and the leading part of the one plan's work arrays, so its working
 memory does not grow with the path count.
@@ -140,8 +141,7 @@ def _state_rows(edge, buckets) -> np.ndarray:
     return np.concatenate(([edge], buckets))[:, None]
 
 
-def _kill_rhs(ens: Ensemble, params: ModelParams, plan: StepPlan
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _kill_rhs(ens: Ensemble, plan: StepPlan) -> tuple[np.ndarray, np.ndarray]:
     """Right sides of the drift-kill systems, (2K, n), and the pivots p =
     xσΔp, (2K+1, n) in the state's row order, that they were built from,
     with x = exp(log state); views of plan.X and of plan.S, where p replaces x.
@@ -156,7 +156,6 @@ def _kill_rhs(ens: Ensemble, params: ModelParams, plan: StepPlan
     folded into plan.mu_slope and plan.mu_level), and the clearing bucket's
     w·μ_q(i0) is added to row i0.
     """
-    i0 = params.idx(0)
     x, mu, rhs = np.exp(ens.log_state, out=plan.S), plan.M[:-1], plan.X[:-1]
     # N∘μ = x·(-N·a·(log x - m) + N·σ²/2); the last bucket's drift enters no row
     np.subtract(ens.log_state[:-1], plan.mean, out=mu)
@@ -166,14 +165,14 @@ def _kill_rhs(ens: Ensemble, params: ModelParams, plan: StepPlan
     p = np.multiply(x, plan.pivot_scale, out=x)     # x is spent
     np.matmul(plan.G, p, out=rhs)
     rhs += mu
-    rhs[i0] += plan.own_share * mu[i0 + 1]
+    rhs[plan.i0] += plan.own_share * mu[plan.i0 + 1]
     return rhs, p
 
 
 def build_mpr_system(ens: Ensemble, params: ModelParams) -> MprSystem:
     """Assemble each book's drift-kill equations, one row per potential
     clearing bucket: Σ is (n, 2K, F) and b is (n, 2K)."""
-    rhs, _ = _kill_rhs(ens, params, StepPlan(params, None, ens.pi.size))
+    rhs, _ = _kill_rhs(ens, StepPlan(params, None, ens.pi.size))
     return MprSystem(Sigma=_kill_matrix(ens, params), b=np.cumsum(rhs, axis=0).T)
 
 
@@ -200,7 +199,7 @@ def step_risk_neutral(ens: Ensemble, params: ModelParams, lam: np.ndarray,
     π takes no trend.  The test oracle of the closed-form kill of run_steps.
     """
     shifted = inc - lam * math.sqrt(params.delta_p) * dt
-    return step_ensemble(ens, params, shifted, StepPlan(params, dt, ens.pi.size))
+    return step_ensemble(ens, shifted, StepPlan(params, dt, ens.pi.size))
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +212,10 @@ def _leading(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 class StepPlan:
-    """The per-run constants and work arrays of step_ensemble over dt for
-    up to n_paths books, so that a step allocates no array of their size,
-    and the run's measure: under Q (the default) a step kills the drift
+    """The run's model inside a step: its `params` and clearing row `i0`,
+    the per-run constants and work arrays of step_ensemble over dt for up
+    to n_paths books, so that a step allocates no array of their size, and
+    the run's measure: under Q (the default) a step kills the drift
     wherever there is noise (`kills`); under P it kills nothing, and live
     prices trend by `translation` = drift_c·dt a step (0 under Q).  A run
     sizes its plan to its widest group of paths, and each group steps
@@ -249,7 +249,7 @@ class StepPlan:
     def __init__(self, params: ModelParams, dt: float | None, n_paths: int, *,
                  risk_neutral: bool = True):
         i0, w, dp = params.idx(0), _CLEARING_ANCHOR, params.delta_p
-        self.params = params
+        self.params, self.i0 = params, i0
         self.kills = risk_neutral and (any(params.sigma_q_rel > 0) or params.sigma_edge_rel > 0)
         a = _state_rows(params.a_edge, params.a_q)
         mean = _state_rows(params.mean_log_edge, params.mean_logq)
@@ -308,17 +308,17 @@ class StepPlan:
                 f"factor loadings do not identify the market prices of risk: {exc}") from exc
 
 
-def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_kill_shifts(ens: Ensemble, plan: StepPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drift-kill shifts of every path, (2K+1, n) in the state's row order
     (e = B_E·λ, then y = B·λ), the right sides of _kill_rhs, and the live
     paths whose kill is singular: a pivot q̃σ (the edge, the buckets below
     the top) under 1/COND_LIMIT of the path's largest bucket q̃σ, or a
-    non-finite shift.  Singular shifts are zeroed.  The shifts are plan.M
-    and the right sides a view of plan.X."""
-    i0 = params.idx(0)
+    non-finite shift.  Singular paths are marked dead, as clearing marks its
+    breaches, and their shifts zeroed.  The shifts are plan.M and the right
+    sides a view of plan.X."""
+    i0 = plan.i0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rhs, p = _kill_rhs(ens, params, plan)
+        rhs, p = _kill_rhs(ens, plan)
         shift = plan.M                              # μ is spent
         np.divide(rhs, p[:-1], out=shift[:-1])
         shift[i0 + 1] /= _CLEARING_ANCHOR
@@ -328,23 +328,23 @@ def _batch_kill_shifts(ens: Ensemble, params: ModelParams, plan: StepPlan
         shift[-1] += plan.g[0] * shift[0]
         sound = (p[:-1].min(axis=0) >= p[1:].max(axis=0) / COND_LIMIT) \
             & np.isfinite(shift, out=plan.finite).all(axis=0)
+    singular = ens.alive & ~sound
     if not sound.all():
         np.copyto(shift, 0.0, where=~sound)
-    return shift, rhs, ens.alive & ~sound
+        ens.alive &= sound
+    return shift, rhs, singular
 
 
-def _path0_rel_residual(params: ModelParams, plan: StepPlan, shift: np.ndarray,
-                        rhs: np.ndarray) -> float:
+def _path0_rel_residual(plan: StepPlan, shift: np.ndarray, rhs: np.ndarray) -> float:
     """‖Σλ - b‖/‖b‖ on path 0, read off the kill's pivots p (plan.S) and
     shifts (e, y) with no Σ and no λ: row i of Σλ is -p_e·e + Σ_{l<i} p_l·y_l,
     plus w·p_i0·y_i0 on the clearing row, and b is the running sum of rhs.
     Under errstate, like the kill: an overflow reads as a non-finite value."""
-    i0 = params.idx(0)
     with np.errstate(over="ignore", invalid="ignore"):
         ps = plan.S[:-1, 0] * shift[:-1, 0]
         ps[0] = -ps[0]
         sigma_lam = np.cumsum(ps)
-        sigma_lam[i0] += _CLEARING_ANCHOR * ps[i0 + 1]
+        sigma_lam[plan.i0] += _CLEARING_ANCHOR * ps[plan.i0 + 1]
         b = np.cumsum(rhs[:, 0])
         return math.hypot(*(sigma_lam - b)) / (math.hypot(*b) or 1.0)
 
@@ -392,8 +392,7 @@ def _ou_factors(a, sigma, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return decay, sigma * np.sqrt(var_scale)
 
 
-def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: StepPlan,
-                  *, kill=None) -> Cleared:
+def step_ensemble(ens: Ensemble, inc: np.ndarray, plan: StepPlan, *, kill=None) -> Cleared:
     """Advance every live path one step and re-clear it (in place).
 
     The (n, F) factor increments `inc`, projected on the loadings and scaled
@@ -402,9 +401,9 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     `kill`, one (2K+1, n) array in the state's row order, shift those
     drivers by -kill·Δp·√dt; `kill` is spent, scaled in place.  Live prices
     then move by the plan's translation, the trend under P.  `plan` is the
-    run's StepPlan(params, dt, n_paths, risk_neutral=...): the noise scales
-    are folded into its projection and kill scale, and z and clearing's
-    node values go into its work arrays, so `inc` may be plan.draws.
+    run's StepPlan and carries its model: the noise scales are folded into
+    its projection and kill scale, and z and clearing's node values go into
+    its work arrays, so `inc` may be plan.draws.
     """
     # one gemm, edge row first as in the log state: the same bits for any
     # group of two or more paths
@@ -421,7 +420,7 @@ def step_ensemble(ens: Ensemble, params: ModelParams, inc: np.ndarray, plan: Ste
     state += z
     if dead is not None:
         state[:, dead] = frozen
-    cleared = _batch_clear(ens, params, plan.S)
+    cleared = _batch_clear(ens, plan.params, plan.S)
     if plan.translation:
         np.add(ens.pi, plan.translation, out=ens.pi, where=ens.alive)
     return cleared
@@ -505,12 +504,13 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
     each a column view of `ens` stepped through plan.narrow(its width), so
     the run's working memory does not grow with its path count and the bits
     do not depend on the group size.  A group's step runs, in order: where
-    plan.kills (under Q), the drift kill of its state, and in the first
-    group the path-0 residual; then the draws of its own streams into its
-    plan.draws, over the spent pivots; then step_ensemble.  The step's row
-    sums the groups' counts.  From the first step until the run ends,
-    raises or is closed, numpy's bundled OpenBLAS runs on one thread
-    (_OneBlasThread), and the caller's count comes back.
+    plan.kills (under Q), the drift kill of its state, which freezes the
+    paths it finds singular, and in the first group the path-0 residual;
+    then the draws of its own streams into plan.draws, over the spent
+    pivots; then step_ensemble.  The step's row sums the groups' counts.
+    From the first step until the run ends, raises or is closed, numpy's
+    bundled OpenBLAS runs on one thread (_OneBlasThread), and the caller's
+    count comes back.
 
     Paths that breach the grid, turn non-finite or meet a singular drift kill
     are frozen and counted by cause.  If all abort, SingularSystemError (all
@@ -533,15 +533,14 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
                 group = ens.column(g)
                 shift, singular = None, False
                 if plan.kills:
-                    shift, rhs, singular = _batch_kill_shifts(group, params, view)
-                    group.alive &= ~singular
+                    shift, rhs, singular = _batch_kill_shifts(group, view)
                     if g.start == 0 and group.alive[0]:
-                        residual = _path0_rel_residual(params, view, shift, rhs)
+                        residual = _path0_rel_residual(view, shift, rhs)
                 # the pivots in S are spent: draw into it
                 inc = sheet.increments_block(cfg, dt, step, g.stop - g.start, gen,
                                              out=view.draws,
                                              first_chunk=g.start // sheet._CHUNK)
-                top, bottom, broken = step_ensemble(group, params, inc, view, kill=shift)
+                top, bottom, broken = step_ensemble(group, inc, view, kill=shift)
                 counts.append([np.count_nonzero(mask)
                                for mask in (group.alive, top, bottom, broken, singular)])
             row = StepRow(*(int(sum(c)) for c in zip(*counts)), residual)

@@ -308,7 +308,7 @@ def test_synthetic_log_round_trip_is_exact():
     plan = StepPlan(params, dt, 1, risk_neutral=False)
     for bar in range(n_bars):
         if bar > 0:
-            step_ensemble(book, params, increments_block(cfg, dt, bar - 1, 1), plan)
+            step_ensemble(book, increments_block(cfg, dt, bar - 1, 1), plan)
         q = np.exp(book.log_q[:, 0])
         assert panel.pi[bar] == book.pi[0]
         assert np.array_equal(panel.masses[1:, bar], q)

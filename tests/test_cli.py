@@ -246,6 +246,27 @@ def test_unknown_config_sections_and_keys_warn(tmp_path, capsys):
     assert "unknown config" not in capsys.readouterr().err
 
 
+def test_unknown_model_keys_warn(tmp_path, capsys):
+    """A misspelled `c` or an extra bucket-entry key in a model, in a config
+    or in a bare parameter file, is named like any unknown key; the demo
+    parameters, as a model section or bare, draw no warning."""
+    model = params_to_dict(demo_params())
+    probe = {**{k: v for k, v in model.items() if k != "c"}, "C": 0.5,
+             "buckets": [{**model["buckets"][0], "sigma_q_rel(K)": 0.1}, *model["buckets"][1:]]}
+    assert model["buckets"][0]["k"] == -6
+    warned = ("warning: ignoring unknown config keys "
+              "['model.C', 'model.buckets[k=-6].sigma_q_rel(K)']")
+    for name, config, warns in (("probe", {"model": probe}, True), ("bare", probe, True),
+                                ("demo", {"model": model}, False), ("demo_bare", model, False)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--paths", "2",
+                     "--expiry", "0.0002"]) == 0
+        err = capsys.readouterr().err
+        assert (warned in err.splitlines()) == warns
+        assert ("unknown config" in err) == warns
+
+
 @pytest.mark.parametrize("command", ["price", "smile"])
 def test_pricing_rate_is_an_unknown_key(command, tmp_path, capsys):
     """Under Q π is a martingale, so pricing has no rate: a config that still

@@ -302,8 +302,7 @@ def test_a_step_freezes_a_breached_book(stepper):
     books.log_edge[1] += 40.0
     inc, dt = np.zeros((2, params.factor_count)), 0.01
     if stepper == "physical":
-        cleared = step_ensemble(books, params, inc,
-                                StepPlan(params, dt, 2, risk_neutral=False))
+        cleared = step_ensemble(books, inc, StepPlan(params, dt, 2, risk_neutral=False))
     else:
         cleared = step_risk_neutral(books, params, np.zeros_like(inc), inc, dt)
     assert cleared.top.tolist() == [False, True]

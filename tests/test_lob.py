@@ -176,13 +176,19 @@ def test_non_finite_order_rejected(price, qty):
 @pytest.mark.parametrize("side", ["B", "S", None, 1])
 def test_order_whose_side_is_not_a_side_rejected(side):
     """A side given as its letter, or any other non-Side, is an OrderError
-    naming the order, from submit and from replay alike; nothing rests."""
+    naming the order, from submit and from replay alike; nothing rests.
+    book_table names such a side rather than answering with the sell book."""
     book = OrderBook(20.0)
     with pytest.raises(OrderError, match="order 'b1': side must be a Side"):
         book.submit(LimitOrder("b1", side, 20.0, 1.0))
     assert book.resting_orders() == []
     with pytest.raises(OrderError, match="order 'x': side must be a Side"):
         replay([MessageEvent("A", side, 1, "x", 20.0, 1.0)], 20.0)
+    book.submit(LimitOrder("b2", Side.BUY, 19.0, 1.0))
+    book.submit(LimitOrder("s2", Side.SELL, 21.0, 2.0))
+    with pytest.raises(OrderError, match=f"book side must be a Side, got {side!r}"):
+        book.book_table(side)
+    assert book.book_table(Side.BUY) == {19.0: 1.0}
 
 
 # ----------------------------------------------------------------------

@@ -221,14 +221,14 @@ def test_closed_form_kill_matches_dense_solve(data):
     except SingularSystemError:
         assume(False)
     plan = StepPlan(params, None, 1)
-    shift, rhs, singular = _batch_kill_shifts(book, params, plan)
+    shift, rhs, singular = _batch_kill_shifts(book, plan)
     assert not singular[0]
     lam = system.lam[0]
     got = shift[:, 0]
     want = np.concatenate([[params.edge_loadings @ lam], params.loadings @ lam])
     tol = 100 * system.cond[0] * np.finfo(float).eps
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
-    assert _path0_rel_residual(params, plan, shift, rhs) <= tol
+    assert _path0_rel_residual(plan, shift, rhs) <= tol
 
     shift[data.draw(st.integers(0, n - 1)), 0] *= data.draw(st.floats(-3.0, 3.0))
     a = np.vstack([params.edge_loadings, params.loadings[:-1]])
@@ -236,7 +236,7 @@ def test_closed_form_kill_matches_dense_solve(data):
     b = system.b[0]
     dense = np.linalg.norm(system.Sigma[0] @ lam_bad - b) / np.linalg.norm(b)
     if dense > 1e-8:
-        assert _path0_rel_residual(params, plan, shift, rhs) == pytest.approx(dense, rel=1e-6)
+        assert _path0_rel_residual(plan, shift, rhs) == pytest.approx(dense, rel=1e-6)
 
 
 def _thin_books(params):
@@ -362,16 +362,21 @@ def _adverse_ensemble(params):
 
 
 def _step_once(ens, params, inc, dt, risk_neutral, plan=None):
-    """One step of run_steps' loop: kill, drop singular paths, step; through
-    a fresh plan unless one is given."""
+    """One step of run_steps' loop: kill, then step; through a fresh plan
+    unless one is given.  The kill freezes the paths it finds singular
+    itself, so this applies no mask: it asserts that, among the paths alive
+    before the kill, exactly the returned ones died, and that dead paths
+    stayed dead."""
     singular = np.zeros(ens.pi.size, dtype=bool)
     shift = None
     if plan is None:
         plan = StepPlan(params, dt, ens.pi.size, risk_neutral=risk_neutral)
     if plan.kills:
-        shift, _, singular = _batch_kill_shifts(ens, params, plan)
-        ens.alive &= ~singular
-    cleared = step_ensemble(ens, params, inc, plan, kill=shift)
+        before = ens.alive.copy()
+        shift, _, singular = _batch_kill_shifts(ens, plan)
+        assert not (singular & ~before).any()
+        assert np.array_equal(ens.alive, before & ~singular)
+    cleared = step_ensemble(ens, inc, plan, kill=shift)
     return cleared, singular, shift
 
 
@@ -409,6 +414,12 @@ def test_batch_step_matches_single_paths_on_adverse_states(params, risk_neutral)
         np.testing.assert_allclose(one.log_q[:, 0], ens.log_q[:, i], rtol=1e-12)
         np.testing.assert_allclose(one.log_edge, ens.log_edge[i:i + 1], rtol=1e-12)
         np.testing.assert_allclose(one.pi, ens.pi[i:i + 1], rtol=1e-12)
+
+    # a dead book whose kill would be sound stays dead (checked in _step_once)
+    frozen = _adverse_ensemble(params)
+    frozen.alive[4] = False
+    _step_once(frozen, params, inc, dt, risk_neutral)
+    assert not frozen.alive[4]
 
 
 @pytest.mark.parametrize("params", [demo_params(), _tiny_params()], ids=["K7", "K1"])
@@ -652,7 +663,7 @@ def test_physical_columns_match_books_stepped_alone():
         book = init_ensemble(params)
         plan = StepPlan(params, dt, 1, risk_neutral=False)
         for step in range(n_steps):
-            step_ensemble(book, params, increments_block(cfg, dt, step, n)[i:i + 1], plan)
+            step_ensemble(book, increments_block(cfg, dt, step, n)[i:i + 1], plan)
         assert book.pi[0] == pytest.approx(ens.pi[i], rel=1e-12)
 
 
@@ -863,7 +874,7 @@ def test_a_physical_plan_moves_live_prices_by_the_trend():
         books.log_q[params.idx(0), 1] += 0.5
         books.alive[2] = False
         plan = StepPlan(params, dt, 3, risk_neutral=risk_neutral)
-        step_ensemble(books, params, np.zeros((3, params.factor_count)), plan)
+        step_ensemble(books, np.zeros((3, params.factor_count)), plan)
         moved[risk_neutral] = books.pi
     assert params.drift_c != 0.0
     assert np.array_equal(moved[False][:2], moved[True][:2] + params.drift_c * dt)
@@ -913,9 +924,9 @@ def test_a_run_builds_one_generator_and_draws_fresh_increments(monkeypatch, risk
         built.append(1)
         return philox(*args, **kwargs)
 
-    def recorded_step(ens, params, inc, *args, **kwargs):
+    def recorded_step(ens, inc, *args, **kwargs):
         incs.append(inc.copy())
-        return step(ens, params, inc, *args, **kwargs)
+        return step(ens, inc, *args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     synthesize_log(demo_params(), 50, seed=3)
