@@ -13,10 +13,12 @@ or matched against an incoming order.  Matching follows exchange rules:
   continuation: before any trade it equals the opening price.
 
 Each side keeps one FIFO queue of resting orders per price level and a
-sorted index with one key per live level (see ``OrderBook``).  Prices and
-quantities must be positive and finite and order ids unique; violations
-raise instead of corrupting the book.  The module also provides the
-message-event record used for replaying exchange logs.
+sorted index with one key per live level.  A resting order is one list,
+``[order_id, remaining, side, price, quantity]``, id first so that a cancel
+passes each other record with one string comparison (see ``OrderBook``).
+Prices and quantities must be positive and finite and order ids unique;
+violations raise instead of corrupting the book.  The module also provides
+the message-event record used for replaying exchange logs.
 """
 
 from __future__ import annotations
@@ -76,21 +78,16 @@ _trade = partial(tuple.__new__, Trade)
 _order = partial(tuple.__new__, LimitOrder)
 
 
-# eq=False: cancels find their record in a level with deque.remove, which
-# must compare by identity, not field by field.
-@dataclass(eq=False, slots=True)
-class _Resting:
-    order: LimitOrder
-    remaining: float
-
-
 class OrderBook:
     """Price-time priority book over FIFO price levels.
 
     Each side maps a price to a deque of resting records in submission order,
     and keeps an ascending list with one key per live level: prices for
     sells, negated prices for buys, so index 0 is the best level.  A level
-    and its key are created and deleted together.
+    and its key are created and deleted together.  A record is the list
+    ``[order_id, remaining, side, price, quantity]``, id first: ``cancel``'s
+    ``deque.remove`` compares lists item by item, so with ids unique among
+    live orders each other record it passes costs one string comparison.
     """
 
     def __init__(self, opening_price: float):
@@ -98,9 +95,9 @@ class OrderBook:
             raise OrderError(f"opening price must be positive and finite, got {opening_price}")
         self.opening_price = opening_price
         self.last_trade_price: float | None = None
-        self._resting: dict[str, _Resting] = {}
-        self._buy_levels: dict[float, deque[_Resting]] = {}
-        self._sell_levels: dict[float, deque[_Resting]] = {}
+        self._resting: dict[str, list] = {}
+        self._buy_levels: dict[float, deque[list]] = {}
+        self._sell_levels: dict[float, deque[list]] = {}
         self._buys: list[float] = []    # -price of each buy level
         self._sells: list[float] = []   # price of each sell level
         # each side's view for submit, cancel and book_table: the opposite
@@ -118,8 +115,10 @@ class OrderBook:
         return self.opening_price if self.last_trade_price is None else self.last_trade_price
 
     def resting_orders(self) -> list[tuple[LimitOrder, float]]:
-        """All resting orders with their remaining quantities, oldest first."""
-        return [(r.order, r.remaining) for r in self._resting.values()]
+        """All resting orders with their remaining quantities, oldest first;
+        the ``LimitOrder``s are built from the stored fields on each call."""
+        return [(_order((order_id, side, price, quantity)), remaining)
+                for order_id, remaining, side, price, quantity in self._resting.values()]
 
     def book_table(self, side: Side) -> dict[float, float]:
         """Aggregate resting quantity by price level, best price first."""
@@ -128,13 +127,14 @@ class OrderBook:
         _, _, sign, keys, levels = self._for_buy if side is _BUY else self._for_sell
         prices = [-sign * key for key in keys]
         # reduce, not sum: from Python 3.12 sum() compensates float rounding
-        return {price: reduce(add, [r.remaining for r in levels[price]]) for price in prices}
+        return {price: reduce(add, [r[1] for r in levels[price]]) for price in prices}
 
     # ------------------------------------------------------------------
     # mutation
 
     def submit(self, order: LimitOrder) -> list[Trade]:
-        """Match an incoming order, rest any remainder, return the fills."""
+        """Match any ``(order_id, side, price, quantity)`` sequence (a ``LimitOrder``,
+        or the plain tuple ``replay`` passes), rest any remainder, return the fills."""
         order_id, side, price, quantity = order
         if not 0 < quantity < math.inf:
             raise OrderError(f"order {order_id!r}: quantity must be positive and finite")
@@ -160,10 +160,9 @@ class OrderBook:
             queue = levels[sign * key]
             while queue:
                 maker = queue[0]
-                have = maker.remaining
-                maker_id, _, maker_price, _ = maker.order
+                maker_id, have, _, maker_price, _ = maker
                 if have > remaining:              # the maker outlasts the order
-                    maker.remaining = have - remaining
+                    maker[1] = have - remaining
                     trades.append(_trade((maker_price, remaining, maker_id, order_id)))
                     remaining = 0.0
                     break
@@ -181,7 +180,7 @@ class OrderBook:
                 break
 
         if remaining > 0:
-            rest = resting[order_id] = _Resting(order, remaining)
+            rest = resting[order_id] = [order_id, remaining, side, price, quantity]
             queue = own_levels.get(price)
             if queue is None:
                 own_levels[price] = deque((rest,))
@@ -195,14 +194,14 @@ class OrderBook:
         rest = self._resting.pop(order_id, None)
         if rest is None:
             raise UnknownOrderError(f"no resting order with id {order_id!r}")
-        _, side, price, _ = rest.order
+        _, remaining, side, price, _ = rest
         _, _, sign, keys, levels = self._for_buy if side is _BUY else self._for_sell
         queue = levels[price]
         queue.remove(rest)
         if not queue:
             del levels[price]
             del keys[bisect_left(keys, -sign * price)]
-        return rest.remaining
+        return remaining
 
 
 @dataclass
@@ -234,7 +233,7 @@ def replay(
     for ev in events:
         msg_type, side, timestamp, order_id, price, size = ev
         if msg_type == "A":
-            fills = submit(_order((order_id, side, price, size)))
+            fills = submit((order_id, side, price, size))
         elif msg_type == "D":
             fills = None
             try:
@@ -246,7 +245,7 @@ def replay(
                 cancel(order_id)
             except UnknownOrderError:
                 result.orphan_modifies += 1
-            fills = submit(_order((order_id, side, price, size)))
+            fills = submit((order_id, side, price, size))
         else:
             raise OrderError(f"unknown message type {msg_type!r}")
         if fills:

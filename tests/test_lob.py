@@ -139,6 +139,22 @@ def test_cancel_returns_remaining_quantity():
     assert book.book_table(Side.SELL) == {}
 
 
+def test_cancel_mid_level_then_fill_across_the_gap():
+    # the cancel passes s1 by id; the resting order comes back as submitted
+    book = OrderBook(100.0)
+    for oid in ("s1", "s2", "s3"):
+        book.submit(LimitOrder(oid, Side.SELL, 101.0, 4))
+    assert book.cancel("s2") == 4.0
+    fills = book.submit(LimitOrder("b", Side.BUY, 101.0, 6))
+    assert fills == [Trade(101.0, 4.0, "s1", "b"), Trade(101.0, 2.0, "s3", "b")]
+    [(order, rest)] = book.resting_orders()
+    assert type(order) is LimitOrder
+    assert order == LimitOrder("s3", Side.SELL, 101.0, 4)
+    assert type(order.quantity) is int
+    assert rest == 2.0
+    assert book.book_table(Side.SELL) == {101.0: 2.0}
+
+
 def test_cancel_unknown_id_raises():
     book = OrderBook(100.0)
     with pytest.raises(UnknownOrderError):
