@@ -50,8 +50,15 @@ BAR_HOURS = BAR_NS / 3_600_000_000_000.0
 PRICE_WINDOW = (20.00, 20.62)
 
 _SIDES = {"B": Side.BUY, "S": Side.SELL}
-_CODES = {side: code for code, side in _SIDES.items()}
 _TYPES = frozenset("AMD")
+
+# How near an integer f = offset/delta_p - 1/2 must lie for _snapshot to take
+# the 9-decimal round.  round(x, 9) is the float nearest a decimal within
+# 5e-10 of x: it moves x by at most 5e-10 plus half an ulp, and not at all
+# once x's ulps are coarser than 2e-9, so it moves x - 1/2 by under 1e-8 even
+# with the subtraction's own rounding.  Beyond this margin it cannot carry f
+# across an integer, and ceil(f) is the bucket without it.
+_BOUNDARY_MARGIN = 1e-6
 
 # A MessageEvent from a 6-tuple of its fields, skipping the Python-level
 # keyword handling of the named tuple's own constructor.
@@ -205,18 +212,32 @@ def _snapshot(book: OrderBook, K: int, delta_p: float):
 
     An order at offset p - pi sits in bucket k = ceil(offset/delta_p - 1/2),
     the one whose range ((k - 1/2) delta_p, (k + 1/2) delta_p] holds it,
-    clipped to [-K, K].  The offset in buckets is rounded to 9 decimals
-    first, so float noise cannot move a price that lies on a boundary.  A
-    sell nets out of the edge exactly when it lands in bucket -K.
+    clipped to [-K, K].  The rule is ceil(round(offset/delta_p, 9) - 1/2):
+    the offset in buckets is rounded to 9 decimals, so float noise cannot
+    move a price that lies on a boundary.  The round is taken only where
+    f = offset/delta_p - 1/2 lies within _BOUNDARY_MARGIN of an integer:
+    further out the round cannot carry f across one (see the margin), so
+    ceil(f) is the same k.  A sell nets out of the edge exactly when it
+    lands in bucket -K.  The orders are read off ``book.records()`` and
+    summed in its order.
     """
     pi = book.clearing_price
     masses = [0.0] * (2 * K + 1)       # bucket -K in row 0 until the edge takes it
     edge = 0.0
     buy = Side.BUY
-    for order, remaining in book.resting_orders():
-        k = max(-K, min(K, math.ceil(round((order.price - pi) / delta_p, 9) - 0.5)))
+    ceil = math.ceil
+    near, far = _BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN
+    for _, remaining, side, price, _ in book.records():
+        f = (price - pi) / delta_p - 0.5
+        k = ceil(f)
+        if not near < k - f < far:
+            k = ceil(round((price - pi) / delta_p, 9) - 0.5)
+        if k < -K:
+            k = -K
+        elif k > K:
+            k = K
         masses[k + K] += remaining
-        if order.side is buy:
+        if side is buy:
             edge += remaining
         elif k == -K:
             edge -= remaining
@@ -634,6 +655,7 @@ def format_log(events: Sequence) -> str:
     Floats use their shortest round-tripping representation, so a
     parse(format(x)) cycle reproduces prices and sizes bit-for-bit.
     """
-    lines = [f"{msg_type},{_CODES[side]},{timestamp},{order_id},{price!r},{size!r}"
+    buy = Side.BUY      # by identity: an Enum key would hash through Enum.__hash__
+    lines = [f"{msg_type},{'B' if side is buy else 'S'},{timestamp},{order_id},{price!r},{size!r}"
              for msg_type, side, timestamp, order_id, price, size in events]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ or matched against an incoming order.  Matching follows exchange rules:
 Each side keeps one FIFO queue of resting orders per price level and a
 sorted index with one key per live level.  A resting order is one list,
 ``[order_id, remaining, side, price, quantity]``, id first so that a cancel
-passes each other record with one string comparison (see ``OrderBook``).
+passes each other record with one string comparison (see ``OrderBook``);
+``OrderBook.records()`` is the read-only view of them, oldest first.
 Prices and quantities must be positive and finite and order ids unique;
 violations raise instead of corrupting the book.  The module also provides
 the message-event record used for replaying exchange logs.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
@@ -88,6 +90,8 @@ class OrderBook:
     ``[order_id, remaining, side, price, quantity]``, id first: ``cancel``'s
     ``deque.remove`` compares lists item by item, so with ids unique among
     live orders each other record it passes costs one string comparison.
+    ``records()`` is the live view of these records, oldest first, for
+    readers such as the bar panel that need no ``LimitOrder``.
     """
 
     def __init__(self, opening_price: float):
@@ -114,11 +118,17 @@ class OrderBook:
         """Last trade price, or the opening price before any trade."""
         return self.opening_price if self.last_trade_price is None else self.last_trade_price
 
+    def records(self) -> ValuesView[list]:
+        """Live view of the resting records ``[order_id, remaining, side,
+        price, quantity]``, oldest first (a modified order counts from its
+        resubmission).  The lists are the book's own: read, never write."""
+        return self._resting.values()
+
     def resting_orders(self) -> list[tuple[LimitOrder, float]]:
         """All resting orders with their remaining quantities, oldest first;
         the ``LimitOrder``s are built from the stored fields on each call."""
         return [(_order((order_id, side, price, quantity)), remaining)
-                for order_id, remaining, side, price, quantity in self._resting.values()]
+                for order_id, remaining, side, price, quantity in self.records()]
 
     def book_table(self, side: Side) -> dict[float, float]:
         """Aggregate resting quantity by price level, best price first."""

@@ -3,6 +3,7 @@ hand-counted books, the exact synthetic round trip, and every estimator
 against an independent oracle."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from bookvol.calibration import (
     SESSION_START_NS,
     ParseIssue,
     _parse_line,
+    _snapshot,
     build_panel,
     calibrate,
     clean,
@@ -34,7 +36,7 @@ from bookvol.calibration import (
 )
 from bookvol.demand import Ensemble, init_ensemble
 from bookvol.errors import ConfigError, FitError, ParseError, SimulationError
-from bookvol.lob import MessageEvent, Side
+from bookvol.lob import LimitOrder, MessageEvent, OrderBook, Side, replay
 from bookvol.params import ModelParams, demo_params
 from bookvol.riskneutral import StepPlan, price_vol, run_steps, step_ensemble
 from bookvol.sheet import SheetConfig, increments_block
@@ -286,6 +288,132 @@ def test_panel_puts_boundary_prices_in_the_bucket_below(side, ticks, k):
     edge = size if side is Side.BUY else -size if k == -K else 0.0
     assert landed == [k] * 62
     assert edges == [edge] * 62
+
+
+def _snapshot_oracle(book, K, delta_p):
+    """The reference snapshot: a loop over ``resting_orders()``, a
+    LimitOrder per resting order and the 9-decimal round on each."""
+    pi = book.clearing_price
+    masses = [0.0] * (2 * K + 1)
+    edge = 0.0
+    for order, remaining in book.resting_orders():
+        k = max(-K, min(K, math.ceil(round((order.price - pi) / delta_p, 9) - 0.5)))
+        masses[k + K] += remaining
+        if order.side is Side.BUY:
+            edge += remaining
+        elif k == -K:
+            edge -= remaining
+    below_grid, masses[0] = masses[0], edge
+    return pi, np.array(masses), below_grid
+
+
+def _assert_snapshot_is_the_oracle(book, K, delta_p):
+    pi, masses, below_grid = _snapshot(book, K, delta_p)
+    want_pi, want_masses, want_below = _snapshot_oracle(book, K, delta_p)
+    assert pi == want_pi and below_grid == want_below
+    assert masses.dtype == want_masses.dtype and masses.tolist() == want_masses.tolist()
+
+
+# distances from a bucket boundary, in buckets: at, within and just beyond
+# the round's reach of 5e-10, inside the margin, and beyond it
+_NEAR = [0.0, 1e-10, 4.9e-10, 5e-10, 5.1e-10, 1e-7, 2e-6]
+
+
+@pytest.mark.parametrize("K", [1, 3, 7])
+@pytest.mark.parametrize("eps", sorted({sign * e for e in _NEAR for sign in (1, -1)}))
+def test_snapshot_buckets_by_the_rounded_rule_near_every_boundary(K, eps):
+    """An order at a bucket boundary (j + 1/2)Δp, or eps buckets off it, lands
+    where ceil(round(offset/Δp, 9) - 1/2) puts it, on both sides of the
+    clearing price and beyond ±K, though the round is taken only near one."""
+    dp = 0.05
+    for pi in (1.0, 20.0, 20.16, 1234.5):
+        for j in range(-K - 3, K + 3):
+            price = pi + (j + 0.5 + eps) * dp
+            for side in Side:
+                book = OrderBook(pi)
+                book.submit(LimitOrder("o", side, price, 1.5))
+                _assert_snapshot_is_the_oracle(book, K, dp)
+
+
+@pytest.mark.parametrize("K, dp", [(1, 0.01), (3, 0.02), (2, 0.05)])
+def test_snapshot_buckets_tick_prices_by_the_rounded_rule(K, dp):
+    """Tick prices at 62 clearing prices, built as
+    ``test_panel_puts_boundary_prices_in_the_bucket_below`` builds them,
+    whatever float noise they carry."""
+    for i in range(62):
+        pi = round(20.00 + 0.01 * i, 2)
+        for ticks in range(-12, 13):
+            for side in Side:
+                book = OrderBook(pi)
+                book.submit(LimitOrder("o", side, round(pi + 0.01 * ticks, 2), 2.0))
+                _assert_snapshot_is_the_oracle(book, K, dp)
+
+
+def _scripted_events():
+    B, S = Side.BUY, Side.SELL
+    script = [
+        ("A", B, "b1", 20.30, 2.0), ("A", B, "b2", 20.30, 0.7),   # two at a level
+        ("A", B, "b3", 20.25, 1.1), ("A", B, "b4", 19.60, 0.45),
+        ("A", S, "s1", 20.30, 0.75),      # trades at 20.30; b1 keeps 1.25
+        ("A", S, "s2", 20.05, 3.3),       # takes the buys down to 20.25; 0.25 rests
+        ("A", S, "s3", 20.10, 0.6),
+        ("A", S, "s4", 19.70, 1.3), ("A", S, "s5", 19.70, 0.2),   # 0.55 below pi
+        ("M", S, "s3", 20.15, 0.6),
+        ("A", B, "b5", 20.00, 1.0),       # takes 1.0 of s4
+        ("D", S, "s5", 19.70, 0.2),
+        ("A", B, "b6", 21.50, 1.5),       # takes every sell; 0.35 rests 1.35 above pi
+        ("A", B, "b7", 21.20, 0.35), ("A", B, "b8", 21.20, 0.8),
+        ("A", S, "s6", 21.60, 0.9), ("A", S, "s7", 22.00, 0.3),
+    ]
+    return [MessageEvent(t, side, n, oid, price, size)
+            for n, (t, side, oid, price, size) in enumerate(script)]
+
+
+def _random_events(seed, n=400):
+    rng = random.Random(seed)
+    events, live = [], []
+    for n_msg in range(n):
+        u = rng.random()
+        if u < 0.7 or not live:
+            oid = f"r{n_msg}"
+            live.append(oid)
+            t = "A"
+        else:
+            oid = live.pop(rng.randrange(len(live)))
+            t = "D" if u < 0.9 else "M"
+            if t == "M":
+                live.append(oid)
+        side = rng.choice([Side.BUY, Side.SELL])
+        price = round(20.0 + 0.01 * rng.randint(-40, 40), 2)
+        events.append(MessageEvent(t, side, 100 + n_msg, oid, price,
+                                   round(rng.uniform(0.05, 3.0), 3)))
+    return events
+
+
+@pytest.mark.parametrize("K, delta_p", [(1, 0.05), (1, 0.01), (2, 0.02), (3, 0.1), (7, 0.05)])
+def test_snapshot_is_the_per_order_loop_at_every_message(K, delta_p):
+    """``_snapshot`` gives the bits of the per-order loop over
+    ``resting_orders()`` after every message of a scripted and a random
+    flow: several orders a level, partly filled makers, sells in bucket -K
+    and buys above +K."""
+    seen = set()
+
+    def on_event(ev, book):
+        _assert_snapshot_is_the_oracle(book, K, delta_p)
+        pi = book.clearing_price
+        records = list(book.records())
+        for _, remaining, side, price, quantity in records:
+            if remaining < quantity:
+                seen.add("partly filled")
+            if side is Side.SELL and price - pi < -(K - 0.5) * delta_p:
+                seen.add("sell in -K")
+            if side is Side.BUY and price - pi > (K + 0.5) * delta_p:
+                seen.add("buy above +K")
+        if len({r[3] for r in records}) < len(records):
+            seen.add("shared level")
+
+    replay(_scripted_events() + _random_events(seed=K), 20.0, on_event=on_event)
+    assert seen == {"partly filled", "sell in -K", "buy above +K", "shared level"}
 
 
 def test_synthetic_log_round_trip_is_exact():

@@ -155,6 +155,37 @@ def test_cancel_mid_level_then_fill_across_the_gap():
     assert book.book_table(Side.SELL) == {101.0: 2.0}
 
 
+def test_records_are_the_resting_orders_oldest_first():
+    # the live records: a partial fill shows in remaining, a modify moves its
+    # record to the end, a cancel removes it
+    events = [
+        MessageEvent("A", Side.SELL, 1, "s1", 101.0, 4.0),
+        MessageEvent("A", Side.SELL, 2, "s2", 101.0, 3.0),
+        MessageEvent("A", Side.BUY, 3, "b1", 99.0, 5.0),
+        MessageEvent("A", Side.BUY, 4, "b2", 101.0, 1.5),     # takes 1.5 of s1
+    ]
+    book = replay(events, opening_price=100.0).book
+    records = book.records()
+    assert [list(r) for r in records] == [
+        ["s1", 2.5, Side.SELL, 101.0, 4.0],
+        ["s2", 3.0, Side.SELL, 101.0, 3.0],
+        ["b1", 5.0, Side.BUY, 99.0, 5.0],
+    ]
+    assert [(o.order_id, o.side, o.price, o.quantity, rem) for o, rem in book.resting_orders()] == \
+        [(oid, side, price, qty, rem) for oid, rem, side, price, qty in records]
+
+    book.submit(("b3", Side.BUY, 98.0, 2.0))
+    assert [r[0] for r in records] == ["s1", "s2", "b1", "b3"]   # the view is live
+
+    events += [MessageEvent("M", Side.SELL, 5, "s1", 102.0, 2.5),
+               MessageEvent("D", Side.BUY, 6, "b1", 99.0, 5.0)]
+    book = replay(events, opening_price=100.0).book
+    assert [list(r) for r in book.records()] == [
+        ["s2", 3.0, Side.SELL, 101.0, 3.0],
+        ["s1", 2.5, Side.SELL, 102.0, 2.5],
+    ]
+
+
 def test_cancel_unknown_id_raises():
     book = OrderBook(100.0)
     with pytest.raises(UnknownOrderError):
