@@ -34,8 +34,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .demand import init_ensemble
-from .errors import ConfigError, FitError, ParseError
+from .demand import Ensemble, _nodes, init_ensemble
+from .errors import ConfigError, FitError, OrderError, ParseError
 from .lob import MessageEvent, OrderBook, Side, replay
 from .params import ModelParams, uniform_loadings
 from .riskneutral import run_steps
@@ -518,10 +518,12 @@ def fit_report(panel: PanelData) -> FitReport:
     BAR_HOURS spacing, and the loadings of the bucket rows.  The first row
     that is not positive is a FitError.
 
-    The fitted model starts from the long-run book shape at the last
-    clearing price.  Edge loadings are not identified by the panel (a single
-    series cannot pin a direction in factor space), so the uniform
-    normalized profile is used.  The drift is fitted per bar, the report's
+    The fitted model starts from the session's last book: the last bar's
+    masses and clearing price, with the edge that clearing's own anchor
+    (demand._nodes) gives that book, so the first step starts cleared.  The
+    long-run shape is in ``mean_logq`` and ``mean_log_edge``.  Edge loadings
+    are not identified by the panel (a single series cannot pin a direction
+    in factor space), so the uniform normalized profile is used.  The drift is fitted per bar, the report's
     ``drift_c``, and ``params.drift_c`` holds it per hour.
     """
     K = len(panel.masses) // 2
@@ -531,21 +533,22 @@ def fit_report(panel: PanelData) -> FitReport:
         raise FitError(f"{name} has non-positive values; cannot take logs")
     log_masses = np.log(panel.masses)
     edge, *buckets = [fit_ar1(x, BAR_HOURS) for x in log_masses]
-    a, mean_logq, sigma_rel = np.array(buckets).T.copy()
+    a, mean_logq, sigma_rel = np.array(buckets).T
     loadings = fit_loadings(log_masses[1:], panel.delta_p)
     summary = summarize(panel.pi)       # one pass for the summary and the JB moments
     jb, p = jarque_bera_from_moments(summary.nobs, summary.skewness, summary.kurtosis)
     drift_c = fit_drift(panel.pi)
+    last = Ensemble(panel.delta_p, log_masses[:, -1:], panel.pi[-1:], np.ones(1, dtype=bool))
     params = ModelParams(
         K=K,
         delta_p=panel.delta_p,
         pi0=float(panel.pi[-1]),
-        q0=np.exp(mean_logq),
+        q0=panel.masses[1:, -1],
         a_q=a,
         mean_logq=mean_logq,
         sigma_q_rel=sigma_rel,
         loadings=loadings,
-        edge0=math.exp(edge.mean),
+        edge0=float(_nodes(last)[1][0]),
         a_edge=edge.a,
         mean_log_edge=edge.mean,
         sigma_edge_rel=edge.sigma_rel,
@@ -653,9 +656,17 @@ def format_log(events: Sequence) -> str:
     """Render events in the text format ``parse_messages`` reads.
 
     Floats use their shortest round-tripping representation, so a
-    parse(format(x)) cycle reproduces prices and sizes bit-for-bit.
+    parse(format(x)) cycle reproduces prices and sizes bit-for-bit.  A side
+    that is not a Side is an OrderError naming the order and the side.
     """
-    buy = Side.BUY      # by identity: an Enum key would hash through Enum.__hash__
-    lines = [f"{msg_type},{'B' if side is buy else 'S'},{timestamp},{order_id},{price!r},{size!r}"
+    # by identity: an Enum key would hash through Enum.__hash__
+    buy, sell = Side.BUY, Side.SELL
+    lines = [f"{msg_type},{'B' if side is buy else 'S' if side is sell else _no_side(order_id, side)},"
+             f"{timestamp},{order_id},{price!r},{size!r}"
              for msg_type, side, timestamp, order_id, price, size in events]
     return "\n".join(lines) + "\n"
+
+
+def _no_side(order_id, side):
+    """format_log's answer to a side that is not a Side: OrderBook.submit's error."""
+    raise OrderError(f"order {order_id!r}: side must be a Side, got {side!r}")

@@ -85,7 +85,6 @@ def init_ensemble(params: ModelParams, n_paths: int = 1) -> Ensemble:
     not an int of at least 1 is a ValueError."""
     if not (is_whole(n_paths) and n_paths >= 1):
         raise ValueError(f"n_paths must be an int of at least 1, got {n_paths!r}")
-    params.validate()
     log_state = np.concatenate(([np.log(params.edge0)], np.log(params.q0)))
     return Ensemble(delta_p=params.delta_p, log_state=np.tile(log_state[:, None], (1, n_paths)),
                     pi=np.full(n_paths, params.pi0, dtype=float),

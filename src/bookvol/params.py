@@ -32,10 +32,17 @@ from .errors import ConfigError
 from .sheet import is_whole
 
 _NORMALIZATION_TOL = 1e-9
+# the fields a ModelParams holds as its own read-only float arrays
+_ARRAY_FIELDS = ("q0", "a_q", "mean_logq", "sigma_q_rel", "loadings", "edge_loadings")
 
 
 @dataclass(frozen=True)
 class ModelParams:
+    """One model, validated when it is built and fixed from then on: the
+    fields are frozen and each array field is the model's own read-only
+    float copy, so however a model is made (the constructor, `create`,
+    `dataclasses.replace`, a parameter file or a fit) it holds valid numbers."""
+
     K: int
     delta_p: float
     pi0: float
@@ -69,14 +76,20 @@ class ModelParams:
             raise ConfigError(f"bucket k={k} outside grid [-{self.K - 1}, {self.K}]")
         return k + self.K - 1
 
+    def __post_init__(self) -> None:
+        """Own a read-only float copy of each array field, then validate: a
+        model is checked once, when it is built, and cannot change after."""
+        for name in _ARRAY_FIELDS:
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        self.validate()
+
     @classmethod
     def create(cls, **kw) -> "ModelParams":
-        """Build a validated parameter set from plain sequences/scalars."""
-        for name in ("q0", "a_q", "mean_logq", "sigma_q_rel", "loadings", "edge_loadings"):
-            kw[name] = np.asarray(kw[name], dtype=float)
-        p = cls(**kw)
-        p.validate()
-        return p
+        """Build a validated parameter set from plain sequences/scalars: the
+        constructor itself, under the name its callers use."""
+        return cls(**kw)
 
     def validate(self) -> None:
         """Reject a non-finite value, naming its field and entry (`pi0`,

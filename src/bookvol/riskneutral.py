@@ -15,7 +15,7 @@ where w_i is the zero position each row assumes inside its bucket
 the hypothetical ones).  The right side collects the physical drift of the
 curve value, the w_i share of the clearing bucket's own drift, and the
 covariance between the clearing-bucket mass and the price: see
-_kill_matrix and _kill_rhs, the one assembly of Σ and b.  The right side is
+build_mpr_system and _kill_rhs, the one assembly of Σ and b.  The right side is
 kept as b(0) over the row differences db(i) = b(i+1) - b(i), and that whole
 column is one product and one sum, G·p + N∘μ, in the pivots p = xσΔp and
 the drifts μ of the log state's rows: G holds the covariance terms,
@@ -119,22 +119,6 @@ class MprSystem:
     cond: np.ndarray | None = None              # (n,)
 
 
-def _kill_matrix(ens: Ensemble, params: ModelParams) -> np.ndarray:
-    """Left sides Σ of the drift-kill systems, stacked (n, 2K, F): one row per
-    potential clearing bucket, one matrix per book.  Only the clearing row
-    carries its bucket's own anchored noise: it puts the zero at demand's
-    _CLEARING_ANCHOR, where clearing re-centers it, so the realized price
-    drift is killed exactly.  The hypothetical rows of the other buckets
-    anchor at the bucket edge (w = 0), which decouples the row differences:
-    each λ_j is pinned by its own bucket's drift instead of an alternating
-    neighbour recursion that amplifies through thinly populated buckets."""
-    i0 = params.idx(0)
-    rows = -kill_vectors(ens, params)
-    rows[i0] += _CLEARING_ANCHOR * np.exp(ens.log_q[i0]) * params.sigma_q_rel[i0] \
-        * params.loadings[i0][:, None]
-    return np.moveaxis(rows * ens.delta_p, -1, 0)
-
-
 def _state_rows(edge, buckets) -> np.ndarray:
     """An edge value and the (2K,) bucket values as one (2K+1, 1) column, in
     the row order of Ensemble.log_state."""
@@ -172,8 +156,19 @@ def _kill_rhs(ens: Ensemble, plan: StepPlan) -> tuple[np.ndarray, np.ndarray]:
 def build_mpr_system(ens: Ensemble, params: ModelParams) -> MprSystem:
     """Assemble each book's drift-kill equations, one row per potential
     clearing bucket: Σ is (n, 2K, F) and b is (n, 2K)."""
+    # Only the clearing row carries its bucket's own anchored noise: it puts
+    # the zero at demand's _CLEARING_ANCHOR, where clearing re-centers it, so
+    # the realized price drift is killed exactly.  The hypothetical rows of
+    # the other buckets anchor at the bucket edge (w = 0), which decouples the
+    # row differences: each λ_j is pinned by its own bucket's drift instead of
+    # an alternating neighbour recursion that amplifies through thinly
+    # populated buckets.
+    i0 = params.idx(0)
+    rows = -kill_vectors(ens, params)
+    rows[i0] += _CLEARING_ANCHOR * np.exp(ens.log_q[i0]) * params.sigma_q_rel[i0] \
+        * params.loadings[i0][:, None]
     rhs, _ = _kill_rhs(ens, StepPlan(params, None, ens.pi.size))
-    return MprSystem(Sigma=_kill_matrix(ens, params), b=np.cumsum(rhs, axis=0).T)
+    return MprSystem(Sigma=np.moveaxis(rows * ens.delta_p, -1, 0), b=np.cumsum(rhs, axis=0).T)
 
 
 def solve_mpr(system: MprSystem) -> MprSystem:

@@ -5,6 +5,7 @@ against an independent oracle."""
 import math
 import random
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from bookvol.calibration import (
     PanelData,
 )
 from bookvol.demand import Ensemble, init_ensemble
-from bookvol.errors import ConfigError, FitError, ParseError, SimulationError
+from bookvol.errors import ConfigError, FitError, OrderError, ParseError, SimulationError
 from bookvol.lob import LimitOrder, MessageEvent, OrderBook, Side, replay
 from bookvol.params import ModelParams, demo_params
 from bookvol.riskneutral import StepPlan, price_vol, run_steps, step_ensemble
@@ -183,6 +184,16 @@ def test_parse_matches_the_line_by_line_oracle(lines):
 def test_format_of_no_events_is_one_newline():
     assert format_log([]) == "\n"
     assert parse_messages(format_log([])).events == []
+
+
+@pytest.mark.parametrize("side", ["B", None])
+def test_format_rejects_a_side_that_is_not_a_side(side):
+    """A side code or a missing side is not written as a sell: format_log
+    names the order and the side, as OrderBook.submit does."""
+    events = [_ev(1, side=Side.SELL, oid="s"), _ev(2, side=side, oid="x")]
+    with pytest.raises(OrderError) as exc:
+        format_log(events)
+    assert str(exc.value) == f"order 'x': side must be a Side, got {side!r}"
 
 
 # ----------------------------------------------------------------------
@@ -748,9 +759,12 @@ def test_fit_report_and_model_params_hand_off():
     params = demo_params()
     n_bars = 120
     text = format_log(synthesize_log(params, n_bars, seed=5))
+    session = (SESSION_START_NS, SESSION_START_NS + n_bars * BAR_NS)
     report = calibrate(text, pi0=params.pi0, K=params.K, delta_p=params.delta_p,
-                       p_min=19.0, p_max=21.5,
-                       session=(SESSION_START_NS, SESSION_START_NS + n_bars * BAR_NS))
+                       p_min=19.0, p_max=21.5, session=session)
+    panel = build_panel(clean(parse_messages(text).events, p_min=19.0, p_max=21.5,
+                              session=session).events,
+                        pi0=params.pi0, K=params.K, delta_p=params.delta_p, session=session)
     fitted = report.params
     assert fitted.K == params.K
     fitted.validate()
@@ -759,10 +773,57 @@ def test_fit_report_and_model_params_hand_off():
     assert report.loadings is fitted.loadings
     with pytest.raises(AttributeError):
         report.a = fitted.a_q.copy()
-    assert np.allclose(fitted.q0, np.exp(fitted.mean_logq))
+    # the fitted model starts from the session's last book
+    assert np.allclose(fitted.q0, panel.masses[1:, -1], rtol=1e-12, atol=0.0)
     assert fitted.drift_c == pytest.approx(report.drift_c * 60.0)
-    # the fitted book must itself support simulation from a consistent state
-    assert fitted.edge0 > 0
+    # the fitted book must itself support simulation from a consistent state:
+    # its edge puts the curve's zero mid-bucket 0, where clearing anchors it
+    K = fitted.K
+    anchor = fitted.q0[:K - 1].sum() + 0.5 * fitted.q0[K - 1]
+    assert fitted.edge0 == pytest.approx(anchor, rel=1e-12)
+
+
+def test_a_fitted_model_is_read_only():
+    """The report's model owns its arrays, and no caller can write into them."""
+    panel, _ = _loadings_panel(n_bars=200)
+    panel.masses[0] = np.exp(np.linspace(0.0, 1.0, 200) ** 2)
+    report = fit_report(panel)
+    for name in ("loadings", "q0"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(report.params, name)[0] = 1.0
+
+
+def _one_q_step(fitted, n_paths=4000, seed=0):
+    """Mean π - π₀ after one one-minute Q step from a fitted model, and its SE."""
+    ens = init_ensemble(fitted, n_paths)
+    next(run_steps(fitted, ens, 1, BAR_HOURS, seed))
+    assert ens.alive.all()
+    move = ens.pi - fitted.pi0
+    return move.mean(), move.std(ddof=1) / math.sqrt(n_paths)
+
+
+def test_a_model_fitted_to_the_bundled_session_starts_cleared():
+    """Started from the long-run book with its own edge, this fit moved the
+    mean π by -0.00747 ± 0.00009 in its first Q step; from the last book,
+    cleared, π starts as a martingale.  Ten steps would also show the
+    step's own bias, so one step is the test."""
+    text = resources.files("bookvol").joinpath("data/synthetic_session.log").read_text()
+    fitted = calibrate(text, pi0=20.16, K=7, delta_p=0.05, p_min=19.0, p_max=21.5).params
+    mean, se = _one_q_step(fitted)
+    assert abs(mean) <= 3 * se
+
+
+def test_a_model_fitted_to_a_synthetic_session_starts_cleared():
+    """The round trip of the hand-off test moved the mean π by +0.0044 ±
+    0.00007 in the first Q step from the long-run book."""
+    params = demo_params()
+    n_bars = 120
+    text = format_log(synthesize_log(params, n_bars, seed=5))
+    fitted = calibrate(text, pi0=params.pi0, K=params.K, delta_p=params.delta_p,
+                       p_min=19.0, p_max=21.5,
+                       session=(SESSION_START_NS, SESSION_START_NS + n_bars * BAR_NS)).params
+    mean, se = _one_q_step(fitted)
+    assert abs(mean) <= 3 * se
 
 
 def test_calibrate_matches_manual_chain():

@@ -137,6 +137,40 @@ def test_validate_rejects_bad_shapes_and_signs():
         ModelParams.create(**{**_kw(p), "q0": -p.q0})
 
 
+def test_the_raw_constructor_validates():
+    """No way of building a model skips the check: the constructor itself
+    rejects a negative vol, and names what it rejects."""
+    p = demo_params()
+    with pytest.raises(ConfigError, match="relative volatilities must be non-negative"):
+        ModelParams(**{**_kw(p), "sigma_q_rel": -p.sigma_q_rel})
+
+
+def test_replace_revalidates():
+    p = demo_params()
+    with pytest.raises(ConfigError, match="initial quantities must be strictly positive"):
+        replace(p, edge0=-1.0)
+    with pytest.raises(ConfigError, match="loading rows must satisfy"):
+        replace(p, loadings=2.0 * p.loadings)
+    assert replace(p, pi0=20.0).pi0 == 20.0
+
+
+def test_a_model_owns_read_only_float_arrays():
+    """A model takes a float copy of each array it is given, so neither a
+    write through the model nor one into the caller's array can change it."""
+    p = demo_params()
+    q0 = np.array(p.q0)
+    built = ModelParams(**{**_kw(p), "q0": q0, "a_q": p.a_q.tolist()})
+    q0[0] = -1.0
+    assert np.array_equal(built.q0, p.q0)
+    for name in ("q0", "a_q", "mean_logq", "sigma_q_rel", "loadings", "edge_loadings"):
+        arr = getattr(built, name)
+        assert arr.dtype == float and not arr.flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        built.q0[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        p.loadings[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("K", [7.0, True])
 def test_validate_rejects_a_K_that_is_not_an_int(K):
     """A float or a bool K is named before any shape check reads it."""
