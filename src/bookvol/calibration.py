@@ -252,7 +252,9 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
     Bar b covers the timestamps (start + b BAR_NS, start + (b + 1) BAR_NS];
     the first bar also takes messages at or before the session start, and
     the last one any after its end.  The book is snapshotted at the last
-    message of every bar (390 bars for a 6.5-hour session), and resting
+    message of every bar (390 bars for a 6.5-hour session): one ``replay``
+    runs the log with those message counts as its closes, so the snapshot
+    is the only per-bar call and no call is made per message.  Resting
     quantity is assigned to the half-open relative buckets of ``_snapshot``,
     whose columns are stacked once into the (2K+1, n_bars) masses.
     Bars that receive no message carry the snapshot of the last bar that
@@ -282,15 +284,7 @@ def build_panel(events: Sequence, pi0: float, K: int, delta_p: float,
             for b in range(1, n_bars)] + [len(events)]
     closes = sorted(set(ends) - {0})
     snaps = []
-    seen = 0
-
-    def on_event(ev, book):
-        nonlocal seen
-        seen += 1
-        if seen == closes[len(snaps)]:
-            snaps.append(_snapshot(book, K, delta_p))
-
-    replay(events, pi0, on_event=on_event)
+    replay(events, pi0, closes, lambda book: snaps.append(_snapshot(book, K, delta_p)))
 
     # Each bar takes the snapshot of the last bar that closed by its end;
     # a leading gap takes the first one.
@@ -601,34 +595,45 @@ def synthesize_log(params: ModelParams, n_bars: int, seed: int = 0) -> list:
     series exactly, which is what makes parameter-recovery tests sharp.
     Bar b shows the path after b one-minute physical steps of run_steps; a
     path that aborts raises SimulationError.
+
+    The run is recorded first, each bar's π and log state into one row of
+    two arrays; the bars' prices, sizes and below-grid sums are then built
+    for all bars at once, and only the events are assembled bar by bar.
+    A delete repeats its add's price and size objects.
     """
-    ens = init_ensemble(params, 1)
-    steps = run_steps(params, ens, n_bars - 1, BAR_HOURS, seed, risk_neutral=False)
     K = params.K
+    ens = init_ensemble(params, 1)
+    pis, states = np.empty(n_bars), np.empty((n_bars, 2 * K + 1))
+    steps = run_steps(params, ens, n_bars - 1, BAR_HOURS, seed, risk_neutral=False)
+    for bar in range(n_bars):
+        if bar > 0:
+            next(steps)
+        pis[bar] = ens.pi[0]
+        states[bar] = ens.log_state[:, 0]
+
     # per bucket j, k = j - K + 1: buys below the clearing price, sells at
     # and above it, at offset k·Δp
     buckets = range(-K + 1, K + 1)
     bucket_sides = [Side.BUY if k < 0 else Side.SELL for k in buckets]
-    bucket_offsets = [k * params.delta_p for k in buckets]
     bucket_ids = [f"k{j}" for j in range(2 * K)]
     deep_offset = K * params.delta_p
+    q = np.exp(states[:, 1:])
+    all_prices = (pis[:, None] + np.array(buckets) * params.delta_p).tolist()
+    all_sizes = q.tolist()
+    below = q[:, :K - 1].sum(axis=1).tolist()
+    log_edges = states[:, 0].tolist()
     tick = 1_000_000
     events: list = []
     # the orders resting from the previous bar, as (sides, ids, prices, sizes)
     resting: tuple = ([], [], [], [])
 
-    for bar in range(n_bars):
-        if bar > 0:
-            next(steps)
-        pi = float(ens.pi[0])
-        q = np.exp(ens.log_q[:, 0])
+    for bar, pi in enumerate(pis.tolist()):
         sides = bucket_sides.copy()
         prefix = f"q{bar}"
         ids = [prefix + suffix for suffix in bucket_ids]
-        prices = [pi + offset for offset in bucket_offsets]
-        sizes = q.tolist()
+        prices, sizes = all_prices[bar], all_sizes[bar]
         # Deep buy below the grid: brings total buys up to the edge value.
-        deep = math.exp(ens.log_edge[0]) - float(q[: K - 1].sum())
+        deep = math.exp(log_edges[bar]) - below[bar]
         if deep > 0.0:
             sides.append(Side.BUY)
             ids.append(f"e{bar}")
@@ -658,12 +663,26 @@ def format_log(events: Sequence) -> str:
     Floats use their shortest round-tripping representation, so a
     parse(format(x)) cycle reproduces prices and sizes bit-for-bit.  A side
     that is not a Side is an OrderError naming the order and the side.
+    Each price or size object is rendered once, so a delete that repeats its
+    add's objects (as ``synthesize_log`` writes it) reuses the add's text.
     """
     # by identity: an Enum key would hash through Enum.__hash__
     buy, sell = Side.BUY, Side.SELL
-    lines = [f"{msg_type},{'B' if side is buy else 'S' if side is sell else _no_side(order_id, side)},"
-             f"{timestamp},{order_id},{price!r},{size!r}"
-             for msg_type, side, timestamp, order_id, price, size in events]
+    # repr by object id, not by value: -0.0 == 0.0 and 20 == 20.0 print
+    # differently.  The list keeps every object alive, so no id is reused.
+    events = list(events)
+    text: dict[int, str] = {}
+    get = text.get
+    lines = []
+    for msg_type, side, timestamp, order_id, price, size in events:
+        price_s = get(id(price))
+        if price_s is None:
+            price_s = text[id(price)] = repr(price)
+        size_s = get(id(size))
+        if size_s is None:
+            size_s = text[id(size)] = repr(size)
+        code = "B" if side is buy else "S" if side is sell else _no_side(order_id, side)
+        lines.append(f"{msg_type},{code},{timestamp},{order_id},{price_s},{size_s}")
     return "\n".join(lines) + "\n"
 
 

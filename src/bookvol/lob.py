@@ -19,7 +19,9 @@ passes each other record with one string comparison (see ``OrderBook``);
 ``OrderBook.records()`` is the read-only view of them, oldest first.
 Prices and quantities must be positive and finite and order ids unique;
 violations raise instead of corrupting the book.  The module also provides
-the message-event record used for replaying exchange logs.
+the message-event record of exchange logs and ``replay``, which runs a log
+through a fresh book and hands the book to a callback at given message
+counts (the bar closes of the calibration panel), not after every message.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from collections.abc import ValuesView
+from collections.abc import Callable, Sequence, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
@@ -224,43 +226,58 @@ class ReplayResult:
 
 
 def replay(
-    events: list[MessageEvent],
+    events: Sequence[MessageEvent],
     opening_price: float,
-    on_event=None,
+    closes: Sequence[int] = (),
+    on_close: Callable[[OrderBook], object] | None = None,
 ) -> ReplayResult:
     """Replay a message log through a fresh book.
 
     Adds submit, deletes cancel, and modifies cancel-and-resubmit (the
     modified order loses its time priority).  Deletes or modifies of unknown
-    ids are counted as orphans and skipped/added respectively.  ``on_event``
-    is called as ``on_event(event, book)`` after each message, which is how
-    the calibration pipeline takes bar snapshots.
+    ids are counted as orphans and skipped/added respectively.
+    ``on_close(book)`` is called once after the ``closes[i]``-th message for
+    each i, which is how the calibration pipeline takes bar snapshots; the
+    messages between two closes run in one loop with no call.  ``closes``
+    must rise strictly within 1..len(events), and needs an ``on_close``;
+    otherwise it is a ValueError, raised before any message is replayed.
     """
+    n = len(events)
+    bounds = [0, *closes, n]
+    for i in range(1, len(bounds) - 1):
+        if not bounds[i - 1] < bounds[i] <= n:
+            raise ValueError(f"closes must rise strictly within 1..{n}, "
+                             f"got closes[{i - 1}] = {bounds[i]} after {bounds[i - 1]}")
+    if len(bounds) > 2 and on_close is None:
+        raise ValueError("closes need an on_close to call")
     book = OrderBook(opening_price)
     submit, cancel = book.submit, book.cancel
     result = ReplayResult(book=book, trades=[])
     add_fills, add_price = result.trades.extend, result.clearing_prices.append
-    for ev in events:
-        msg_type, side, timestamp, order_id, price, size = ev
-        if msg_type == "A":
-            fills = submit((order_id, side, price, size))
-        elif msg_type == "D":
-            fills = None
-            try:
-                cancel(order_id)
-            except UnknownOrderError:
-                result.orphan_deletes += 1
-        elif msg_type == "M":
-            try:
-                cancel(order_id)
-            except UnknownOrderError:
-                result.orphan_modifies += 1
-            fills = submit((order_id, side, price, size))
-        else:
-            raise OrderError(f"unknown message type {msg_type!r}")
-        if fills:
-            add_fills(fills)
-            add_price((timestamp, book.last_trade_price))
-        if on_event is not None:
-            on_event(ev, book)
+    # one slice per close; with no closes the log runs as it is, uncopied
+    segments = (events[start:stop] for start, stop in zip(bounds, bounds[1:])) \
+        if len(bounds) > 2 else (events,)
+    for i, segment in enumerate(segments):
+        if i:                           # the book after the closes[i - 1]-th message
+            on_close(book)
+        for msg_type, side, timestamp, order_id, price, size in segment:
+            if msg_type == "A":
+                fills = submit((order_id, side, price, size))
+            elif msg_type == "D":
+                fills = None
+                try:
+                    cancel(order_id)
+                except UnknownOrderError:
+                    result.orphan_deletes += 1
+            elif msg_type == "M":
+                try:
+                    cancel(order_id)
+                except UnknownOrderError:
+                    result.orphan_modifies += 1
+                fills = submit((order_id, side, price, size))
+            else:
+                raise OrderError(f"unknown message type {msg_type!r}")
+            if fills:
+                add_fills(fills)
+                add_price((timestamp, book.last_trade_price))
     return result

@@ -96,13 +96,14 @@ class ModelParams:
         `q0[3]`, `loadings[2][5]`), then a K that is not an int (bools
         excluded) or is below 1, arrays of the wrong shape, non-positive sizes
         or prices, negative speeds or vols, and loading rows that are not
-        normalized: each a ConfigError."""
+        normalized: each a ConfigError.  A size, speed, vol or loading row
+        that fails is named with its entry as well (`q0[5]`, `edge0`,
+        `sigma_q_rel[3]`, `loadings[2]`, `edge_loadings`)."""
         for f in fields(self):
             value = np.asarray(getattr(self, f.name), dtype=float)
             if not np.isfinite(value).all():
-                first = np.argwhere(~np.isfinite(value))[0]
-                at = "".join(f"[{i}]" for i in first)
-                raise ConfigError(f"{f.name}{at} must be finite, got {value[tuple(first)]}")
+                raise ConfigError("{} must be finite, got {}".format(
+                    *_first(f.name, value, ~np.isfinite(value))))
         if not is_whole(self.K):
             raise ConfigError(f"K must be an integer, got {self.K!r}")
         n = self.factor_count
@@ -120,16 +121,31 @@ class ModelParams:
             raise ConfigError(f"loadings must have shape ({n}, {n})")
         if self.edge_loadings.shape != (n,):
             raise ConfigError(f"edge_loadings must have shape ({n},)")
-        if np.any(self.q0 <= 0) or self.edge0 <= 0:
-            raise ConfigError("initial quantities must be strictly positive")
-        if np.any(self.sigma_q_rel < 0) or self.sigma_edge_rel < 0:
-            raise ConfigError("relative volatilities must be non-negative")
-        if np.any(self.a_q < 0) or self.a_edge < 0:
-            raise ConfigError("mean-reversion speeds must be non-negative")
-        norms = (self.loadings**2).sum(axis=1) * self.delta_p
-        edge_norm = (self.edge_loadings**2).sum() * self.delta_p
-        if np.any(np.abs(norms - 1.0) > _NORMALIZATION_TOL) or abs(edge_norm - 1.0) > _NORMALIZATION_TOL:
-            raise ConfigError("loading rows must satisfy sum_j b(j)^2 delta_p = 1")
+        positive = "initial quantities must be strictly positive"
+        non_negative = "relative volatilities must be non-negative"
+        speeds = "mean-reversion speeds must be non-negative"
+        for message, name, value, bad in (
+                (positive, "q0", self.q0, self.q0 <= 0),
+                (positive, "edge0", self.edge0, self.edge0 <= 0),
+                (non_negative, "sigma_q_rel", self.sigma_q_rel, self.sigma_q_rel < 0),
+                (non_negative, "sigma_edge_rel", self.sigma_edge_rel, self.sigma_edge_rel < 0),
+                (speeds, "a_q", self.a_q, self.a_q < 0),
+                (speeds, "a_edge", self.a_edge, self.a_edge < 0)):
+            if np.any(bad):
+                raise ConfigError("{}: {} is {}".format(message, *_first(name, value, bad)))
+        for name, rows in (("loadings", self.loadings), ("edge_loadings", self.edge_loadings)):
+            norms = (rows**2).sum(axis=-1) * self.delta_p
+            bad = np.abs(norms - 1.0) > _NORMALIZATION_TOL
+            if np.any(bad):
+                raise ConfigError("loading rows must satisfy sum_j b(j)^2 delta_p = 1: "
+                                  "{} gives {}".format(*_first(name, norms, bad)))
+
+
+def _first(name: str, value, bad) -> tuple[str, object]:
+    """The first entry of `value` where `bad` holds, named as `name` indexed
+    to it (`q0[3]`, `loadings[2][5]`; `edge0` for a scalar), and its value."""
+    at = np.argwhere(bad)[0]
+    return name + "".join(f"[{i}]" for i in at), np.asarray(value)[tuple(at)]
 
 
 def identity_loadings(K: int, delta_p: float) -> np.ndarray:
@@ -186,11 +202,14 @@ def _number(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _numbers(value, name: str) -> list[float]:
+def _numbers(value, name: str, size: int | None = None) -> list[float]:
     """A config list of numbers, entry i read by `_number` and named `name[i]`.
-    Any value that is not a list is a ConfigError naming `name`."""
+    Any value that is not a list, or not of `size` entries where a size is
+    given, is a ConfigError naming `name`."""
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    if size is not None and len(value) != size:
+        raise ConfigError(f"{name} must have {size} entries, got {len(value)}")
     return [_number(x, f"{name}[{i}]") for i, x in enumerate(value)]
 
 
@@ -199,7 +218,8 @@ def params_from_dict(d: dict) -> ModelParams:
     defaults to 0.  A missing key, labels other than -K+1..K, or a K, label
     (`buckets[0].k`), scalar, bucket entry (`buckets[k=-3].q(k,0)`) or loading
     (`loadings[2][5]`, `edge_loadings[4]`) of the wrong JSON type is a
-    ConfigError naming the key; then validate names a non-finite field."""
+    ConfigError naming the key, as is a loading row (`loadings[2]`) without
+    one entry per factor; then validate names a non-finite field."""
     if not isinstance(d, dict):
         raise ConfigError(f"model must be a JSON object, got {type(d).__name__}")
     d = {"c": 0.0, **d}
@@ -220,7 +240,7 @@ def params_from_dict(d: dict) -> ModelParams:
             **{f: _number(d[key], key) for f, key in _SCALAR_KEYS},
             **{f: [_number(r[key], f"buckets[k={k}].{key}") for k, r in rows]
                for f, key in _BUCKET_KEYS},
-            loadings=[_numbers(row, f"loadings[{i}]") for i, row in enumerate(loadings)],
+            loadings=[_numbers(row, f"loadings[{i}]", 2 * K) for i, row in enumerate(loadings)],
             edge_loadings=_numbers(d["edge_loadings"], "edge_loadings"),
         )
     except KeyError as exc:

@@ -493,16 +493,19 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
     """The one simulation loop: step `ens` in place n_steps times by dt hours
     and yield each step's StepRow after the step.  The run's StepPlan, built
     at the first step, decides the measure and carries nothing from one step
-    to the next, so the caller may change ens between steps.
+    to the next, so the caller may change ens between steps, in place: the
+    run steps views of the arrays ens held at its first step.
 
     Each step visits the run's groups of paths (_groups) in stream order,
-    each a column view of `ens` stepped through plan.narrow(its width), so
-    the run's working memory does not grow with its path count and the bits
-    do not depend on the group size.  A group's step runs, in order: where
-    plan.kills (under Q), the drift kill of its state, which freezes the
-    paths it finds singular, and in the first group the path-0 residual;
-    then the draws of its own streams into plan.draws, over the spent
-    pivots; then step_ensemble.  The step's row sums the groups' counts.
+    each a column view of `ens` stepped through plan.narrow(its width); both
+    views, and the group's draws view and first sheet chunk, are built once
+    a run.  So the run's working memory does not grow with its path count,
+    and the bits do not depend on the group size.  A group's step runs, in
+    order: where plan.kills (under Q), the drift kill of its state, which
+    freezes the paths it finds singular, and in the first group the path-0
+    residual; then the draws of its own streams into plan.draws, over the
+    spent pivots; then step_ensemble.  The step's row sums the groups'
+    counts.
     From the first step until the run ends, raises or is closed, numpy's
     bundled OpenBLAS runs on one thread (_OneBlasThread), and the caller's
     count comes back.
@@ -517,24 +520,27 @@ def run_steps(params: ModelParams, ens: Ensemble, n_steps: int, dt: float, seed:
     groups = _groups(n_paths)
     plan = StepPlan(params, dt, max(g.stop - g.start for g in groups),
                     risk_neutral=risk_neutral)
-    views = [plan.narrow(g.stop - g.start) for g in groups]
+    # per group, built once: its books, its plan view, the draws' target and
+    # its first sheet chunk
+    runs = []
+    for g in groups:
+        view = plan.narrow(g.stop - g.start)
+        runs.append((g.start, ens.column(g), view, view.draws, g.start // sheet._CHUNK))
     gen = sheet.generator()         # re-keyed for every draw
     rows = []                       # this run's, for the all-aborted verdict
 
     with _one_blas_thread:
         for step in range(n_steps):
             residual, counts = math.nan, []
-            for g, view in zip(groups, views):
-                group = ens.column(g)
+            for start, group, view, draws, first_chunk in runs:
                 shift, singular = None, False
                 if plan.kills:
                     shift, rhs, singular = _batch_kill_shifts(group, view)
-                    if g.start == 0 and group.alive[0]:
+                    if start == 0 and group.alive[0]:
                         residual = _path0_rel_residual(view, shift, rhs)
                 # the pivots in S are spent: draw into it
-                inc = sheet.increments_block(cfg, dt, step, g.stop - g.start, gen,
-                                             out=view.draws,
-                                             first_chunk=g.start // sheet._CHUNK)
+                inc = sheet.increments_block(cfg, dt, step, len(draws), gen,
+                                             out=draws, first_chunk=first_chunk)
                 top, bottom, broken = step_ensemble(group, inc, view, kill=shift)
                 counts.append([np.count_nonzero(mask)
                                for mask in (group.alive, top, bottom, broken, singular)])

@@ -26,6 +26,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from spans import Hooks  # noqa: E402
 
+from bookvol.calibration import BAR_NS  # noqa: E402
+
 SMALL = {
     "smile": lambda: workloads.Smile(5, n_paths=300, n_steps=4),
     "calibrate": lambda: workloads.Calibrate(5, n_bars=150, n_logs=2),
@@ -64,3 +66,19 @@ def test_replay_goes_through_submit_and_cancel(name):
     assert hooks.calls["lob.replay"] == 1
     assert hooks.calls["lob.submit"] == adds + modifies
     assert hooks.calls["lob.cancel"] == deletes + modifies
+
+
+def test_calibrate_snapshots_once_per_bar_close():
+    """The panel takes one snapshot per bar that closes on a message, so
+    `calibration.snapshot.us_per_bar` keeps timing one snapshot a bar."""
+    w = SMALL["calibrate"]()
+    with Hooks(w.hooks(), timed=False) as hooks:
+        w.rep()
+    start, end = w.session
+    n_bars = (end - start) // BAR_NS
+    # bar b holds (start + b·BAR_NS, start + (b + 1)·BAR_NS]; the first bar
+    # also takes earlier messages, the last one later messages
+    bars = {min(max((ev.timestamp - start - 1) // BAR_NS, 0), n_bars - 1)
+            for ev in hooks.captured["calibration.clean"].events}
+    assert len(bars) == w.n_bars == n_bars     # a synthesized log fills every bar
+    assert hooks.calls["calibration.snapshot"] == len(bars)

@@ -2,6 +2,7 @@
 hand-counted books, the exact synthetic round trip, and every estimator
 against an independent oracle."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -409,7 +410,7 @@ def test_snapshot_is_the_per_order_loop_at_every_message(K, delta_p):
     and buys above +K."""
     seen = set()
 
-    def on_event(ev, book):
+    def on_close(book):
         _assert_snapshot_is_the_oracle(book, K, delta_p)
         pi = book.clearing_price
         records = list(book.records())
@@ -423,7 +424,8 @@ def test_snapshot_is_the_per_order_loop_at_every_message(K, delta_p):
         if len({r[3] for r in records}) < len(records):
             seen.add("shared level")
 
-    replay(_scripted_events() + _random_events(seed=K), 20.0, on_event=on_event)
+    events = _scripted_events() + _random_events(seed=K)
+    replay(events, 20.0, closes=range(1, len(events) + 1), on_close=on_close)
     assert seen == {"partly filled", "sell in -K", "buy above +K", "shared level"}
 
 
@@ -538,9 +540,9 @@ def _synthesis_oracle(params, n_bars, seed):
     return events
 
 
-def _ground_truth_like():
-    """K = 7, fast-reverting, quiet buy side, 0.4^|i-j| factor correlation."""
-    K, dp = 7, 0.05
+def _ground_truth_like(K=7):
+    """K buckets a side, fast-reverting, quiet buy side, 0.4^|i-j| factor correlation."""
+    dp = 0.05
     n = 2 * K
     m = np.full(n, math.log(2e9))
     corr = 0.4 ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
@@ -562,11 +564,17 @@ def _thin_start_edge():
     return replace(params, edge0=0.9 * float(params.q0[:params.K - 1].sum()))
 
 
-@pytest.mark.parametrize("params", [demo_params(), _ground_truth_like(), _thin_start_edge()],
-                         ids=["demo", "ground-truth-like", "no-deep-buy"])
-def test_synthesis_and_format_match_the_message_by_message_oracle(params):
-    events = synthesize_log(params, 40, seed=4)
-    expected = _synthesis_oracle(params, 40, seed=4)
+@pytest.mark.parametrize("params, n_bars", [
+    (demo_params(), 40), (_ground_truth_like(), 40), (_thin_start_edge(), 40),
+    (_ground_truth_like(K=1), 40), (_ground_truth_like(K=9), 320), (_ground_truth_like(K=12), 320),
+], ids=["demo", "ground-truth-like", "no-deep-buy", "K1", "K9", "K12"])
+def test_synthesis_and_format_match_the_message_by_message_oracle(params, n_bars):
+    """At K >= 9 the K - 1 masses below the clearing bucket are 8 or more
+    terms, where numpy sums a row of them in its blocked pairwise order; the
+    log's below-grid sums over all bars still equal the oracle's, one bar's
+    sum at a time."""
+    events = synthesize_log(params, n_bars, seed=4)
+    expected = _synthesis_oracle(params, n_bars, seed=4)
     assert events == expected
     assert [[type(v) for v in ev] for ev in events] == \
         [[type(v) for v in ev] for ev in expected]
@@ -574,6 +582,28 @@ def test_synthesis_and_format_match_the_message_by_message_oracle(params):
     assert format_log(events) == "\n".join(
         f"{ev.msg_type},{ev.side.value},{ev.timestamp},{ev.order_id},{ev.price!r},{ev.size!r}"
         for ev in expected) + "\n"
+
+
+def test_format_log_writes_each_value_as_its_own_repr():
+    """Text is rendered per object, never per value: -0.0 and 0.0, or the
+    int 20 and 20.0, are equal values with different text, and each object
+    here is shared by several events, as price and as size."""
+    values = [-0.0, 0.0, 20, 20.0, np.float64(20.1), math.nan, 20.1]
+    events = [MessageEvent("A", Side.BUY, 1, f"o{i}", price, size)
+              for i, (price, size) in enumerate(itertools.product(values, repeat=2))]
+    assert format_log(events) == "".join(
+        f"{ev.msg_type},B,{ev.timestamp},{ev.order_id},{ev.price!r},{ev.size!r}\n"
+        for ev in events)
+
+
+def test_format_log_of_a_generator_of_fresh_floats():
+    """Events made one at a time, each holding floats that nothing else
+    keeps, are each written with their own text."""
+    def events():
+        for i in range(2000):
+            yield MessageEvent("D", Side.SELL, i, f"o{i}", 20.0 + i / 3.0, i / 7.0 + 0.5)
+    assert format_log(events()) == "".join(
+        f"D,S,{ev.timestamp},{ev.order_id},{ev.price!r},{ev.size!r}\n" for ev in events())
 
 
 def test_synthetic_log_raises_when_its_path_aborts():

@@ -220,7 +220,10 @@ def test_config_number_that_is_not_one_exits_2(argv, config, message, tmp_path, 
     (lambda d: {**d, "buckets": d["buckets"][:7] + [{**d["buckets"][7], "k": True}]
                 + d["buckets"][8:]}, "buckets[7].k must be an integer, got True"),
     (lambda d: {**d, "c": None}, "c must be a number, got None"),
-], ids=["K-fraction", "buckets-number", "model-list", "pi0-nan", "k-true", "c-null"])
+    (lambda d: {**d, "loadings": d["loadings"][:2] + [d["loadings"][2][:-1]] + d["loadings"][3:]},
+     "loadings[2] must have 14 entries, got 13"),
+], ids=["K-fraction", "buckets-number", "model-list", "pi0-nan", "k-true", "c-null",
+        "ragged-loadings-row"])
 def test_malformed_model_exits_2(edit, message, tmp_path, capsys):
     """A `"K": 7.5` model no longer runs as K = 7, `"k": true` is not bucket
     1, a NaN is not a price, and a model of the wrong shape or type is a

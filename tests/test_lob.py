@@ -466,3 +466,43 @@ def _assert_replay_matches_reference(events):
         [(o[0], o[3]) for o in book.orders]
     assert all(type(t) is Trade for t in result.trades)
     assert all(type(o) is LimitOrder for o, _ in result.book.resting_orders())
+
+
+def _state(result_or_book):
+    """A book's clearing price and resting records, as plain values."""
+    book = getattr(result_or_book, "book", result_or_book)
+    return book.clearing_price, [list(r) for r in book.records()]
+
+
+@given(_message_stream(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_replay_to_closes_is_the_replay_of_each_prefix(events, data):
+    """With closes, replay returns what it returns without them, and
+    on_close sees the book after exactly the closes[i]-th message: the book
+    that replaying the first closes[i] messages alone leaves."""
+    closes = sorted(data.draw(st.sets(st.integers(1, len(events)))))
+    seen = []
+    result = replay(events, 100.0, closes=closes, on_close=lambda book: seen.append(_state(book)))
+    plain = replay(events, 100.0)
+    assert result.trades == plain.trades
+    assert result.clearing_prices == plain.clearing_prices
+    assert (result.orphan_deletes, result.orphan_modifies) == \
+        (plain.orphan_deletes, plain.orphan_modifies)
+    assert _state(result) == _state(plain)
+    assert seen == [_state(replay(events[:close], 100.0)) for close in closes]
+
+
+@pytest.mark.parametrize("closes, on_close, message", [
+    ([2, 2], print, "closes must rise strictly within 1..4, got closes[1] = 2 after 2"),
+    ([3, 1], print, "closes must rise strictly within 1..4, got closes[1] = 1 after 3"),
+    ([0], print, "closes must rise strictly within 1..4, got closes[0] = 0 after 0"),
+    ([1, 5], print, "closes must rise strictly within 1..4, got closes[1] = 5 after 1"),
+    ([4], None, "closes need an on_close to call"),
+], ids=["repeated", "falling", "zero", "past-the-end", "no-on_close"])
+def test_bad_closes_raise_before_any_message(closes, on_close, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(OrderBook, "submit", lambda *args: calls.append(args))
+    with pytest.raises(ValueError) as exc:
+        replay(_example_events(), 110.0, closes=closes, on_close=on_close)
+    assert str(exc.value) == message
+    assert calls == []

@@ -115,8 +115,10 @@ _NON_FINITE = [(_set(*path, value=v), f"{field} must be finite, got {v}", f"{fie
     (lambda d: {**d, "buckets": [1.0] + d["buckets"][1:]},
      "buckets must be a list of objects, one per bucket"),
     (lambda d: [d], "model must be a JSON object, got list"),
+    (lambda d: {**d, "loadings": d["loadings"][:2] + [d["loadings"][2][:-1]] + d["loadings"][3:]},
+     "loadings[2] must have 14 entries, got 13"),
 ] + [row[:2] for row in _WRONG_TYPES + _NON_FINITE],
-    ids=["K-fraction", "K-bool", "buckets-number", "bucket-number", "model-list"]
+    ids=["K-fraction", "K-bool", "buckets-number", "bucket-number", "model-list", "ragged-row"]
     + [row[2] for row in _WRONG_TYPES + _NON_FINITE])
 def test_malformed_model_names_its_key(edit, message):
     """A fractional K is not truncated to the K its labels happen to match, a
@@ -137,12 +139,39 @@ def test_validate_rejects_bad_shapes_and_signs():
         ModelParams.create(**{**_kw(p), "q0": -p.q0})
 
 
+def _with(values, i, value):
+    """A copy of `values` with entry i (an index or an index tuple) set."""
+    values = np.array(values)
+    values[i] = value
+    return values
+
+
 def test_the_raw_constructor_validates():
     """No way of building a model skips the check: the constructor itself
-    rejects a negative vol, and names what it rejects."""
+    rejects a negative vol, a zero size, a negative speed or an unnormalized
+    loading row, and names the entry it rejects after the rule it breaks."""
     p = demo_params()
     with pytest.raises(ConfigError, match="relative volatilities must be non-negative"):
         ModelParams(**{**_kw(p), "sigma_q_rel": -p.sigma_q_rel})
+    for edit, message in (
+        ({"sigma_q_rel": _with(p.sigma_q_rel, 3, -0.1)},
+         "relative volatilities must be non-negative: sigma_q_rel[3] is -0.1"),
+        ({"sigma_edge_rel": -0.25},
+         "relative volatilities must be non-negative: sigma_edge_rel is -0.25"),
+        ({"q0": _with(p.q0, 5, 0.0)},
+         "initial quantities must be strictly positive: q0[5] is 0.0"),
+        ({"edge0": -1.0}, "initial quantities must be strictly positive: edge0 is -1.0"),
+        ({"a_q": _with(p.a_q, 0, -3.0)},
+         "mean-reversion speeds must be non-negative: a_q[0] is -3.0"),
+        ({"a_edge": -2.0}, "mean-reversion speeds must be non-negative: a_edge is -2.0"),
+        ({"loadings": _with(p.loadings, (2, 2), p.loadings[2, 2] + 1.0)},
+         "loading rows must satisfy sum_j b(j)^2 delta_p = 1: loadings[2] gives "),
+        ({"edge_loadings": 2.0 * p.edge_loadings},
+         "loading rows must satisfy sum_j b(j)^2 delta_p = 1: edge_loadings gives "),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            ModelParams(**{**_kw(p), **edit})
+        assert str(exc.value).startswith(message), edit
 
 
 def test_replace_revalidates():
